@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Machine-readable benchmark trajectory (BENCH_pr8.json).
+# Machine-readable benchmark trajectory (BENCH_pr10.json).
 #
 # Builds the harness benches and runs the three pipeline-level binaries
 # under BCCLAP_THREADS=1 and BCCLAP_THREADS=N (default 4), then merges the

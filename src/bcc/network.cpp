@@ -1,7 +1,8 @@
 #include "bcc/network.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstddef>
+#include <stdexcept>
 
 #include "common/encoding.h"
 
@@ -12,6 +13,12 @@ namespace {
 // Below this many nodes the parallel fan-out costs more than it saves;
 // everything runs inline (the pool does the same cut-off by grain).
 constexpr std::size_t kParallelGrainNodes = 16;
+
+void check_bandwidth(std::int64_t bandwidth_bits) {
+  if (bandwidth_bits < 1) {
+    throw std::invalid_argument("Network: bandwidth_bits must be >= 1");
+  }
+}
 
 }  // namespace
 
@@ -28,33 +35,45 @@ Network::Network(Model model, const graph::Graph& g,
                  std::int64_t bandwidth_bits, const common::Context& ctx)
     : model_(model), n_(g.num_vertices()), bandwidth_(bandwidth_bits),
       ctx_(ctx) {
-  assert(bandwidth_ >= 1);
-  if (model_ == Model::kBroadcastCongest) {
-    neighbours_.resize(n_);
-    for (std::size_t v = 0; v < n_; ++v) {
-      for (graph::EdgeId e : g.incident(v)) {
-        neighbours_[v].push_back(g.other_endpoint(e, v));
-      }
-      std::sort(neighbours_[v].begin(), neighbours_[v].end());
-      neighbours_[v].erase(
-          std::unique(neighbours_[v].begin(), neighbours_[v].end()),
-          neighbours_[v].end());
+  check_bandwidth(bandwidth_);
+  if (model_ != Model::kBroadcastCongest) return;
+  link_offsets_.assign(n_ + 1, 0);
+  for (std::size_t v = 0; v < n_; ++v) {
+    const auto first = static_cast<std::ptrdiff_t>(links_.size());
+    for (graph::EdgeId e : g.incident(v)) {
+      links_.push_back({g.other_endpoint(e, v), e});
     }
+    // Ascending by neighbour, then edge id; unique() keeps the first link
+    // per neighbour, i.e. the lowest edge id between the pair.
+    std::sort(links_.begin() + first, links_.end(),
+              [](const Link& a, const Link& b) {
+                return a.node != b.node ? a.node < b.node : a.edge < b.edge;
+              });
+    links_.erase(std::unique(links_.begin() + first, links_.end(),
+                             [](const Link& a, const Link& b) {
+                               return a.node == b.node;
+                             }),
+                 links_.end());
+    link_offsets_[v + 1] = links_.size();
   }
 }
 
 Network::Network(Model model, std::size_t n, std::int64_t bandwidth_bits,
                  const common::Context& ctx)
     : model_(model), n_(n), bandwidth_(bandwidth_bits), ctx_(ctx) {
-  assert(model == Model::kBroadcastCongestedClique);
-  (void)model;
-  assert(bandwidth_ >= 1);
+  if (model_ != Model::kBroadcastCongestedClique) {
+    throw std::invalid_argument(
+        "Network: a topology-free network must be a broadcast clique");
+  }
+  check_bandwidth(bandwidth_);
 }
 
-std::vector<std::vector<ReceivedMessage>> Network::exchange(
-    const std::vector<std::vector<Message>>& outboxes,
-    const std::string& label) {
-  assert(outboxes.size() == n_);
+Inboxes Network::exchange(const std::vector<std::vector<Message>>& outboxes,
+                          const std::string& label) {
+  if (outboxes.size() != n_) {
+    throw std::invalid_argument(
+        "Network::exchange: expected one outbox per node");
+  }
 
   // Cost: nodes broadcast in parallel; each node serializes its own
   // messages, one B-bit broadcast per round. Max-over-nodes is
@@ -74,55 +93,74 @@ std::vector<std::vector<ReceivedMessage>> Network::exchange(
       [&](std::int64_t& local) { rounds = std::max(rounds, local); });
   accountant_.charge(label, rounds);
 
-  // Delivery: each recipient's inbox depends only on the (read-only)
-  // outboxes, so recipients assemble concurrently. Senders are walked in
-  // ascending id order per recipient, which reproduces exactly the
-  // sender-ordered delivery of the sequential engine.
-  std::vector<std::vector<ReceivedMessage>> inboxes(n_);
-  const bool clique = model_ == Model::kBroadcastCongestedClique;
-  // Active senders (ascending) and the total message count: with sparse
-  // traffic the per-recipient work is O(active), not O(n).
+  // The outboxes, laid out once in sender order: sender s's messages are
+  // in.messages_[first[s] .. first[s + 1]). Active senders (ascending)
+  // keep clique delivery O(active) per recipient under sparse traffic.
+  Inboxes in;
+  std::vector<std::size_t> first(n_ + 1, 0);
   std::vector<std::size_t> active;
-  std::size_t total_msgs = 0;
   for (std::size_t s = 0; s < n_; ++s) {
-    if (!outboxes[s].empty()) {
-      active.push_back(s);
-      total_msgs += outboxes[s].size();
-    }
+    first[s + 1] = first[s] + outboxes[s].size();
+    if (!outboxes[s].empty()) active.push_back(s);
   }
+  in.messages_.reserve(first[n_]);
+  for (std::size_t s : active) {
+    in.messages_.insert(in.messages_.end(), outboxes[s].begin(),
+                        outboxes[s].end());
+  }
+
+  // Delivery: each recipient's slice depends only on the (read-only)
+  // outboxes, so recipients count and then fill their slices concurrently.
+  // Senders are walked in ascending id order per recipient, which
+  // reproduces exactly the sender-ordered delivery of the sequential
+  // engine.
+  const bool clique = model_ == Model::kBroadcastCongestedClique;
+  const std::size_t total = first[n_];
+  in.offsets_.assign(n_ + 1, 0);
   ctx_.parallel_for_chunks(
       0, n_, kParallelGrainNodes, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t recv = lo; recv < hi; ++recv) {
-          auto& inbox = inboxes[recv];
-          const auto deliver_from = [&](std::size_t sender) {
-            for (const Message& msg : outboxes[sender]) {
-              inbox.push_back({sender, msg});
+          std::size_t count = 0;
+          if (clique) {
+            count = total - outboxes[recv].size();
+          } else {
+            for (std::size_t l = link_offsets_[recv];
+                 l < link_offsets_[recv + 1]; ++l) {
+              count += outboxes[links_[l].node].size();
+            }
+          }
+          in.offsets_[recv + 1] = count;
+        }
+      });
+  for (std::size_t v = 0; v < n_; ++v) in.offsets_[v + 1] += in.offsets_[v];
+  in.deliveries_.resize(in.offsets_[n_]);
+  ctx_.parallel_for_chunks(
+      0, n_, kParallelGrainNodes, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t recv = lo; recv < hi; ++recv) {
+          Inboxes::Delivery* out = in.deliveries_.data() + in.offsets_[recv];
+          const auto deliver_from = [&](std::size_t sender,
+                                        graph::EdgeId edge) {
+            for (std::size_t i = first[sender]; i < first[sender + 1]; ++i) {
+              *out++ = {sender, edge, i};
             }
           };
           if (clique) {
-            inbox.reserve(total_msgs - outboxes[recv].size());
             for (std::size_t s : active) {
-              if (s != recv) deliver_from(s);
+              if (s != recv) deliver_from(s, kNoEdge);
             }
           } else {
-            // BC adjacency is symmetric: recv's senders are its neighbours,
-            // already sorted ascending.
-            std::size_t count = 0;
-            for (std::size_t s : neighbours_[recv]) {
-              count += outboxes[s].size();
-            }
-            inbox.reserve(count);
-            for (std::size_t s : neighbours_[recv]) {
-              if (!outboxes[s].empty()) deliver_from(s);
+            for (std::size_t l = link_offsets_[recv];
+                 l < link_offsets_[recv + 1]; ++l) {
+              deliver_from(links_[l].node, links_[l].edge);
             }
           }
         }
       });
-  return inboxes;
+  return in;
 }
 
-std::vector<std::vector<ReceivedMessage>> Network::run_superstep(
-    const ComputeFn& compute, const std::string& label) {
+Inboxes Network::run_superstep(const ComputeFn& compute,
+                               const std::string& label) {
   std::vector<std::vector<Message>> outboxes(n_);
   // Grain 1: per-node compute is the heavyweight part of a superstep, so
   // every node is its own unit of work.

@@ -21,15 +21,19 @@
 // (run_superstep), round costing, and per-recipient inbox assembly all fan
 // out across the workers of the network's execution context
 // (common/context.h — the view of the bcclap::Runtime the network was
-// built under; the deprecated context-less constructors fall back to the
-// process-default Runtime). Delivery stays deterministic — inboxes[v] is
-// ordered by sender id regardless of thread count, and the max-over-nodes
-// round charge is order-independent — so a 1-worker and an N-worker
+// built under). Delivery stays deterministic — inboxes[v] is ordered by
+// sender id regardless of thread count, and the max-over-nodes round
+// charge is order-independent — so a 1-worker and an N-worker
 // configuration of the same Runtime produce byte-identical traffic and
 // equal round accounting (enforced by tests/test_network_determinism.cpp
 // and, across concurrent Runtimes, tests/test_runtime.cpp). Downstream
 // layers (spanner, sparsifier) reach the same context through context(),
 // so one Runtime's pipeline never touches another's pool.
+//
+// Delivery copies no message per recipient. A superstep's outboxes are
+// laid out once, flat and in sender order, and every recipient's inbox is
+// a CSR slice of deliveries that name the sender, the connecting edge and
+// the message's index in that flat array.
 #pragma once
 
 #include <cstdint>
@@ -44,18 +48,75 @@
 
 namespace bcclap::bcc {
 
+// Edge id of a delivery that did not travel along a graph edge (BCC mode).
+inline constexpr graph::EdgeId kNoEdge = static_cast<graph::EdgeId>(-1);
+
 enum class Model {
   kBroadcastCongest,         // deliver along communication-graph edges
   kBroadcastCongestedClique, // deliver to everyone
+};
+
+// The messages delivered by one superstep, as one flat CSR value:
+// recipient v's deliveries are inboxes[v], ordered by sender id (and by
+// outbox position within one sender).
+class Inboxes {
+ public:
+  struct Delivery {
+    std::size_t sender;
+    // BC mode: the lowest edge id between sender and recipient — the edge
+    // graph::Graph::find_edge reports. BCC mode: kNoEdge.
+    graph::EdgeId edge;
+    // Index of the message in the superstep's flat outbox array.
+    std::size_t message;
+  };
+
+  // One recipient's deliveries.
+  class Inbox {
+   public:
+    Inbox(const Delivery* first, const Delivery* last)
+        : first_(first), last_(last) {}
+    const Delivery* begin() const { return first_; }
+    const Delivery* end() const { return last_; }
+    std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+    bool empty() const { return first_ == last_; }
+    const Delivery& operator[](std::size_t i) const { return first_[i]; }
+
+   private:
+    const Delivery* first_;
+    const Delivery* last_;
+  };
+
+  // Number of recipients (the network's node count).
+  std::size_t size() const { return offsets_.size() - 1; }
+  Inbox operator[](std::size_t v) const {
+    return {deliveries_.data() + offsets_[v],
+            deliveries_.data() + offsets_[v + 1]};
+  }
+  const Message& message(const Delivery& d) const {
+    return messages_[d.message];
+  }
+  std::size_t num_deliveries() const { return deliveries_.size(); }
+
+ private:
+  friend class Network;
+
+  std::vector<Message> messages_;  // the outboxes, flat in sender order
+  // Recipient v's deliveries are deliveries_[offsets_[v] .. offsets_[v+1]).
+  std::vector<std::size_t> offsets_{0};
+  std::vector<Delivery> deliveries_;
 };
 
 class Network {
  public:
   // BC network over the topology of `g` (the usual setting: the input graph
   // is also the communication graph), executing on `ctx`'s worker pool.
+  // Both constructors throw std::invalid_argument when bandwidth_bits < 1.
   Network(Model model, const graph::Graph& g, std::int64_t bandwidth_bits,
           const common::Context& ctx);
-  // BCC network over n nodes (no topology needed).
+  // BCC network over n nodes (no topology needed); `model` must be
+  // kBroadcastCongestedClique (std::invalid_argument otherwise).
   Network(Model model, std::size_t n, std::int64_t bandwidth_bits,
           const common::Context& ctx);
 
@@ -68,11 +129,11 @@ class Network {
   const common::Context& context() const { return ctx_; }
 
   // Runs one superstep: outboxes[v] are the messages node v broadcasts
-  // (possibly empty). Returns inboxes: inboxes[v] = messages delivered to v,
-  // ordered by sender id. Charges rounds to `label`.
-  std::vector<std::vector<ReceivedMessage>> exchange(
-      const std::vector<std::vector<Message>>& outboxes,
-      const std::string& label);
+  // (possibly empty). Returns inboxes: inboxes[v] = deliveries to v,
+  // ordered by sender id. Charges rounds to `label`. Throws
+  // std::invalid_argument unless outboxes.size() == num_nodes().
+  Inboxes exchange(const std::vector<std::vector<Message>>& outboxes,
+                   const std::string& label);
 
   // Per-node local computation for run_superstep: node v's compute returns
   // the messages v broadcasts this superstep. Must only write state owned
@@ -84,8 +145,7 @@ class Network {
   // Superstep driver: fans compute(v) out across the worker pool for every
   // node, then exchanges the resulting outboxes. Callers hand the engine
   // their per-node compute instead of looping over nodes themselves.
-  std::vector<std::vector<ReceivedMessage>> run_superstep(
-      const ComputeFn& compute, const std::string& label);
+  Inboxes run_superstep(const ComputeFn& compute, const std::string& label);
 
   // Charges rounds without message traffic (used for sub-protocols whose
   // cost is known analytically, e.g. the <= k-1 rounds of propagating a
@@ -109,9 +169,15 @@ class Network {
   std::size_t n_;
   std::int64_t bandwidth_;
   common::Context ctx_;
-  // neighbours_[v]: sorted neighbour ids (BC mode only). Symmetric, so it
-  // serves as both send and receive adjacency.
-  std::vector<std::vector<std::size_t>> neighbours_;
+  // BC mode only: node v's neighbours, ascending, each with the lowest edge
+  // id joining it to v, at links_[link_offsets_[v] .. link_offsets_[v+1]).
+  // Symmetric, so it serves as both send and receive adjacency.
+  struct Link {
+    std::size_t node;
+    graph::EdgeId edge;
+  };
+  std::vector<std::size_t> link_offsets_;
+  std::vector<Link> links_;
   RoundAccountant accountant_;
 };
 

@@ -11,14 +11,11 @@ BundleResult bundle_spanner(const graph::Graph& g,
   BundleResult out;
   std::vector<bool> avail = available;
   const std::int64_t start = net.accountant().mark();
+  // One spanner object for all t runs: its scratch is allocated once.
+  ProbabilisticSpanner spanner(g, k, weights, oracle, mark_stream, net,
+                               pure_oracle);
   for (std::size_t i = 0; i < t; ++i) {
-    ProbabilisticSpannerOptions opt;
-    opt.k = k;
-    opt.available = avail;
-    opt.weights = weights;
-    opt.pure_oracle = pure_oracle;
-    auto res =
-        spanner_with_probabilistic_edges(g, opt, oracle, mark_stream, net);
+    const auto res = spanner.run(avail);
     out.deduction_consistent &= res.deduction_consistent;
     for (std::size_t j = 0; j < res.f_plus.size(); ++j) {
       out.bundle_edges.push_back(res.f_plus[j]);

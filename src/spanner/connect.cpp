@@ -1,25 +1,15 @@
 #include "spanner/connect.h"
 
-#include <algorithm>
-
 namespace bcclap::spanner {
-
-bool candidate_less(const Candidate& a, const Candidate& b) {
-  if (a.weight != b.weight) return a.weight < b.weight;
-  return a.u < b.u;
-}
 
 ConnectResult connect(std::vector<Candidate> candidates,
                       const std::function<bool(graph::EdgeId)>& exists) {
-  std::sort(candidates.begin(), candidates.end(), candidate_less);
+  Candidate* first = candidates.data();
+  const std::size_t rejected =
+      connect_in_place(first, first + candidates.size(), exists);
   ConnectResult result;
-  for (const Candidate& c : candidates) {
-    if (exists(c.e)) {
-      result.accepted = c;
-      break;
-    }
-    result.rejected.push_back(c);
-  }
+  result.rejected.assign(first, first + rejected);
+  if (rejected < candidates.size()) result.accepted = first[rejected];
   return result;
 }
 

@@ -13,6 +13,8 @@
 // constructive form of Lemma 3.3.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -32,14 +34,33 @@ struct ConnectResult {
   std::vector<Candidate> rejected;  // the N^- set
 };
 
-// `exists` is invoked at most once per candidate, in sorted order, until one
-// returns true. It must encapsulate the "already decided to exist" case by
-// returning true deterministically.
-ConnectResult connect(std::vector<Candidate> candidates,
-                      const std::function<bool(graph::EdgeId)>& exists);
-
 // The (weight, id) candidate order used throughout Section 3.1; exposed for
 // the deduction rules, which must replay the same comparisons.
-bool candidate_less(const Candidate& a, const Candidate& b);
+inline bool candidate_less(const Candidate& a, const Candidate& b) {
+  if (a.weight != b.weight) return a.weight < b.weight;
+  return a.u < b.u;
+}
+
+// Connect over the candidates [first, last), in place: sorts the range into
+// candidate order, then samples until `exists` accepts. Returns the number
+// r of rejected candidates; they are the first r entries of the sorted
+// range (the N^- set, in order), and entry r, if it exists, is the accepted
+// candidate. `exists` is invoked at most once per candidate, in sorted
+// order, until one returns true. It must encapsulate the "already decided
+// to exist" case by returning true deterministically.
+template <typename Exists>
+std::size_t connect_in_place(Candidate* first, Candidate* last,
+                             Exists&& exists) {
+  std::sort(first, last, candidate_less);
+  std::size_t rejected = 0;
+  for (const Candidate* c = first; c != last && !exists(c->e); ++c) {
+    ++rejected;
+  }
+  return rejected;
+}
+
+// connect_in_place over an owned copy, with the outcome unpacked.
+ConnectResult connect(std::vector<Candidate> candidates,
+                      const std::function<bool(graph::EdgeId)>& exists);
 
 }  // namespace bcclap::spanner

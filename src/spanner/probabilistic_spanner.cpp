@@ -5,7 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <memory>
+#include <stdexcept>
 
 #include "common/encoding.h"
 #include "common/context.h"
@@ -32,13 +33,7 @@ struct Decoded {
   double w = kInf;
 };
 
-// One Connect invocation planned for a node this superstep: the target
-// cluster (kNone in step 2, where the broadcast carries the joined cluster
-// instead) and the candidate set, pre-sorted in Connect order.
-struct PlannedGroup {
-  std::size_t cluster = kNone;
-  std::vector<Candidate> cands;
-};
+}  // namespace
 
 // Each superstep of the decider side runs as three engine phases:
 //
@@ -59,52 +54,57 @@ struct PlannedGroup {
 //      F+/F- in exact (node, group, candidate) order, so both paths
 //      produce identical results.
 //   C. broadcast + deduce — the planned messages go through
-//      Network::run_superstep (parallel encode + exchange), and recipients
-//      apply the Section 3.1 deduction rules concurrently: receiver u only
-//      writes its own belief slots and its own threshold table, so the
-//      fan-out is race-free.
+//      Network::exchange, whose deliveries name the edge each message
+//      arrived on, and recipients apply the Section 3.1 deduction rules
+//      concurrently: receiver u only writes its own side's belief and
+//      w_seen_ slots, so the fan-out is race-free.
+//
+// All per-node candidate, group and outbox buffers live in the object and
+// are cleared, not reallocated, between supersteps and runs.
 //
 // Phase A/B splitting is exact, not approximate: within one superstep each
 // edge has a unique decider (step 2 deciders sit in unmarked clusters and
 // their candidates in marked ones; steps 3/4 order the two sides by
 // cluster id), so no node's candidate set depends on a decision taken by
 // another node in the same superstep.
-class SpannerRun {
+class ProbabilisticSpanner::Impl {
  public:
-  SpannerRun(const graph::Graph& g, const ProbabilisticSpannerOptions& opt,
-             const ExistenceOracle& oracle, rng::Stream& mark_stream,
-             bcc::Network& net)
+  Impl(const graph::Graph& g, std::size_t k,
+       const std::vector<double>& weights, const ExistenceOracle& oracle,
+       rng::Stream& mark_stream, bcc::Network& net, bool pure_oracle)
       : g_(g),
         oracle_(oracle),
         mark_stream_(mark_stream),
         net_(net),
         n_(g.num_vertices()),
         m_(g.num_edges()),
-        k_(opt.k),
-        pure_oracle_(opt.pure_oracle) {
-    avail_ = opt.available.empty() ? std::vector<bool>(m_, true)
-                                   : opt.available;
-    weights_.resize(m_);
-    for (std::size_t e = 0; e < m_; ++e) {
-      weights_[e] =
-          opt.weights.empty() ? g_.edge(e).weight : opt.weights[e];
+        k_(k),
+        pure_oracle_(pure_oracle),
+        weights_(&weights),
+        scratch_(n_),
+        planned_(n_) {
+    if (net.model() != bcc::Model::kBroadcastCongest ||
+        net.num_nodes() != n_) {
+      throw std::invalid_argument(
+          "spanner: the network must be Broadcast CONGEST over g");
     }
-    double wmax = 1.0;
-    for (std::size_t e = 0; e < m_; ++e)
-      if (avail_[e]) wmax = std::max(wmax, weights_[e]);
-    bits_w_ = enc::bit_width_u64(static_cast<std::uint64_t>(
-        std::llround(wmax)));
-    decision_.assign(m_, EdgeDecision::kUndecided);
-    in_f_plus_.assign(m_, false);
-    belief_.assign(m_, {EdgeDecision::kUndecided, EdgeDecision::kUndecided});
-    cluster_.resize(n_);
-    for (std::size_t v = 0; v < n_; ++v) cluster_[v] = v;
-    marked_.assign(n_, false);
-    w_threshold_.assign(n_, kInf);
-    w_seen_.assign(n_, {});
+    if (weights.empty()) {
+      graph_weights_.resize(m_);
+      for (std::size_t e = 0; e < m_; ++e) {
+        graph_weights_[e] = g_.edge(e).weight;
+      }
+      weights_ = &graph_weights_;
+    }
   }
 
-  ProbabilisticSpannerResult run() {
+  ProbabilisticSpannerResult run(const std::vector<bool>& available) {
+    if (available.empty()) {
+      all_available_.assign(m_, true);
+      avail_ = &all_available_;
+    } else {
+      avail_ = &available;
+    }
+    reset();
     const std::int64_t start = net_.accountant().mark();
     const double mark_prob =
         std::pow(static_cast<double>(n_), -1.0 / static_cast<double>(k_));
@@ -124,23 +124,57 @@ class SpannerRun {
   }
 
  private:
-  // --- shared helpers ---------------------------------------------------
+  // One Connect invocation planned for a node this superstep: the target
+  // cluster (kNone in step 2, where the broadcast carries the joined
+  // cluster instead) and its candidates, the node's cands[begin, end).
+  // After the decide step that range is in Connect order, and `rejected`
+  // counts its leading entries that Connect sampled out of existence; the
+  // entry after them, if any, is the accepted candidate.
+  struct Group {
+    std::size_t cluster;
+    std::size_t begin;
+    std::size_t end;
+    std::size_t rejected = 0;
 
-  double weight(graph::EdgeId e) const { return weights_[e]; }
+    bool accepted() const { return begin + rejected < end; }
+  };
 
-  bool edge_usable(graph::EdgeId e) const {
-    return avail_[e] && decision_[e] != EdgeDecision::kDeleted;
+  // Per-node superstep scratch, written only by its node's task and kept
+  // (cleared, capacity intact) across supersteps and runs.
+  struct NodeScratch {
+    std::vector<Candidate> cands;
+    std::vector<Group> groups;
+  };
+
+  // Fresh per-run state; the buffers keep their capacity.
+  void reset() {
+    double wmax = 1.0;
+    for (std::size_t e = 0; e < m_; ++e)
+      if ((*avail_)[e]) wmax = std::max(wmax, weight(e));
+    bits_w_ = enc::bit_width_u64(static_cast<std::uint64_t>(
+        std::llround(wmax)));
+    decision_.assign(m_, EdgeDecision::kUndecided);
+    in_f_plus_.assign(m_, false);
+    belief_.assign(m_, {EdgeDecision::kUndecided, EdgeDecision::kUndecided});
+    w_seen_.assign(m_, {kInf, kInf});
+    cluster_.resize(n_);
+    for (std::size_t v = 0; v < n_; ++v) cluster_[v] = v;
+    marked_.assign(n_, false);
+    w_threshold_.assign(n_, kInf);
+    pending_join_.assign(n_, kNone);
+    center_population_cache_.clear();
+    result_ = {};
   }
 
-  // Result of replaying Connect over one candidate group: the accepted
-  // candidate (if any) plus the edges the group decided out of existence,
-  // in candidate order. Buffered per group so the decide step can run
-  // concurrently and the commit step can replay the sequential append
-  // order exactly.
-  struct GroupDecision {
-    std::optional<Candidate> accepted;
-    std::vector<graph::EdgeId> deleted;
-  };
+  // --- shared helpers ---------------------------------------------------
+
+  double weight(graph::EdgeId e) const { return (*weights_)[e]; }
+
+  bool available(graph::EdgeId e) const { return (*avail_)[e]; }
+
+  bool edge_usable(graph::EdgeId e) const {
+    return available(e) && decision_[e] != EdgeDecision::kDeleted;
+  }
 
   void record_decider_belief(graph::VertexId v, graph::EdgeId e) {
     belief_[e][side_of(e, v)] = decision_[e];
@@ -161,10 +195,6 @@ class SpannerRun {
     }
   }
 
-  void note_rejections(graph::VertexId v, const std::vector<Candidate>& ns) {
-    for (const Candidate& c : ns) record_decider_belief(v, c.e);
-  }
-
   bool in_unmarked_cluster(graph::VertexId v) const {
     return cluster_[v] != kNone && !marked_[cluster_[v]];
   }
@@ -172,10 +202,31 @@ class SpannerRun {
     return cluster_[v] != kNone && marked_[cluster_[v]];
   }
 
+  // Phase A helper for steps 3 and 4: groups node v's candidates (pushed in
+  // incident order) by target cluster, ascending — the broadcast order.
+  // Adjacency lists hold edge ids ascending, so sorting on (cluster, edge)
+  // keeps each group in incident order, the order Connect's sort has
+  // always been handed.
+  void group_by_cluster(NodeScratch& sc) const {
+    auto& cands = sc.cands;
+    std::sort(cands.begin(), cands.end(),
+              [this](const Candidate& a, const Candidate& b) {
+                const std::size_t xa = cluster_[a.u];
+                const std::size_t xb = cluster_[b.u];
+                return xa != xb ? xa < xb : a.e < b.e;
+              });
+    for (std::size_t i = 0; i < cands.size();) {
+      const std::size_t x = cluster_[cands[i].u];
+      std::size_t j = i + 1;
+      while (j < cands.size() && cluster_[cands[j].u] == x) ++j;
+      sc.groups.push_back({x, i, j});
+      i = j;
+    }
+  }
+
   // --- message encoding --------------------------------------------------
 
-  bcc::Message encode_step2(const std::optional<Candidate>& acc,
-                            graph::VertexId /*v*/) const {
+  bcc::Message encode_step2(const Candidate* acc) const {
     bcc::Message msg;
     if (!acc) {
       msg.push_flag(false);
@@ -199,8 +250,7 @@ class SpannerRun {
     return d;
   }
 
-  bcc::Message encode_cluster_msg(std::size_t x,
-                                  const std::optional<Candidate>& acc) const {
+  bcc::Message encode_cluster_msg(std::size_t x, const Candidate* acc) const {
     bcc::Message msg;
     msg.push_id(x, n_);
     if (!acc) {
@@ -234,8 +284,7 @@ class SpannerRun {
   //      (the sort would have reached u first, so u was sampled and failed)
   //   3. accepted u' == u          -> (u,v) exists
   //   otherwise (u' before u)      -> no information, edge stays undecided.
-  void deduce(graph::VertexId u, graph::VertexId /*v*/, graph::EdgeId e,
-              const Decoded& d) {
+  void deduce(graph::VertexId u, graph::EdgeId e, const Decoded& d) {
     auto& slot = belief_[e][side_of(e, u)];
     if (!d.has) {
       slot = EdgeDecision::kDeleted;
@@ -249,6 +298,10 @@ class SpannerRun {
     const Candidate theirs{d.u, kNone, d.w};
     if (candidate_less(mine, theirs)) slot = EdgeDecision::kDeleted;
     // else: u' precedes u, nothing learned.
+  }
+
+  bool believed_deleted(graph::VertexId u, graph::EdgeId e) const {
+    return belief_[e][side_of(e, u)] == EdgeDecision::kDeleted;
   }
 
   // --- step 1: cluster marking -------------------------------------------
@@ -280,59 +333,59 @@ class SpannerRun {
       if (cluster_[v] != kNone) ++center_population_cache_[cluster_[v]];
   }
 
-  // Replays Connect over one node's pre-sorted groups, writing decisions
-  // into decision_ and the decider side of belief_ (per-edge disjoint
-  // within a superstep: every edge has a unique decider) and buffering the
-  // F+/F- bookkeeping in the returned GroupDecisions. Runs concurrently
-  // for different nodes on the pure-oracle path; the stateful path calls
-  // it in node id order, which pins the oracle stream.
-  std::vector<GroupDecision> decide_node(graph::VertexId v,
-                                         std::vector<PlannedGroup>& groups) {
-    std::vector<GroupDecision> out(groups.size());
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      GroupDecision& gd = out[gi];
-      ConnectResult res =
-          connect(std::move(groups[gi].cands), [&](graph::EdgeId e) {
+  // Replays Connect over each of node v's planned groups, in place,
+  // writing decisions into decision_ and the decider side of belief_
+  // (per-edge disjoint within a superstep: every edge has a unique
+  // decider). The outcome stays in the node's scratch for the commit step.
+  // Runs concurrently for different nodes on the pure-oracle path; the
+  // stateful path calls it in node id order, which pins the oracle stream.
+  void decide_node(graph::VertexId v) {
+    NodeScratch& sc = scratch_[v];
+    for (Group& grp : sc.groups) {
+      Candidate* first = sc.cands.data() + grp.begin;
+      grp.rejected = connect_in_place(
+          first, sc.cands.data() + grp.end, [&](graph::EdgeId e) {
             if (decision_[e] == EdgeDecision::kExists) return true;
             assert(decision_[e] == EdgeDecision::kUndecided);
             const bool exists = oracle_(e);
             decision_[e] =
                 exists ? EdgeDecision::kExists : EdgeDecision::kDeleted;
-            if (!exists) gd.deleted.push_back(e);
             return exists;
           });
-      note_rejections(v, res.rejected);
-      if (res.accepted) record_decider_belief(v, res.accepted->e);
-      gd.accepted = res.accepted;
+      for (std::size_t i = 0; i < grp.rejected; ++i) {
+        record_decider_belief(v, first[i].e);
+      }
+      if (grp.accepted()) record_decider_belief(v, first[grp.rejected].e);
     }
-    return out;
   }
 
   // Phase B dispatcher: decide every node's groups (sequentially for
   // stateful oracles, fanned out for pure ones), then commit F-/F+
-  // appends and invoke per_group(v, cluster, accepted) in exact
+  // appends and invoke per_group(v, cluster, accepted-or-null) in exact
   // (node, group) order on the calling thread. The commit order — and the
   // first-accept dedup in accept_edge — is what keeps the two decide
-  // strategies result-identical.
+  // strategies result-identical. Every node's outbox is cleared first, so
+  // per_group appends to this superstep's messages only.
   template <typename PerGroup>
-  void phase_b(std::vector<std::vector<PlannedGroup>>& groups,
-               PerGroup&& per_group) {
-    std::vector<std::vector<GroupDecision>> decided(n_);
+  void phase_b(PerGroup&& per_group) {
     if (pure_oracle_) {
-      net_.context().parallel_for(0, n_, [&](std::size_t v) {
-        decided[v] = decide_node(v, groups[v]);
-      });
+      net_.context().parallel_for(0, n_,
+                                  [&](std::size_t v) { decide_node(v); });
     } else {
-      for (std::size_t v = 0; v < n_; ++v) {
-        decided[v] = decide_node(v, groups[v]);
-      }
+      for (std::size_t v = 0; v < n_; ++v) decide_node(v);
     }
     for (std::size_t v = 0; v < n_; ++v) {
-      for (std::size_t gi = 0; gi < decided[v].size(); ++gi) {
-        GroupDecision& gd = decided[v][gi];
-        for (graph::EdgeId e : gd.deleted) result_.f_minus.push_back(e);
-        if (gd.accepted) accept_edge(v, *gd.accepted);
-        per_group(v, groups[v][gi].cluster, gd.accepted);
+      planned_[v].clear();
+      const NodeScratch& sc = scratch_[v];
+      for (const Group& grp : sc.groups) {
+        const Candidate* first = sc.cands.data() + grp.begin;
+        // Connect only ever rejects edges the oracle sampled away.
+        for (std::size_t i = 0; i < grp.rejected; ++i) {
+          result_.f_minus.push_back(first[i].e);
+        }
+        const Candidate* acc = grp.accepted() ? first + grp.rejected : nullptr;
+        if (acc) accept_edge(v, *acc);
+        per_group(v, grp.cluster, acc);
       }
     }
   }
@@ -341,53 +394,48 @@ class SpannerRun {
 
   void step2_connect_to_marked() {
     std::fill(w_threshold_.begin(), w_threshold_.end(), kInf);
-    pending_join_.assign(n_, kNone);
+    std::fill(pending_join_.begin(), pending_join_.end(), kNone);
 
     // Phase A (parallel): candidates of each unmarked-cluster node into
     // marked clusters — one group per eligible node (its broadcast carries
     // the joined cluster, so the group has no target cluster of its own).
-    std::vector<std::vector<PlannedGroup>> groups(n_);
     net_.context().parallel_for(0, n_, [&](std::size_t v) {
+      NodeScratch& sc = scratch_[v];
+      sc.cands.clear();
+      sc.groups.clear();
       if (!in_unmarked_cluster(v)) return;
-      PlannedGroup grp;
       for (graph::EdgeId e : g_.incident(v)) {
         if (!edge_usable(e)) continue;
         const graph::VertexId u = g_.other_endpoint(e, v);
-        if (in_marked_cluster(u)) grp.cands.push_back({u, e, weight(e)});
+        if (in_marked_cluster(u)) sc.cands.push_back({u, e, weight(e)});
       }
-      groups[v].push_back(std::move(grp));
+      sc.groups.push_back({kNone, 0, sc.cands.size()});
     });
 
     // Phase B: the only oracle phase.
-    std::vector<std::vector<bcc::Message>> planned(n_);
-    phase_b(groups, [&](graph::VertexId v, std::size_t /*cluster*/,
-                        const std::optional<Candidate>& acc) {
+    phase_b([&](graph::VertexId v, std::size_t /*cluster*/,
+                const Candidate* acc) {
       if (acc) {
         w_threshold_[v] = acc->weight;
         pending_join_[v] = cluster_[acc->u];
       }
-      planned[v].push_back(encode_step2(acc, v));
+      planned_[v].push_back(encode_step2(acc));
     });
 
-    // Phase C: broadcast through the superstep driver, deduce in parallel.
-    const auto inboxes = net_.run_superstep(
-        [&planned](std::size_t v) { return std::move(planned[v]); },
-        "spanner/step2");
+    // Phase C: broadcast, deduce in parallel. Receiver u writes only its
+    // own side of each edge's belief and w_seen_ slots.
+    const bcc::Inboxes inboxes = net_.exchange(planned_, "spanner/step2");
     net_.context().parallel_for(0, n_, [&](std::size_t u) {
-      for (const auto& rm : inboxes[u]) {
-        const Decoded d = decode_step2(rm.message);
+      const bool eligible = in_marked_cluster(u);
+      for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
+        const Decoded d = decode_step2(inboxes.message(dl));
+        const graph::EdgeId e = dl.edge;
         // Every neighbour learns W_v (needed for step-3 eligibility).
-        // Receiver u owns w_seen_[u]; no other node touches it.
-        w_seen_[u][rm.sender] = d.has ? d.w : kInf;
+        w_seen_[e][side_of(e, u)] = d.has ? d.w : kInf;
         // Deduction applies only if u was in v's candidate set: u in a
         // marked cluster and the edge not already settled as deleted.
-        const auto eid = g_.find_edge(u, rm.sender);
-        if (!eid) continue;
-        if (!in_marked_cluster(u)) continue;
-        if (!avail_[*eid]) continue;
-        if (belief_[*eid][side_of(*eid, u)] == EdgeDecision::kDeleted)
-          continue;
-        deduce(u, rm.sender, *eid, d);
+        if (!eligible || !available(e) || believed_deleted(u, e)) continue;
+        deduce(u, e, d);
       }
     });
   }
@@ -397,11 +445,12 @@ class SpannerRun {
   void step3_connect_unmarked(bool lower_ids) {
     // Phase A (parallel): eligible candidates grouped by target cluster,
     // ascending cluster id (the broadcast order).
-    std::vector<std::vector<PlannedGroup>> groups(n_);
     net_.context().parallel_for(0, n_, [&](std::size_t v) {
+      NodeScratch& sc = scratch_[v];
+      sc.cands.clear();
+      sc.groups.clear();
       if (!in_unmarked_cluster(v)) return;
       const std::size_t own = cluster_[v];
-      std::map<std::size_t, std::vector<Candidate>> by_cluster;
       for (graph::EdgeId e : g_.incident(v)) {
         if (!edge_usable(e)) continue;
         if (weight(e) > w_threshold_[v]) continue;
@@ -410,38 +459,31 @@ class SpannerRun {
         const std::size_t x = cluster_[u];
         if (x == own) continue;
         if (lower_ids ? (x > own) : (x < own)) continue;
-        by_cluster[x].push_back({u, e, weight(e)});
+        sc.cands.push_back({u, e, weight(e)});
       }
-      for (auto& [x, cs] : by_cluster) {
-        groups[v].push_back({x, std::move(cs)});
-      }
+      group_by_cluster(sc);
     });
 
     // Phase B: Connect per group in node, then cluster order.
-    std::vector<std::vector<bcc::Message>> planned(n_);
-    phase_b(groups, [&](graph::VertexId v, std::size_t cluster,
-                        const std::optional<Candidate>& acc) {
-      planned[v].push_back(encode_cluster_msg(cluster, acc));
+    phase_b([&](graph::VertexId v, std::size_t cluster,
+                const Candidate* acc) {
+      planned_[v].push_back(encode_cluster_msg(cluster, acc));
     });
 
     // Phase C: broadcast + parallel deduction.
-    const auto inboxes = net_.run_superstep(
-        [&planned](std::size_t v) { return std::move(planned[v]); },
-        lower_ids ? "spanner/step3.1" : "spanner/step3.2");
+    const bcc::Inboxes inboxes = net_.exchange(
+        planned_, lower_ids ? "spanner/step3.1" : "spanner/step3.2");
     net_.context().parallel_for(0, n_, [&](std::size_t u) {
       if (!in_unmarked_cluster(u)) return;
-      for (const auto& rm : inboxes[u]) {
-        const Decoded d = decode_cluster_msg(rm.message);
+      for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
+        const Decoded d = decode_cluster_msg(inboxes.message(dl));
         if (d.cluster != cluster_[u]) continue;
-        const auto eid = g_.find_edge(u, rm.sender);
-        if (!eid || !avail_[*eid]) continue;
+        const graph::EdgeId e = dl.edge;
+        if (!available(e)) continue;
         // Eligibility: w(u,v) <= W_v, learned from v's step-2 broadcast.
-        const auto it = w_seen_[u].find(rm.sender);
-        const double wv = it == w_seen_[u].end() ? kInf : it->second;
-        if (weight(*eid) > wv) continue;
-        if (belief_[*eid][side_of(*eid, u)] == EdgeDecision::kDeleted)
-          continue;
-        deduce(u, rm.sender, *eid, d);
+        if (weight(e) > w_seen_[e][side_of(e, u)]) continue;
+        if (believed_deleted(u, e)) continue;
+        deduce(u, e, d);
       }
     });
   }
@@ -461,12 +503,13 @@ class SpannerRun {
     // 4.3: clustered, higher ids.
     for (int sub = 1; sub <= 3; ++sub) {
       // Phase A (parallel).
-      std::vector<std::vector<PlannedGroup>> groups(n_);
       net_.context().parallel_for(0, n_, [&](std::size_t v) {
+        NodeScratch& sc = scratch_[v];
+        sc.cands.clear();
+        sc.groups.clear();
         const bool clustered = cluster_[v] != kNone;
         if (sub == 1 && clustered) return;
         if (sub != 1 && !clustered) return;
-        std::map<std::size_t, std::vector<Candidate>> by_cluster;
         for (graph::EdgeId e : g_.incident(v)) {
           if (!edge_usable(e)) continue;
           const graph::VertexId u = g_.other_endpoint(e, v);
@@ -477,34 +520,27 @@ class SpannerRun {
             if (sub == 2 && x > cluster_[v]) continue;
             if (sub == 3 && x < cluster_[v]) continue;
           }
-          by_cluster[x].push_back({u, e, weight(e)});
+          sc.cands.push_back({u, e, weight(e)});
         }
-        for (auto& [x, cs] : by_cluster) {
-          groups[v].push_back({x, std::move(cs)});
-        }
+        group_by_cluster(sc);
       });
 
       // Phase B.
-      std::vector<std::vector<bcc::Message>> planned(n_);
-      phase_b(groups, [&](graph::VertexId v, std::size_t cluster,
-                          const std::optional<Candidate>& acc) {
-        planned[v].push_back(encode_cluster_msg(cluster, acc));
+      phase_b([&](graph::VertexId v, std::size_t cluster,
+                  const Candidate* acc) {
+        planned_[v].push_back(encode_cluster_msg(cluster, acc));
       });
 
       // Phase C.
-      const auto inboxes = net_.run_superstep(
-          [&planned](std::size_t v) { return std::move(planned[v]); },
-          "spanner/step4");
+      const bcc::Inboxes inboxes = net_.exchange(planned_, "spanner/step4");
       net_.context().parallel_for(0, n_, [&](std::size_t u) {
         if (cluster_[u] == kNone) return;
-        for (const auto& rm : inboxes[u]) {
-          const Decoded d = decode_cluster_msg(rm.message);
+        for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
+          const Decoded d = decode_cluster_msg(inboxes.message(dl));
           if (d.cluster != cluster_[u]) continue;
-          const auto eid = g_.find_edge(u, rm.sender);
-          if (!eid || !avail_[*eid]) continue;
-          if (belief_[*eid][side_of(*eid, u)] == EdgeDecision::kDeleted)
-            continue;
-          deduce(u, rm.sender, *eid, d);
+          const graph::EdgeId e = dl.edge;
+          if (!available(e) || believed_deleted(u, e)) continue;
+          deduce(u, e, d);
         }
       });
     }
@@ -514,7 +550,7 @@ class SpannerRun {
 
   void check_belief_consistency() {
     for (std::size_t e = 0; e < m_; ++e) {
-      if (!avail_[e]) continue;
+      if (!available(e)) continue;
       if (decision_[e] == EdgeDecision::kUndecided) {
         if (belief_[e][0] != EdgeDecision::kUndecided ||
             belief_[e][1] != EdgeDecision::kUndecided) {
@@ -538,8 +574,14 @@ class SpannerRun {
   bool pure_oracle_ = false;
   int bits_w_ = 1;
 
-  std::vector<bool> avail_;
-  std::vector<double> weights_;
+  // Current integer weights: the caller's vector, or graph_weights_ when
+  // the caller passed none.
+  const std::vector<double>* weights_;
+  std::vector<double> graph_weights_;
+  // This run's eligible edges: the caller's vector, or all_available_.
+  const std::vector<bool>* avail_ = nullptr;
+  std::vector<bool> all_available_;
+
   std::vector<EdgeDecision> decision_;
   std::vector<bool> in_f_plus_;
   // belief_[e][side]: what each endpoint believes about e's existence,
@@ -547,27 +589,45 @@ class SpannerRun {
   // is written only by the endpoint owning it, so the receive fan-out never
   // races.
   std::vector<std::array<EdgeDecision, 2>> belief_;
+  // w_seen_[e][side]: W_v that the endpoint on `side` observed in v's
+  // step-2 broadcast, filed under the edge the broadcast arrived on.
+  // Written only by that endpoint; infinity until it hears one.
+  std::vector<std::array<double, 2>> w_seen_;
 
   std::vector<std::size_t> cluster_;  // center id or kNone
   std::vector<bool> marked_;          // indexed by center id
   std::vector<std::size_t> pending_join_;
   std::vector<double> w_threshold_;  // W_v^(i), decider view
-  // w_seen_[u][v]: W_v observed by u from v's step-2 broadcast. Owned (and
-  // only ever written) by receiver u.
-  std::vector<std::map<std::size_t, double>> w_seen_;
   std::vector<std::size_t> center_population_cache_;
+
+  std::vector<NodeScratch> scratch_;
+  // planned_[v]: node v's outbox for the current superstep.
+  std::vector<std::vector<bcc::Message>> planned_;
 
   ProbabilisticSpannerResult result_;
 };
 
-}  // namespace
+ProbabilisticSpanner::ProbabilisticSpanner(
+    const graph::Graph& g, std::size_t k, const std::vector<double>& weights,
+    const ExistenceOracle& oracle, rng::Stream& mark_stream,
+    bcc::Network& net, bool pure_oracle)
+    : impl_(std::make_unique<Impl>(g, k, weights, oracle, mark_stream, net,
+                                   pure_oracle)) {}
+
+ProbabilisticSpanner::~ProbabilisticSpanner() = default;
+
+ProbabilisticSpannerResult ProbabilisticSpanner::run(
+    const std::vector<bool>& available) {
+  return impl_->run(available);
+}
 
 ProbabilisticSpannerResult spanner_with_probabilistic_edges(
     const graph::Graph& g, const ProbabilisticSpannerOptions& opt,
     const ExistenceOracle& oracle, rng::Stream& mark_stream,
     bcc::Network& net) {
-  SpannerRun run(g, opt, oracle, mark_stream, net);
-  return run.run();
+  return ProbabilisticSpanner(g, opt.k, opt.weights, oracle, mark_stream, net,
+                              opt.pure_oracle)
+      .run(opt.available);
 }
 
 }  // namespace bcclap::spanner

@@ -20,10 +20,16 @@
 // Execution context: every parallel phase dispatches through
 // `net.context()` — the Runtime the network was built under — never a
 // process-global pool.
+//
+// `net` must be a Broadcast CONGEST network over g's topology: receivers
+// identify the edge a message arrived on from the network's delivery, not
+// by searching g (std::invalid_argument for a clique network or a node
+// count other than g's).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "bcc/network.h"
@@ -70,6 +76,31 @@ struct ProbabilisticSpannerResult {
   std::int64_t rounds = 0;
 };
 
+// Runs the Section 3.1 spanner repeatedly over one graph, weight vector,
+// oracle and network, keeping every per-node and per-edge buffer between
+// runs: a t-bundle (Algorithm 3) allocates its scratch once, not t times.
+// The object keeps references to g, `weights` (empty = graph weights),
+// the oracle, the marking stream and the network; all must outlive it.
+class ProbabilisticSpanner {
+ public:
+  ProbabilisticSpanner(const graph::Graph& g, std::size_t k,
+                       const std::vector<double>& weights,
+                       const ExistenceOracle& oracle, rng::Stream& mark_stream,
+                       bcc::Network& net, bool pure_oracle);
+  ~ProbabilisticSpanner();
+  ProbabilisticSpanner(const ProbabilisticSpanner&) = delete;
+  ProbabilisticSpanner& operator=(const ProbabilisticSpanner&) = delete;
+
+  // One spanner over the edges e with available[e] (empty = all edges).
+  ProbabilisticSpannerResult run(const std::vector<bool>& available);
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+// One run of ProbabilisticSpanner with the options' k, weights,
+// availability and oracle purity.
 ProbabilisticSpannerResult spanner_with_probabilistic_edges(
     const graph::Graph& g, const ProbabilisticSpannerOptions& opt,
     const ExistenceOracle& oracle, rng::Stream& mark_stream,

@@ -150,30 +150,18 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
       sampled[e] = exists ? 1 : 0;
     }
   });
+  // The lower-id endpoint announces each sampled edge (Algorithm 5 lines
+  // 12-15); its outbox lists them in edge-id order.
+  std::vector<std::vector<bcc::Message>> additions(g.num_vertices());
   for (std::size_t e = 0; e < m; ++e) {
     if (!sampled[e]) continue;
     const auto& ed = g.edge(e);
     h.add_edge(ed.u, ed.v, weight[e]);
     result.original_edge.push_back(e);
     result.out_vertex.push_back(ed.u);  // oriented towards the higher id
+    additions[ed.u].push_back(bcc::Message().push_id(ed.v, g.num_vertices()));
   }
-  // Broadcast the additions through the superstep driver: the lower-id
-  // endpoint announces each sampled edge (Algorithm 5 lines 12-15). Edges
-  // are stored with u < v and adjacency lists grow in edge-id order, so
-  // node u's outbox matches the edge-id-ordered messages of the sequential
-  // engine.
-  net.run_superstep(
-      [&](std::size_t v) {
-        std::vector<bcc::Message> out;
-        for (graph::EdgeId e : g.incident(v)) {
-          if (!sampled[e] || g.edge(e).u != v) continue;
-          bcc::Message msg;
-          msg.push_id(g.edge(e).v, g.num_vertices());
-          out.push_back(msg);
-        }
-        return out;
-      },
-      "sparsify/final-sample");
+  net.exchange(additions, "sparsify/final-sample");
 
   result.sparsifier = std::move(h);
   result.rounds = net.accountant().since(start);

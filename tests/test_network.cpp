@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
 #include "graph/generators.h"
 #include "support/fixtures.h"
 
@@ -16,6 +19,29 @@ TEST(Message, FieldsAndBits) {
   EXPECT_EQ(m.field(1), 5u);
   EXPECT_EQ(m.field(2), 100u);
   EXPECT_EQ(m.total_bits(), 1 + 4 + 7);
+}
+
+TEST(Message, PushRejectsBadWidthsAndOverflowingValues) {
+  Message m;
+  EXPECT_THROW(m.push(0, 0), std::invalid_argument);
+  EXPECT_THROW(m.push(0, 65), std::invalid_argument);
+  EXPECT_THROW(m.push(0, -1), std::invalid_argument);
+  EXPECT_THROW(m.push(8, 3), std::invalid_argument);  // 8 needs 4 bits
+  EXPECT_THROW(m.push_id(16, 16), std::invalid_argument);
+  // Nothing was appended by the rejected pushes.
+  EXPECT_EQ(m.num_fields(), 0u);
+  EXPECT_EQ(m.total_bits(), 0);
+  m.push(7, 3).push(~std::uint64_t{0}, 64);
+  EXPECT_EQ(m.total_bits(), 3 + 64);
+}
+
+TEST(Message, PushRejectsFieldsPastInlineCapacity) {
+  Message m;
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push_flag(true);
+  EXPECT_EQ(m.num_fields(), Message::kMaxFields);
+  EXPECT_THROW(m.push_flag(true), std::length_error);
+  EXPECT_EQ(m.num_fields(), Message::kMaxFields);
+  EXPECT_EQ(m.total_bits(), static_cast<int>(Message::kMaxFields));
 }
 
 TEST(RoundAccountant, ChargesAndBreaksDown) {
@@ -88,6 +114,111 @@ TEST(Network, EmptySuperstepIsFree) {
   EXPECT_EQ(net.accountant().total(), 0);
 }
 
+TEST(Network, ExchangeRejectsWrongOutboxCount) {
+  auto net = testsupport::bcc_net(3);
+  EXPECT_THROW(net.exchange(std::vector<std::vector<Message>>(2), "short"),
+               std::invalid_argument);
+  EXPECT_THROW(net.exchange(std::vector<std::vector<Message>>(4), "long"),
+               std::invalid_argument);
+  EXPECT_EQ(net.accountant().total(), 0);
+  EXPECT_TRUE(net.accountant().breakdown().empty());
+}
+
+TEST(Network, ConstructorsRejectBandwidthBelowOne) {
+  const auto ctx = testsupport::test_context();
+  graph::Graph g(2);
+  g.add_edge(0, 1, 1.0);
+  EXPECT_THROW(Network(Model::kBroadcastCongest, g, 0, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(Network(Model::kBroadcastCongestedClique, std::size_t{2}, -3,
+                       ctx),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Network(Model::kBroadcastCongest, g, 1, ctx));
+  // A topology-free network can only be a clique.
+  EXPECT_THROW(Network(Model::kBroadcastCongest, std::size_t{2}, 8, ctx),
+               std::invalid_argument);
+}
+
+// Every BC delivery carries the edge Graph::find_edge reports for the
+// (recipient, sender) pair — on a multigraph, the lowest edge id — and a
+// sender's message reaches each neighbour once, however many parallel
+// edges join them.
+TEST(Network, BcDeliveriesCarryLowestEdgeIdOncePerNeighbour) {
+  rng::Stream s(12);
+  graph::Graph g = graph::random_connected_gnp(20, 0.3, 5, s);
+  const std::size_t simple_m = g.num_edges();
+  for (std::size_t e = 0; e < simple_m; e += 2) {
+    const graph::Edge ed = g.edge(e);
+    g.add_edge(ed.u, ed.v, 9.0);
+    if (e % 4 == 0) g.add_edge(ed.v, ed.u, 2.0);
+  }
+  auto net = testsupport::bc_net(g);
+  std::vector<std::vector<Message>> out(g.num_vertices());
+  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
+    for (std::size_t j = 0; j < v % 3 + 1; ++j) {
+      out[v].push_back(Message().push_id(v, g.num_vertices()));
+    }
+  }
+  const Inboxes in = net.exchange(out, "step");
+  ASSERT_EQ(in.size(), g.num_vertices());
+  std::size_t total = 0;
+  for (std::size_t recv = 0; recv < g.num_vertices(); ++recv) {
+    std::set<std::size_t> neighbours;
+    for (graph::EdgeId e : g.incident(recv)) {
+      neighbours.insert(g.other_endpoint(e, recv));
+    }
+    std::size_t expected = 0;
+    for (std::size_t s_id : neighbours) expected += out[s_id].size();
+    ASSERT_EQ(in[recv].size(), expected) << recv;
+    total += expected;
+    std::size_t prev_sender = 0;
+    for (std::size_t i = 0; i < in[recv].size(); ++i) {
+      const auto& d = in[recv][i];
+      EXPECT_TRUE(neighbours.count(d.sender)) << recv;
+      EXPECT_GE(d.sender, prev_sender) << recv;  // ascending sender ids
+      prev_sender = d.sender;
+      const auto found = g.find_edge(recv, d.sender);
+      ASSERT_TRUE(found.has_value());
+      EXPECT_EQ(d.edge, *found) << recv << " <- " << d.sender;
+      EXPECT_EQ(in.message(d).field(0), d.sender);
+    }
+  }
+  EXPECT_EQ(in.num_deliveries(), total);
+}
+
+TEST(Network, BcMultigraphDeliveryUsesLowestParallelEdge) {
+  graph::Graph g(3);
+  g.add_edge(0, 1, 1.0);  // edge 0
+  g.add_edge(1, 2, 1.0);  // edge 1
+  g.add_edge(1, 0, 4.0);  // edge 2, parallel to edge 0
+  g.add_edge(2, 1, 2.0);  // edge 3, parallel to edge 1
+  auto net = testsupport::bc_net(g);
+  std::vector<std::vector<Message>> out(3);
+  out[1].push_back(Message().push_flag(true));
+  const Inboxes in = net.exchange(out, "step");
+  ASSERT_EQ(in[0].size(), 1u);
+  EXPECT_EQ(in[0][0].edge, 0u);
+  ASSERT_EQ(in[2].size(), 1u);
+  EXPECT_EQ(in[2][0].edge, 1u);
+  EXPECT_TRUE(in[1].empty());
+}
+
+TEST(Network, BccDeliveriesCarryNoEdge) {
+  auto net = testsupport::bcc_net(5);
+  std::vector<std::vector<Message>> out(5);
+  out[0].push_back(Message().push_flag(true));
+  out[3].push_back(Message().push_flag(false));
+  out[3].push_back(Message().push_flag(true));
+  const Inboxes in = net.exchange(out, "step");
+  for (std::size_t v = 0; v < 5; ++v) {
+    for (const auto& d : in[v]) EXPECT_EQ(d.edge, kNoEdge) << v;
+  }
+  EXPECT_EQ(in[1].size(), 3u);
+  EXPECT_EQ(in[0].size(), 2u);
+  EXPECT_EQ(in[3].size(), 1u);
+  EXPECT_EQ(in.num_deliveries(), 4u * 1 + 4u * 2);  // n - 1 recipients each
+}
+
 TEST(Network, DefaultBandwidthIsThetaLogN) {
   EXPECT_EQ(Network::default_bandwidth(1024), 2 * 10 + 2);
   EXPECT_GE(Network::default_bandwidth(2), 4);
@@ -134,7 +265,7 @@ TEST(Network, TwoNodeExchangeFitsMinimalMessageInOneRound) {
   const auto in = net.exchange(out, "pair");
   ASSERT_EQ(in[1].size(), 1u);
   EXPECT_EQ(in[1][0].sender, 0u);
-  EXPECT_EQ(in[1][0].message.total_bits(), 4);
+  EXPECT_EQ(in.message(in[1][0]).total_bits(), 4);
   EXPECT_EQ(net.accountant().total(), 1);
 }
 

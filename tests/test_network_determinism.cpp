@@ -21,8 +21,8 @@
 namespace bcclap {
 namespace {
 
+using bcc::Inboxes;
 using bcc::Message;
-using bcc::ReceivedMessage;
 
 // Runs fn with a context drawn from a dedicated `threads`-worker Runtime —
 // the scoped replacement for the retired process-wide thread override.
@@ -44,9 +44,7 @@ bool same_message(const Message& a, const Message& b) {
   return true;
 }
 
-::testing::AssertionResult same_inboxes(
-    const std::vector<std::vector<ReceivedMessage>>& a,
-    const std::vector<std::vector<ReceivedMessage>>& b) {
+::testing::AssertionResult same_inboxes(const Inboxes& a, const Inboxes& b) {
   if (a.size() != b.size())
     return ::testing::AssertionFailure() << "node count differs";
   for (std::size_t v = 0; v < a.size(); ++v) {
@@ -57,7 +55,10 @@ bool same_message(const Message& a, const Message& b) {
       if (a[v][i].sender != b[v][i].sender)
         return ::testing::AssertionFailure()
                << "sender order differs at node " << v << " slot " << i;
-      if (!same_message(a[v][i].message, b[v][i].message))
+      if (a[v][i].edge != b[v][i].edge)
+        return ::testing::AssertionFailure()
+               << "delivery edge differs at node " << v << " slot " << i;
+      if (!same_message(a.message(a[v][i]), b.message(b[v][i])))
         return ::testing::AssertionFailure()
                << "message bytes differ at node " << v << " slot " << i;
     }
@@ -79,7 +80,7 @@ std::vector<std::vector<Message>> make_outboxes(std::size_t n) {
 }
 
 struct ExchangeRun {
-  std::vector<std::vector<ReceivedMessage>> inboxes;
+  Inboxes inboxes;
   std::int64_t total;
   std::map<std::string, std::int64_t> breakdown;
 };

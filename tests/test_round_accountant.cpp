@@ -77,9 +77,13 @@ TEST(RoundAccountant, ZeroMessageSuperstepIsFree) {
   // computation is free in the BC/BCC models.
   auto net = testsupport::bcc_net(4);
   const std::vector<std::vector<Message>> silence(4);
-  const auto inboxes = net.exchange(silence, "silence");
+  const Inboxes inboxes = net.exchange(silence, "silence");
   EXPECT_EQ(net.accountant().total(), 0);
-  for (const auto& inbox : inboxes) EXPECT_TRUE(inbox.empty());
+  ASSERT_EQ(inboxes.size(), 4u);
+  for (std::size_t v = 0; v < inboxes.size(); ++v) {
+    EXPECT_TRUE(inboxes[v].empty());
+  }
+  EXPECT_EQ(inboxes.num_deliveries(), 0u);
 }
 
 TEST(RoundAccountant, LabelsAccumulateIndependently) {
