@@ -49,6 +49,8 @@ namespace bcclap::linalg {
 // handling.
 class LaplacianFactor {
  public:
+  // Both factor() overloads throw std::invalid_argument on a non-square
+  // laplacian.
   static std::optional<LaplacianFactor> factor(const common::Context& ctx,
                                                const CsrMatrix& laplacian);
 
@@ -64,7 +66,8 @@ class LaplacianFactor {
   // wrong-sized b (public solve surface; see ldlt.h).
   Vec solve(const Vec& b) const;
 
-  // Panel solve; per-column byte-identical to solve() (see
+  // Panel solve: the projected panel goes through the backend's
+  // solve_many in one call; per-column byte-identical to solve() (see
   // LdltFactor::solve_many).
   DenseMatrix solve_many(const common::Context& ctx,
                          const DenseMatrix& b) const;
@@ -113,6 +116,8 @@ class LaplacianFactor {
 // matrix has zero off-diagonals between some vertex groups.
 class ComponentLaplacianFactor {
  public:
+  // Both factor() overloads throw std::invalid_argument on a non-square
+  // laplacian.
   static std::optional<ComponentLaplacianFactor> factor(
       const common::Context& ctx, const CsrMatrix& laplacian);
 
@@ -127,8 +132,9 @@ class ComponentLaplacianFactor {
   // valid after the Runtime it was factored on is gone.
   Vec solve(const common::Context& ctx, const Vec& b) const;
 
-  // Panel solve: (component, column) pairs fan out over ctx's pool with
-  // disjoint writes, per-column byte-identical to solve().
+  // Panel solve: each component's projected panel goes through its
+  // factor's solve_many (which fans out over ctx's pool), components in
+  // order; per-column byte-identical to solve().
   DenseMatrix solve_many(const common::Context& ctx,
                          const DenseMatrix& b) const;
 

@@ -2,12 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace bcclap::linalg {
 
 CscSymmetricMatrix::CscSymmetricMatrix(std::size_t n,
                                        std::vector<Triplet> triplets) {
   n_ = n;
+  for (const Triplet& t : triplets) {
+    if (t.row >= n || t.col >= n) {
+      throw std::invalid_argument(
+          "CscSymmetricMatrix: triplet (" + std::to_string(t.row) + ", " +
+          std::to_string(t.col) + ") out of range for dimension " +
+          std::to_string(n));
+    }
+  }
   // Keep the upper triangle only; a symmetric triplet list carries every
   // off-diagonal twice and the mirror copy is redundant.
   auto end = std::remove_if(triplets.begin(), triplets.end(),
@@ -22,7 +32,6 @@ CscSymmetricMatrix::CscSymmetricMatrix(std::size_t n,
   col_ptr_.assign(n + 1, 0);
   for (std::size_t k = 0; k < triplets.size(); ++k) {
     const Triplet& t = triplets[k];
-    assert(t.row < n && t.col < n);
     if (k > 0 && triplets[k - 1].row == t.row && triplets[k - 1].col == t.col) {
       values_.back() += t.value;
       continue;
@@ -36,8 +45,18 @@ CscSymmetricMatrix::CscSymmetricMatrix(std::size_t n,
 
 CscSymmetricMatrix CscSymmetricMatrix::from_symmetric_csr(
     const CsrMatrix& a, std::size_t drop_trailing) {
-  assert(a.rows() == a.cols());
-  assert(drop_trailing <= a.rows());
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument(
+        "CscSymmetricMatrix::from_symmetric_csr: matrix is " +
+        std::to_string(a.rows()) + " x " + std::to_string(a.cols()) +
+        ", expected square");
+  }
+  if (drop_trailing > a.rows()) {
+    throw std::invalid_argument(
+        "CscSymmetricMatrix::from_symmetric_csr: cannot drop " +
+        std::to_string(drop_trailing) + " of " + std::to_string(a.rows()) +
+        " rows");
+  }
   const std::size_t n = a.rows() - drop_trailing;
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_index();

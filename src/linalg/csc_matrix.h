@@ -31,7 +31,8 @@ class CscSymmetricMatrix {
   // one triangle or both: every (i, j, v) with i > j is dropped (its
   // mirror (j, i, v) carries the value), so feeding a full symmetric
   // triplet list yields the same matrix as feeding only its upper
-  // triangle. Duplicates are coalesced by summation.
+  // triangle. Duplicates are coalesced by summation. Throws
+  // std::invalid_argument on a row or column index >= n.
   CscSymmetricMatrix(std::size_t n, std::vector<Triplet> triplets);
 
   // Upper triangle of a symmetric CSR matrix: row j of the CSR is column
@@ -39,6 +40,8 @@ class CscSymmetricMatrix {
   // in CSC column j. Duplicate CSR entries are preserved (additive).
   // `drop_trailing` takes the leading (n - drop) x (n - drop) principal
   // submatrix instead — the grounding step of the Laplacian factors.
+  // Throws std::invalid_argument on a non-square `a` or
+  // drop_trailing > a.rows().
   static CscSymmetricMatrix from_symmetric_csr(const CsrMatrix& a,
                                                std::size_t drop_trailing = 0);
 

@@ -8,7 +8,12 @@
 // `factor` is a blocked right-looking factorization: the panel solve and
 // the trailing-matrix tiles fan out over the execution context's worker
 // pool (common/context.h) with fixed tile boundaries, so factors are
-// byte-identical at any thread count.
+// byte-identical at any thread count. The panel and the trailing update
+// run register-blocked two-lane kernels (4 rows x 4 columns per block)
+// that interleave independent entries but keep every entry's summation
+// order. Each finished entry of L is also mirrored into the otherwise
+// unused strict upper triangle, so both triangular sweeps read rows
+// contiguously.
 #pragma once
 
 #include <optional>
@@ -22,7 +27,8 @@ namespace bcclap::linalg {
 class LdltFactor {
  public:
   // Factors a symmetric positive definite matrix on ctx's pool (only the
-  // lower triangle of `a` is read). Returns nullopt if a pivot falls
+  // lower triangle of `a` is read; a non-square `a` throws
+  // std::invalid_argument). Returns nullopt if a pivot falls
   // below `pivot_tol` relative to the largest diagonal magnitude (matrix
   // not PD to working precision). Degenerate inputs — a 0x0 matrix or an
   // all-zero diagonal — are rejected explicitly rather than left to
@@ -37,9 +43,11 @@ class LdltFactor {
   Vec solve(const Vec& b) const;
 
   // Multi-RHS panel solve: b is n x k, one right-hand side per column.
-  // Columns fan out over ctx's pool with disjoint column writes, so the
-  // result is byte-identical to k sequential solve() calls at any thread
-  // count (each column runs exactly the single-vector substitution).
+  // Columns run four at a time through a shared-read panel kernel (each
+  // row of L is read once per four columns, every column in its own SIMD
+  // lane), and the groups fan out over ctx's pool with disjoint column
+  // writes. Column grouping never changes the arithmetic, so the result
+  // is byte-identical to k sequential solve() calls at any thread count.
   DenseMatrix solve_many(const common::Context& ctx,
                          const DenseMatrix& b) const;
 
@@ -52,21 +60,20 @@ class LdltFactor {
     return (l_.rows() * l_.cols() + d_.size()) * sizeof(double);
   }
 
-  // Split substitution stages, used by the sparse hybrid factorization
-  // (sparse_ldlt.h) to interleave its dense tail with the sparse
-  // forward/backward sweeps. y.size() must equal dim(); each stage is the
-  // exact corresponding slice of solve()'s arithmetic (asserts only —
-  // inner-layer surface).
-  void forward_solve_in_place(Vec& y) const;   // L y = b
-  void diag_solve_in_place(Vec& y) const;      // D z = y
-  void backward_solve_in_place(Vec& y) const;  // L^T x = z
+  // solve() on dim() contiguous doubles, in place and unchecked — the
+  // sparse hybrid factorization (sparse_ldlt.h) runs its dense tail on a
+  // slice of its own work vector through this (inner-layer surface).
+  void solve_in_place(double* y) const;
 
  private:
   std::size_t n_ = 0;
-  DenseMatrix l_;  // unit lower triangular
-  Vec d_;          // diagonal
+  // Unit lower triangular L in the lower triangle and on the diagonal;
+  // the strict upper triangle mirrors it (l_(i, j) = L(j, i) for j > i).
+  DenseMatrix l_;
+  Vec d_;  // diagonal
 
-  void solve_in_place(Vec& y) const;
+  // solve_in_place on an n x 4 row-major panel, one column per lane.
+  void solve_panel_in_place(double* p) const;
 
   LdltFactor() = default;
 };

@@ -469,7 +469,7 @@ std::optional<SparseLdltFactor> SparseLdltFactor::factor(
   return f;
 }
 
-void SparseLdltFactor::solve_in_place(Vec& y) const {
+void SparseLdltFactor::head_forward(Vec& y) const {
   const std::size_t t = t_;
   const std::size_t tail = n_ - t;
   const std::size_t nsn = supernode_count();
@@ -501,8 +501,8 @@ void SparseLdltFactor::solve_in_place(Vec& y) const {
       y[row] -= acc;
     }
   }
-  // The L21 rows couple the solved head into the tail equations, then the
-  // dense tail runs its own forward / diagonal / backward passes.
+  // The L21 rows couple the solved head into the tail equations; the head
+  // pivots divide out.
   for (std::size_t i = 0; i < tail; ++i) {
     double v = y[t + i];
     for (std::size_t p = l21_rowp_[i]; p < l21_rowp_[i + 1]; ++p)
@@ -510,13 +510,12 @@ void SparseLdltFactor::solve_in_place(Vec& y) const {
     y[t + i] = v;
   }
   for (std::size_t j = 0; j < t; ++j) y[j] /= d_[j];
-  if (tail_) {
-    Vec z(y.begin() + static_cast<std::ptrdiff_t>(t), y.end());
-    tail_->forward_solve_in_place(z);
-    tail_->diag_solve_in_place(z);
-    tail_->backward_solve_in_place(z);
-    std::copy(z.begin(), z.end(), y.begin() + static_cast<std::ptrdiff_t>(t));
-  }
+}
+
+void SparseLdltFactor::head_backward(Vec& y) const {
+  const std::size_t t = t_;
+  const std::size_t tail = n_ - t;
+  const std::size_t nsn = supernode_count();
   // Backward: the solved tail feeds back through L21^T, then the panels
   // run in descending order — each gathers its columns' shared-row dots
   // first (those rows are beyond the panel, so they are final), then
@@ -568,7 +567,9 @@ Vec SparseLdltFactor::solve(const Vec& b) const {
   }
   Vec y(n_);
   for (std::size_t k = 0; k < n_; ++k) y[k] = b[perm_[k]];
-  solve_in_place(y);
+  head_forward(y);
+  if (tail_) tail_->solve_in_place(y.data() + t_);
+  head_backward(y);
   Vec x(n_);
   for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = y[k];
   return x;
@@ -582,15 +583,32 @@ DenseMatrix SparseLdltFactor::solve_many(const common::Context& ctx,
         std::to_string(b.rows()) + " rows, factor expects " +
         std::to_string(n_));
   }
-  DenseMatrix x(n_, b.cols());
-  // Disjoint column writes: byte-identical to sequential solve() calls.
-  ctx.parallel_for(0, b.cols(), [&](std::size_t j) {
-    Vec col = b.column(j);
-    Vec y(n_);
-    for (std::size_t k = 0; k < n_; ++k) y[k] = col[perm_[k]];
-    solve_in_place(y);
-    for (std::size_t k = 0; k < n_; ++k) col[perm_[k]] = y[k];
-    x.set_column(j, col);
+  const std::size_t k = b.cols();
+  const std::size_t tail = n_ - t_;
+  // The sparse head halves run per column (disjoint columns, fanned out);
+  // the dense tail runs once on the whole tail x k panel, so each row of
+  // the tail factor is read once per four columns. Every column sees
+  // exactly solve()'s arithmetic: byte-identical to sequential solve()
+  // calls at any thread count.
+  std::vector<Vec> ys(k);
+  ctx.parallel_for(0, k, [&](std::size_t j) {
+    Vec& y = ys[j];
+    y.resize(n_);
+    for (std::size_t q = 0; q < n_; ++q) y[q] = b(perm_[q], j);
+    head_forward(y);
+  });
+  if (tail_) {
+    DenseMatrix z(tail, k);
+    for (std::size_t i = 0; i < tail; ++i)
+      for (std::size_t j = 0; j < k; ++j) z(i, j) = ys[j][t_ + i];
+    z = tail_->solve_many(ctx, z);
+    for (std::size_t i = 0; i < tail; ++i)
+      for (std::size_t j = 0; j < k; ++j) ys[j][t_ + i] = z(i, j);
+  }
+  DenseMatrix x(n_, k);
+  ctx.parallel_for(0, k, [&](std::size_t j) {
+    head_backward(ys[j]);
+    for (std::size_t q = 0; q < n_; ++q) x(perm_[q], j) = ys[j][q];
   });
   return x;
 }

@@ -128,8 +128,9 @@ class SparseLdltFactor {
 
   Vec solve(const Vec& b) const;
 
-  // Multi-RHS panel solve; columns fan out over ctx's pool with disjoint
-  // writes, per-column byte-identical to solve().
+  // Multi-RHS panel solve: the sparse head sweeps fan out per column over
+  // ctx's pool, the dense tail runs as one shared-read panel
+  // (LdltFactor::solve_many); per-column byte-identical to solve().
   DenseMatrix solve_many(const common::Context& ctx,
                          const DenseMatrix& b) const;
 
@@ -187,7 +188,12 @@ class SparseLdltFactor {
   // Dense LDL^T of the Schur complement; engaged iff t_ < n_.
   std::optional<LdltFactor> tail_;
 
-  void solve_in_place(Vec& y) const;  // permuted coordinates
+  // The halves of a solve around the dense tail, in permuted coordinates:
+  // head_forward runs the sparse forward sweep, the L21 coupling and the
+  // head pivots; the tail then solves y[t_, n_); head_backward runs the
+  // L21^T feedback and the sparse backward sweep.
+  void head_forward(Vec& y) const;
+  void head_backward(Vec& y) const;
 
   SparseLdltFactor() = default;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/laplacian.h"
@@ -245,6 +247,26 @@ TEST(ComponentLaplacianFactor, AllSingletons) {
   EXPECT_EQ(f->num_components(), 4u);
   const Vec x = f->solve(test_context(), Vec{1.0, -2.0, 3.0, 0.5});
   for (double v : x) EXPECT_EQ(v, 0.0);
+}
+
+// Non-square inputs are rejected in every build type: the factors read
+// the matrix as n x n, so an assert-only check would turn a bad shape into
+// an out-of-bounds read in Release.
+TEST(Ldlt, ThrowsOnNonSquareMatrix) {
+  EXPECT_THROW(LdltFactor::factor(test_context(), DenseMatrix(3, 2)),
+               std::invalid_argument);
+}
+
+TEST(LaplacianFactor, ThrowsOnNonSquareMatrix) {
+  const CsrMatrix rect(3, 2, {{0, 0, 1.0}, {2, 1, 1.0}});
+  EXPECT_THROW(LaplacianFactor::factor(test_context(), rect),
+               std::invalid_argument);
+}
+
+TEST(ComponentLaplacianFactor, ThrowsOnNonSquareMatrix) {
+  const CsrMatrix rect(2, 3, {{0, 0, 1.0}, {1, 2, 1.0}});
+  EXPECT_THROW(ComponentLaplacianFactor::factor(test_context(), rect),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/runtime.h"
 #include "graph/generators.h"
@@ -117,6 +118,26 @@ TEST(CscSymmetricMatrix, FromCsrKeepsDuplicatesAndDropsTrailing) {
   EXPECT_DOUBLE_EQ(dg(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(dg(0, 1), -1.0);
   EXPECT_DOUBLE_EQ(dg(1, 1), 2.0);
+}
+
+// Out-of-range indices and shapes throw in every build type; the
+// builders index their column pointers by them.
+TEST(CscSymmetricMatrix, TripletOutOfRangeThrows) {
+  EXPECT_THROW(CscSymmetricMatrix(3, {{3, 1, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(CscSymmetricMatrix(3, {{0, 3, 1.0}}), std::invalid_argument);
+}
+
+TEST(CscSymmetricMatrix, FromCsrNonSquareThrows) {
+  const CsrMatrix rect(2, 3, {{0, 0, 1.0}, {1, 2, 1.0}});
+  EXPECT_THROW(CscSymmetricMatrix::from_symmetric_csr(rect),
+               std::invalid_argument);
+}
+
+TEST(CscSymmetricMatrix, FromCsrDropMoreThanRowsThrows) {
+  const CsrMatrix sq(2, 2, {{0, 0, 1.0}, {1, 1, 1.0}});
+  EXPECT_THROW(CscSymmetricMatrix::from_symmetric_csr(sq, 3),
+               std::invalid_argument);
+  EXPECT_EQ(CscSymmetricMatrix::from_symmetric_csr(sq, 2).dim(), 0u);
 }
 
 TEST(CscSymmetricMatrix, LaplacianCscMatchesCsrLaplacian) {
