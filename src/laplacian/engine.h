@@ -204,6 +204,14 @@ class EngineRegistry {
                                         linalg::DenseMatrix m,
                                         const SddEngineOptions& opt) const;
 
+  // The SDD factory create_sdd(key, ctx, m, opt) calls, with "auto"
+  // resolved the same way from m and eps_hint. A caller that builds many
+  // engines for systems whose tuner inputs cannot change (the LP layer's
+  // Gram systems) resolves once and calls the factory per system. Throws
+  // as create_sdd does.
+  SddFactory sdd_factory(const std::string& key, const linalg::DenseMatrix& m,
+                         double eps_hint) const;
+
   // The tuner, exposed for tests: exact-sparse at (n >= kSparseMinDim,
   // density <= kSparseMaxDensity), exact-dense at eps <= kAutoExactEps,
   // else sparsified-chebyshev. "cg" is never auto-selected.

@@ -193,15 +193,22 @@ std::unique_ptr<LaplacianEngine> EngineRegistry::create(
 std::unique_ptr<SddEngine> EngineRegistry::create_sdd(
     const std::string& key, const common::Context& ctx, linalg::DenseMatrix m,
     const SddEngineOptions& opt) const {
+  const SddFactory factory = sdd_factory(key, m, opt.eps_hint);
+  return factory(ctx, std::move(m), opt);
+}
+
+EngineRegistry::SddFactory EngineRegistry::sdd_factory(
+    const std::string& key, const linalg::DenseMatrix& m,
+    double eps_hint) const {
   const std::string concrete =
-      resolve(key, m.rows(), dense_matrix_density(m), opt.eps_hint);
-  const Entry entry = entry_or_throw(concrete);
+      resolve(key, m.rows(), dense_matrix_density(m), eps_hint);
+  Entry entry = entry_or_throw(concrete);
   if (!entry.sdd_factory) {
     throw std::invalid_argument(
         "laplacian::EngineRegistry::create_sdd: engine \"" + concrete +
         "\" has no SDD factory (registered: " + join_keys(keys()) + ")");
   }
-  return entry.sdd_factory(ctx, std::move(m), opt);
+  return std::move(entry.sdd_factory);
 }
 
 std::string EngineRegistry::auto_select(std::size_t n, double density,

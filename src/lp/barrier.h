@@ -7,6 +7,8 @@
 //    trigonometric barrier with a = pi/(u-l), b = -pi/2 (u+l)/(u-l).
 #pragma once
 
+#include <cassert>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -39,6 +41,31 @@ class BarrierSet {
   double value(const linalg::Vec& x) const;
   linalg::Vec gradient(const linalg::Vec& x) const;   // phi'(x) coordinate-wise
   linalg::Vec hessian_diag(const linalg::Vec& x) const;  // phi''(x)
+
+  // One pass over the coordinates calling f(i, phi_i'(x_i), phi_i''(x_i)).
+  // The domain dispatch and the argument a x_i + b are evaluated once per
+  // coordinate, with CoordinateBarrier::d1()'s and d2()'s exact
+  // expressions, so the values are bitwise gradient(x) and hessian_diag(x).
+  template <typename F>
+  void for_each_derivative(const linalg::Vec& x, F&& f) const {
+    assert(x.size() == coords_.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double l = coords_[i].l;
+      const double u = coords_[i].u;
+      assert(coords_[i].in_domain(x[i]));
+      if (std::isfinite(l) && !std::isfinite(u)) {
+        f(i, -1.0 / (x[i] - l), 1.0 / ((x[i] - l) * (x[i] - l)));
+      } else if (!std::isfinite(l) && std::isfinite(u)) {
+        f(i, 1.0 / (u - x[i]), 1.0 / ((u - x[i]) * (u - x[i])));
+      } else {
+        const double a = M_PI / (u - l);
+        const double b = -M_PI_2 * (u + l) / (u - l);
+        const double arg = a * x[i] + b;
+        const double c = std::cos(arg);
+        f(i, a * std::tan(arg), a * a / (c * c));
+      }
+    }
+  }
 
   // Largest step s in [0, 1] such that x + s*dx stays strictly inside the
   // domain (with a safety margin); used by the IPM line search.

@@ -1,9 +1,10 @@
 #include "lp/leverage_scores.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/encoding.h"
@@ -17,21 +18,38 @@ MatrixOracle dense_oracle(const common::Context& ctx,
   MatrixOracle o;
   o.m = m.rows();
   o.n = m.cols();
-  // Gram matrix, its factorization, M and M^T are shared by the closures;
-  // the transpose is formed once (it also builds the Gram) and the
+  // The Gram factorization, M and M^T are shared by the closures; the
+  // transpose is formed once (it also builds the Gram) and the
   // factorization is paid once, reused by every solve and panel.
   auto mat_t = std::make_shared<linalg::DenseMatrix>(m.transpose());
-  auto gram =
-      std::make_shared<linalg::DenseMatrix>(mat_t->multiply(ctx, m));
-  auto factor = std::make_shared<std::optional<linalg::LdltFactor>>(
-      linalg::LdltFactor::factor(ctx, *gram));
-  if (!factor->has_value()) {
+  linalg::DenseMatrix gram = mat_t->multiply(ctx, m);
+  std::optional<linalg::LdltFactor> attempt =
+      linalg::LdltFactor::factor(ctx, gram);
+  if (!attempt) {
     // Semi-definite guard: tiny ridge.
-    for (std::size_t i = 0; i < gram->rows(); ++i)
-      (*gram)(i, i) += 1e-12 * ((*gram)(i, i) + 1.0);
-    *factor = linalg::LdltFactor::factor(ctx, *gram);
+    for (std::size_t i = 0; i < gram.rows(); ++i)
+      gram(i, i) += 1e-12 * (gram(i, i) + 1.0);
+    attempt = linalg::LdltFactor::factor(ctx, gram);
   }
-  assert(factor->has_value());
+  if (!attempt) {
+    // A per-entry ridge cannot lift a zero pivot past the factor's
+    // threshold, 1e-12 x the largest diagonal entry, when that entry is
+    // huge (a zero column beside a 1e8 one). A max-diagonal ridge can,
+    // but only at 1e-11: the SDD layer's 1e-12 x (max diag + 1) ridge
+    // (prepare_sdd_dense_factor) lands on the threshold it raises.
+    double scale = 0.0;
+    for (std::size_t i = 0; i < gram.rows(); ++i)
+      scale = std::max(scale, gram(i, i));
+    for (std::size_t i = 0; i < gram.rows(); ++i)
+      gram(i, i) += 1e-11 * (scale + 1.0);
+    attempt = linalg::LdltFactor::factor(ctx, gram);
+  }
+  if (!attempt) {
+    throw std::runtime_error(
+        "lp::dense_oracle: M^T M is not factorizable even with a ridge");
+  }
+  auto factor =
+      std::make_shared<const linalg::LdltFactor>(std::move(*attempt));
   auto mat = std::make_shared<linalg::DenseMatrix>(m);
   o.apply = [mat, ctx](const linalg::Vec& x) {
     return mat->multiply(ctx, x);
@@ -40,7 +58,7 @@ MatrixOracle dense_oracle(const common::Context& ctx,
     return mat->multiply_transpose(ctx, y);
   };
   o.solve_gram = [factor](const linalg::Vec& y) {
-    return (*factor)->solve(y);
+    return factor->solve(y);
   };
   o.apply_many = [mat, ctx](const linalg::DenseMatrix& x) {
     return mat->multiply(ctx, x);
@@ -49,7 +67,7 @@ MatrixOracle dense_oracle(const common::Context& ctx,
     return mat_t->multiply(ctx, y);
   };
   o.solve_gram_many = [factor, ctx](const linalg::DenseMatrix& y) {
-    return (*factor)->solve_many(ctx, y);
+    return factor->solve_many(ctx, y);
   };
   return o;
 }

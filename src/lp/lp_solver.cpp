@@ -1,7 +1,6 @@
 #include "lp/lp_solver.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -17,20 +16,86 @@ double median3(double a, double b, double c) {
   return std::max(std::min(a, b), std::min(std::max(a, b), c));
 }
 
-// One path-following run (Algorithm 10) shared by both phases.
+// A^T D A into gram (n x n, overwritten), D given by its diagonal.
+void assemble_gram_into(const linalg::CsrMatrix& a, const linalg::Vec& d,
+                        linalg::DenseMatrix& gram) {
+  const std::size_t n = a.cols();
+  for (std::size_t i = 0; i < n; ++i) std::fill_n(gram.row_data(i), n, 0.0);
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_index();
+  const auto& vals = a.values();
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t i = rp[r]; i < rp[r + 1]; ++i) {
+      for (std::size_t j = rp[r]; j < rp[r + 1]; ++j) {
+        gram(ci[i], ci[j]) += d[r] * vals[i] * vals[j];
+      }
+    }
+  }
+}
+
+// The Gram-system engine factory of one lp_solve. A caller's
+// opt.gram_factory is used as is, once per system. Otherwise opt.engine is
+// resolved on the first system and that registry entry's SDD factory
+// builds every system: the tuner's inputs cannot change within a solve
+// (the dimension, eps_hint = 1e-12, and the stored density, which is A's
+// column co-occurrence pattern because D > 0), so "auto" and
+// BCCLAP_ENGINE are consulted once instead of per Newton step.
+GramSolverFactory gram_engines(const common::Context& ctx,
+                               const LpProblem& prob, const LpOptions& opt) {
+  if (opt.gram_factory) return opt.gram_factory;
+  laplacian::SddEngineOptions eopt;
+  eopt.network_n = prob.a.cols() + 1;
+  eopt.eps_hint = 1e-12;  // the accuracy the Newton solves request below
+  return [ctx, key = opt.engine, eopt,
+          factory = laplacian::EngineRegistry::SddFactory()](
+             const linalg::DenseMatrix& gram) mutable {
+    if (!factory) {
+      factory = laplacian::EngineRegistry::instance().sdd_factory(
+          key, gram, eopt.eps_hint);
+    }
+    return factory(ctx, gram, eopt);
+  };
+}
+
+// Initial weights (Algorithm 9 line 1).
+linalg::Vec initial_weights(const common::Context& ctx, const LpProblem& prob,
+                            const LpOptions& opt) {
+  const std::size_t m = prob.a.rows();
+  if (opt.weights == WeightMode::kVanilla) return linalg::ones(m);
+  // ComputeInitialWeights would be exact here; for the solver we start
+  // from leverage scores of A (the p = 2 point of the homotopy) and let
+  // the per-step warm-started refinement track the path, which is the
+  // same fixed-point machinery with a cheaper entry point.
+  const double c0 =
+      static_cast<double>(prob.a.cols()) / (2.0 * static_cast<double>(m));
+  linalg::Vec w = lewis_fixed_point(ctx, prob.a.to_dense(), lewis_p_for(m), 12);
+  for (double& v : w) v = std::max(v + c0, c0);
+  return w;
+}
+
+// One path-following run (Algorithm 10) shared by both phases. Every
+// Newton step reuses the follower's workspace; nothing is rebuilt per step.
 class PathFollower {
  public:
   PathFollower(const common::Context& ctx, const LpProblem& prob,
-               const LpOptions& opt, const linalg::Vec& cost,
+               const LpOptions& opt, const BarrierSet& barrier,
+               const GramSolverFactory& engines, const linalg::Vec& cost,
                bcc::RoundAccountant& acct)
       : ctx_(ctx),
         prob_(prob),
         opt_(opt),
+        barrier_(barrier),
+        engines_(engines),
         cost_(cost),
         acct_(acct),
-        barrier_(prob.lower, prob.upper),
         m_(prob.a.rows()),
-        n_(prob.a.cols()) {
+        n_(prob.a.cols()),
+        grad_(m_),
+        d_(m_),
+        dx_(m_),
+        ax_(n_),
+        rhs_(n_, 1),
+        gram_(n_, n_) {
     p_lewis_ = lewis_p_for(m_);
     c0_ = static_cast<double>(n_) / (2.0 * static_cast<double>(m_));
   }
@@ -51,11 +116,12 @@ class PathFollower {
         // Probe the larger step; on centering failure halve and retry.
         double trial_alpha = alpha;
         double t_trial = t_next;
-        linalg::Vec x_save = x, w_save = w;
+        x_save_ = x;
+        w_save_ = w;
         bool ok = center(x, w, t_trial, opt_.centering_tol, newton_steps);
         while (!ok && trial_alpha > 1e-7) {
-          x = x_save;
-          w = w_save;
+          x = x_save_;
+          w = w_save_;
           trial_alpha /= 2.0;
           t_trial = median3((1.0 - trial_alpha) * t, t_end,
                             (1.0 + trial_alpha) * t);
@@ -82,17 +148,6 @@ class PathFollower {
   // (RunStats::panels bookkeeping).
   std::size_t panels_solved() const { return panels_solved_; }
 
-  linalg::Vec initial_weights() {
-    if (opt_.weights == WeightMode::kVanilla) return linalg::ones(m_);
-    // ComputeInitialWeights would be exact here; for the solver we start
-    // from leverage scores of A (the p = 2 point of the homotopy) and let
-    // the per-step warm-started refinement track the path, which is the
-    // same fixed-point machinery with a cheaper entry point.
-    linalg::Vec w = lewis_fixed_point(ctx_, prob_.a.to_dense(), p_lewis_, 12);
-    for (double& v : w) v = std::max(v + c0_, c0_);
-    return w;
-  }
-
  private:
   double base_alpha() const {
     const double scale = opt_.weights == WeightMode::kLewis
@@ -107,53 +162,84 @@ class PathFollower {
   // A^T x = b, refreshing w each step in Lewis mode (Algorithm 11).
   bool center(linalg::Vec& x, linalg::Vec& w, double t, double tol,
               std::size_t* newton_steps) {
+    // A vanilla centering that converged at (t, tol) left x centered there
+    // and w untouched, and nothing has moved either since: running again
+    // would recompute the same decrement and return after one step
+    // without moving x. (Lewis mode refreshes w on convergence.)
+    if (centered_ && t == centered_t_ && tol == centered_tol_) return true;
+    centered_ = false;
+    const auto& rp = prob_.a.row_ptr();
+    const auto& ci = prob_.a.col_index();
+    const auto& vals = prob_.a.values();
+    double* rhs = rhs_.row_data(0);
     for (std::size_t it = 0; it < opt_.max_center_steps; ++it) {
-      const linalg::Vec phi1 = barrier_.gradient(x);
-      const linalg::Vec phi2 = barrier_.hessian_diag(x);
-      linalg::Vec grad(m_), hd(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        grad[i] = t * cost_[i] + w[i] * phi1[i];
-        hd[i] = w[i] * phi2[i];
-      }
       // Newton direction with equality constraints and infeasibility
-      // correction (keeps A^T x = b against roundoff drift):
-      //   solve (A^T Hd^{-1} A) lam = A^T Hd^{-1} grad + (b - A^T x),
-      //   dx = Hd^{-1} (A lam - grad), so A^T dx = b - A^T x.
-      linalg::Vec hinv_grad(m_);
-      linalg::Vec d(m_);
-      for (std::size_t i = 0; i < m_; ++i) {
-        d[i] = 1.0 / hd[i];
-        hinv_grad[i] = grad[i] * d[i];
+      // correction (keeps A^T x = b against roundoff drift), with
+      // H = diag(w phi''(x)) and D = H^{-1}:
+      //   solve (A^T D A) lam = A^T D grad + (b - A^T x),
+      //   dx = D (A lam - grad), so A^T dx = b - A^T x.
+      barrier_.for_each_derivative(
+          x, [&](std::size_t i, double phi1, double phi2) {
+            grad_[i] = t * cost_[i] + w[i] * phi1;
+            d_[i] = 1.0 / (w[i] * phi2);
+          });
+      // A^T (D grad) and A^T x in one pass over A's rows, each output
+      // summed in ascending row order with CsrMatrix::multiply_transpose's
+      // zero skip.
+      std::fill_n(rhs, n_, 0.0);
+      std::fill(ax_.begin(), ax_.end(), 0.0);
+      for (std::size_t r = 0; r < m_; ++r) {
+        const double hg = grad_[r] * d_[r];
+        const double xr = x[r];
+        if (hg != 0.0) {
+          for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+            rhs[ci[k]] += vals[k] * hg;
+        }
+        if (xr != 0.0) {
+          for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+            ax_[ci[k]] += vals[k] * xr;
+        }
       }
-      linalg::Vec rhs = prob_.a.multiply_transpose(hinv_grad);
-      const linalg::Vec ax = prob_.a.multiply_transpose(x);
-      for (std::size_t j = 0; j < n_; ++j) rhs[j] += prob_.b[j] - ax[j];
-      auto engine = make_engine(assemble_gram(prob_.a, d));
+      for (std::size_t j = 0; j < n_; ++j) rhs[j] += prob_.b[j] - ax_[j];
+      assemble_gram_into(prob_.a, d_, gram_);
+      auto engine = engines_(gram_);
       // Newton systems route through the batched interface (one k = 1
       // panel per centering step) so every Gram solve in the pipeline is
       // a counted panel; per-column the engines are byte-identical to
       // their single-RHS path.
-      const linalg::Vec lam =
-          engine->solve_many(linalg::DenseMatrix::from_columns({rhs}), 1e-12)
-              .column(0);
+      const linalg::DenseMatrix lam = engine->solve_many(rhs_, 1e-12);
       ++panels_solved_;
       acct_.charge("lp/gram-solve", engine->rounds_charged());
-      const linalg::Vec a_lam = prob_.a.multiply(ctx_, lam);
-      linalg::Vec dx(m_);
-      for (std::size_t i = 0; i < m_; ++i)
-        dx[i] = d[i] * (a_lam[i] - grad[i]);
+      // dx = D (A lam - grad), row-parallel like CsrMatrix::multiply.
+      const double* lam_data = lam.row_data(0);
+      ctx_.parallel_for_chunks(
+          0, m_, ctx_.grain(m_, prob_.a.nnz() / std::max<std::size_t>(m_, 1)),
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t r = lo; r < hi; ++r) {
+              double s = 0.0;
+              for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+                s += vals[k] * lam_data[ci[k]];
+              dx_[r] = d_[r] * (s - grad_[r]);
+            }
+          });
 
       const double delta =
-          std::sqrt(std::max(0.0, -linalg::dot(dx, grad)));
+          std::sqrt(std::max(0.0, -linalg::dot(dx_, grad_)));
       if (newton_steps) ++*newton_steps;
       if (delta <= tol) {
-        if (opt_.weights == WeightMode::kLewis) refresh_weights(x, w, delta);
+        if (opt_.weights == WeightMode::kLewis) {
+          refresh_weights(x, w, delta);
+        } else {
+          centered_ = true;
+          centered_t_ = t;
+          centered_tol_ = tol;
+        }
         return true;
       }
       double step = std::min(1.0, 1.0 / (1.0 + delta));
-      step = std::min(step, barrier_.max_feasible_step(x, dx));
+      step = std::min(step, barrier_.max_feasible_step(x, dx_));
       if (step <= 1e-14) return false;
-      linalg::axpy(x, step, dx);
+      linalg::axpy(x, step, dx_);
       if (opt_.weights == WeightMode::kLewis) refresh_weights(x, w, delta);
     }
     return false;
@@ -208,16 +294,6 @@ class PathFollower {
     }
   }
 
-  std::unique_ptr<laplacian::SddEngine> make_engine(
-      linalg::DenseMatrix gram) const {
-    if (opt_.gram_factory) return opt_.gram_factory(gram);
-    laplacian::SddEngineOptions eopt;
-    eopt.network_n = n_ + 1;
-    eopt.eps_hint = 1e-12;  // the accuracy the Newton solves request below
-    return laplacian::EngineRegistry::instance().create_sdd(
-        opt_.engine, ctx_, std::move(gram), eopt);
-  }
-
   void charge_step_rounds() {
     // Per path step: O(1) vector broadcasts at O(log(mU/eps)) bits.
     const std::int64_t bw = 2 * enc::id_bits(std::max<std::size_t>(n_, 2)) + 2;
@@ -229,32 +305,34 @@ class PathFollower {
   common::Context ctx_;
   const LpProblem& prob_;
   const LpOptions& opt_;
+  const BarrierSet& barrier_;
+  const GramSolverFactory& engines_;
   const linalg::Vec& cost_;
   bcc::RoundAccountant& acct_;
-  BarrierSet barrier_;
   std::size_t m_;
   std::size_t n_;
   double p_lewis_ = 1.0;
   double c0_ = 0.0;
   std::size_t panels_solved_ = 0;
+  // The (t, tol) of the last vanilla centering that converged, while x
+  // and w are still where it left them.
+  bool centered_ = false;
+  double centered_t_ = 0.0;
+  double centered_tol_ = 0.0;
+  // Newton workspace: m-vectors grad, D and dx; n-vector A^T x; the n x 1
+  // right-hand-side panel; the n x n Gram; the adaptive probe's saved
+  // iterate.
+  linalg::Vec grad_, d_, dx_, ax_;
+  linalg::DenseMatrix rhs_, gram_;
+  linalg::Vec x_save_, w_save_;
 };
 
 }  // namespace
 
 linalg::DenseMatrix assemble_gram(const linalg::CsrMatrix& a,
                                   const linalg::Vec& d) {
-  const std::size_t n = a.cols();
-  linalg::DenseMatrix gram(n, n);
-  const auto& rp = a.row_ptr();
-  const auto& ci = a.col_index();
-  const auto& vals = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t i = rp[r]; i < rp[r + 1]; ++i) {
-      for (std::size_t j = rp[r]; j < rp[r + 1]; ++j) {
-        gram(ci[i], ci[j]) += d[r] * vals[i] * vals[j];
-      }
-    }
-  }
+  linalg::DenseMatrix gram(a.cols(), a.cols());
+  assemble_gram_into(a, d, gram);
   return gram;
 }
 
@@ -274,11 +352,9 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
       u_bound = std::max(u_bound, std::abs(prob.upper[i]));
   }
 
-  // Initial weights (Algorithm 9 line 1). A dummy-cost follower is used
-  // only to access the weight initializer; it charges no rounds.
-  const linalg::Vec zero_cost(m, 0.0);
-  linalg::Vec w =
-      PathFollower(ctx, prob, opt, zero_cost, acct).initial_weights();
+  const BarrierSet barrier(prob.lower, prob.upper);
+  const GramSolverFactory engines = gram_engines(ctx, prob, opt);
+  linalg::Vec w = initial_weights(ctx, prob, opt);
 
   // Phase 1: recenter x0. With d = -w .* phi'(x0), x0 is the exact t = 1
   // minimizer of t d^T x + sum w_i phi_i; following d's path down to t1
@@ -286,12 +362,11 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   const double t1 =
       opt.t_start_scale /
       (std::pow(static_cast<double>(m), 1.5) * u_bound * u_bound);
-  BarrierSet barrier0(prob.lower, prob.upper);
-  const linalg::Vec phi1_x0 = barrier0.gradient(x0);
+  const linalg::Vec phi1_x0 = barrier.gradient(x0);
   linalg::Vec d_cost(m);
   for (std::size_t i = 0; i < m; ++i) d_cost[i] = -w[i] * phi1_x0[i];
 
-  PathFollower phase1(ctx, prob, opt, d_cost, acct);
+  PathFollower phase1(ctx, prob, opt, barrier, engines, d_cost, acct);
   if (!phase1.follow(out.x, w, 1.0, t1, opt.centering_tol, &out.path_steps,
                      &out.newton_steps)) {
     out.rounds = acct.total();
@@ -306,7 +381,7 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   double w_sum = 0.0;
   for (double v : w) w_sum += v;
   const double t2 = 4.0 * std::max(w_sum, 1.0) / opt.epsilon;
-  PathFollower phase2(ctx, prob, opt, prob.c, acct);
+  PathFollower phase2(ctx, prob, opt, barrier, engines, prob.c, acct);
   const bool ok = phase2.follow(out.x, w, t1, t2, opt.centering_tol / 4.0,
                                 &out.path_steps, &out.newton_steps);
 
@@ -314,23 +389,12 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   // A^T x - b of the order of the last Newton decrement; one weighted
   // least-squares correction removes it without leaving the barrier domain.
   {
-    BarrierSet barrier(prob.lower, prob.upper);
     const linalg::Vec phi2 = barrier.hessian_diag(out.x);
     linalg::Vec d(m);
     for (std::size_t i = 0; i < m; ++i) d[i] = 1.0 / (w[i] * phi2[i]);
-    auto gram = assemble_gram(prob.a, d);
-    std::unique_ptr<laplacian::SddEngine> engine;
-    if (opt.gram_factory) {
-      engine = opt.gram_factory(gram);
-    } else {
-      laplacian::SddEngineOptions eopt;
-      eopt.network_n = prob.a.cols() + 1;
-      eopt.eps_hint = 1e-12;
-      engine = laplacian::EngineRegistry::instance().create_sdd(
-          opt.engine, ctx, std::move(gram), eopt);
-    }
-    // The concrete key that served the Gram systems (every step resolves
-    // the same (shape, eps) inputs, so this engine's key is the run's).
+    const auto engine = engines(assemble_gram(prob.a, d));
+    // The concrete key that served the Gram systems (every system of the
+    // run is built by the same factory).
     out.stats.engine = std::string(engine->key());
     linalg::Vec resid = prob.b;
     const auto ax = prob.a.multiply_transpose(out.x);

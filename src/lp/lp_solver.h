@@ -51,9 +51,10 @@ enum class WeightMode { kVanilla, kLewis };
 enum class StepMode { kShortStep, kAdaptive };
 
 // Hook for callers that need full control over the (A^T D A)-system
-// solver (custom contexts, instrumented engines). When empty, engines
-// are built by LpOptions::engine through the registry
-// (laplacian/engine.h).
+// solver (custom contexts, instrumented engines); lp_solve calls it once
+// per Gram system (one per Newton step plus the final feasibility
+// restoration). When empty, engines are built by LpOptions::engine
+// through the registry (laplacian/engine.h).
 using GramSolverFactory =
     std::function<std::unique_ptr<laplacian::SddEngine>(
         const linalg::DenseMatrix& gram)>;
@@ -71,10 +72,12 @@ struct LpOptions {
   LewisOptions lewis;
   GramSolverFactory gram_factory;  // empty = registry engine (below)
   // Engine registry key for the Gram systems when gram_factory is empty:
-  // "auto" tunes per system from (n, density, eps_hint = 1e-12) — small
-  // dense grams resolve to "exact-dense", reproducing the historical
-  // exact engine — and a concrete key pins the backend for every Newton
-  // step. Ignored when gram_factory is set.
+  // "auto" (with BCCLAP_ENGINE) is resolved once per lp_solve, on the
+  // first Gram system, from (n, density, eps_hint = 1e-12) — inputs no
+  // later system of the solve can change; small dense grams resolve to
+  // "exact-dense", reproducing the historical exact engine — and a
+  // concrete key pins the backend for every Newton step. Ignored when
+  // gram_factory is set.
   std::string engine = "auto";
   std::uint64_t seed = 7;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace bcclap::lp {
 namespace {
@@ -61,6 +62,24 @@ TEST(BarrierSet, GradientAndHessian) {
   const auto h = bs.hessian_diag(x);
   EXPECT_DOUBLE_EQ(h[0], 0.25);
   EXPECT_DOUBLE_EQ(h[1], 1.0);
+}
+
+TEST(BarrierSet, FusedDerivativesMatchSeparatePasses) {
+  // One coordinate of each barrier kind, at interior points that are not
+  // exactly representable sums, so any change of expression shows.
+  BarrierSet bs(linalg::Vec{0.3, kNegInf, -1.7, 0.0},
+                linalg::Vec{kPosInf, 2.9, 4.1, 3.0});
+  const linalg::Vec x{1.1, -0.45, 3.95, 0.07};
+  ASSERT_TRUE(bs.in_domain(x));
+  const auto g = bs.gradient(x);
+  const auto h = bs.hessian_diag(x);
+  std::size_t visited = 0;
+  bs.for_each_derivative(x, [&](std::size_t i, double phi1, double phi2) {
+    EXPECT_EQ(i, visited++);
+    EXPECT_EQ(std::memcmp(&phi1, &g[i], sizeof phi1), 0) << i;
+    EXPECT_EQ(std::memcmp(&phi2, &h[i], sizeof phi2), 0) << i;
+  });
+  EXPECT_EQ(visited, x.size());
 }
 
 TEST(BarrierSet, MaxFeasibleStep) {

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "core/runtime.h"
@@ -19,42 +18,19 @@
 #include "graph/laplacian.h"
 #include "linalg/cholesky.h"
 #include "linalg/csc_matrix.h"
+#include "support/fnv.h"
 
 namespace bcclap {
 namespace {
 
 using linalg::DenseMatrix;
 using linalg::Vec;
+using testsupport::Fnv;
 
 // Panel widths every case solves; the widest panel's columns double as
 // the single-RHS inputs.
 constexpr std::size_t kWidths[] = {1, 3, 4, 5, 9};
 constexpr std::size_t kMaxWidth = 9;
-
-// FNV-1a over the bit patterns of a sequence of doubles, each fed as 8
-// little-endian bytes.
-class Fnv {
- public:
-  void feed(double x) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (bits >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void feed(const Vec& v) {
-    for (double x : v) feed(x);
-  }
-  void feed(const DenseMatrix& m) {
-    for (std::size_t i = 0; i < m.rows(); ++i)
-      for (std::size_t j = 0; j < m.cols(); ++j) feed(m(i, j));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 struct Pin {
   std::uint64_t solve;       // kMaxWidth single-RHS solves, in column order

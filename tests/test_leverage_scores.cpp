@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/laplacian.h"
@@ -127,6 +129,20 @@ TEST(LeverageScores, JlDeterministicInSeed) {
   const auto o = dense_oracle(test_context(), a);
   EXPECT_EQ(leverage_scores_jl(test_context(), o, opt),
             leverage_scores_jl(test_context(), o, opt));
+}
+
+TEST(LeverageScores, ZeroColumnBesideHugeColumnIsDefined) {
+  // M^T M = diag(3e16, 0) defeats the plain factorization and the
+  // per-entry ridge; the max-diagonal ridge retry still factors it, and
+  // every row carries column 0's leverage, 1/3.
+  linalg::DenseMatrix m(3, 2);
+  for (std::size_t i = 0; i < 3; ++i) m(i, 0) = 1e8;
+  const auto sigma = leverage_scores_exact(test_context(), m);
+  ASSERT_EQ(sigma.size(), 3u);
+  for (double s : sigma) {
+    ASSERT_TRUE(std::isfinite(s));
+    EXPECT_NEAR(s, 1.0 / 3.0, 1e-9);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
+
 #include "common/rng.h"
+#include "flow/mcmf_lp.h"
+#include "graph/generators.h"
+#include "laplacian/bcc_solver.h"
+#include "laplacian/engine.h"
 #include "support/fixtures.h"
 
 namespace bcclap::lp {
@@ -109,6 +118,108 @@ TEST(LpSolver, ReportsAccounting) {
   EXPECT_GT(res.rounds, 0);
   EXPECT_GT(res.newton_steps, 0u);
   EXPECT_GT(res.path_steps, 0u);
+}
+
+// Forwards to an exact-dense engine under its own registry key.
+class CountedSdd final : public laplacian::SddEngine {
+ public:
+  explicit CountedSdd(std::unique_ptr<laplacian::SddEngine> inner)
+      : inner_(std::move(inner)) {}
+  linalg::Vec solve(const linalg::Vec& y, double eps) override {
+    return inner_->solve(y, eps);
+  }
+  linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
+                                 double eps) override {
+    return inner_->solve_many(y, eps);
+  }
+  std::int64_t rounds_charged() const override {
+    return inner_->rounds_charged();
+  }
+  std::string_view key() const override { return "test-counting-sdd"; }
+
+ private:
+  std::unique_ptr<laplacian::SddEngine> inner_;
+};
+
+bool bitwise_equal(const linalg::Vec& a, const linalg::Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// lp_solve builds one engine per Gram system (one per Newton step plus the
+// final feasibility restoration), whether the registry entry behind
+// LpOptions::engine builds it or the caller's gram_factory does.
+TEST(LpSolver, GramEnginePerSystem) {
+  const auto p = testsupport::diamond_lp();
+  const linalg::Vec x0 = {0.5, 0.5, 0.5, 0.5};
+  std::size_t built = 0;
+  // Registered through the registry's latest-wins seam: a graph factory
+  // borrowed from exact-dense and a counting SDD factory.
+  laplacian::EngineRegistry::instance().register_engine(
+      "test-counting-sdd",
+      [](const laplacian::EngineOptions& eopt) {
+        return laplacian::EngineRegistry::instance().create("exact-dense",
+                                                            eopt);
+      },
+      [&built](const common::Context& ctx, linalg::DenseMatrix m,
+               const laplacian::SddEngineOptions& eopt) {
+        ++built;
+        return std::make_unique<CountedSdd>(laplacian::make_exact_sdd_engine(
+            ctx, std::move(m), eopt.network_n));
+      });
+  LpOptions keyed;
+  keyed.epsilon = 1e-4;
+  keyed.engine = "test-counting-sdd";
+  const auto by_key = lp_solve(test_context(keyed.seed), p, x0, keyed);
+  ASSERT_TRUE(by_key.converged);
+  EXPECT_EQ(built, by_key.newton_steps + 1);
+  EXPECT_EQ(by_key.stats.engine, "test-counting-sdd");
+
+  std::size_t called = 0;
+  LpOptions hooked;
+  hooked.epsilon = 1e-4;
+  hooked.gram_factory = [&called](const linalg::DenseMatrix& gram) {
+    ++called;
+    return laplacian::make_exact_sdd_engine(test_context(), gram,
+                                            gram.rows() + 1);
+  };
+  const auto by_hook = lp_solve(test_context(hooked.seed), p, x0, hooked);
+  ASSERT_TRUE(by_hook.converged);
+  EXPECT_EQ(called, by_hook.newton_steps + 1);
+
+  // Under "auto" the run names the key the tuner resolved; every path
+  // builds the same exact-dense arithmetic.
+  LpOptions tuned;
+  tuned.epsilon = 1e-4;
+  const auto by_auto = lp_solve(test_context(tuned.seed), p, x0, tuned);
+  ASSERT_TRUE(by_auto.converged);
+  EXPECT_EQ(by_auto.stats.engine, "exact-dense");
+  EXPECT_EQ(by_auto.newton_steps, by_key.newton_steps);
+  EXPECT_TRUE(bitwise_equal(by_auto.x, by_key.x));
+  EXPECT_TRUE(bitwise_equal(by_auto.x, by_hook.x));
+}
+
+// Lewis weights on these flow LPs come from leverage-score oracles whose
+// Gram defeats both the plain factorization and the per-entry ridge; the
+// answer must still be defined: finite, and the same bytes on a rerun.
+TEST(LpSolver, LewisFlowLpIsDefined) {
+  for (std::uint64_t s : {1u, 3u, 5u}) {
+    SCOPED_TRACE(s);
+    rng::Stream gs(s);
+    const auto g = graph::random_flow_network(8, 8, 3, 3, gs);
+    rng::Stream ps(s + 1000);
+    const auto lp = flow::build_mcmf_lp(g, 0, 7, ps);
+    LpOptions opt;
+    opt.weights = WeightMode::kLewis;
+    opt.epsilon = 1e-3;
+    const auto first =
+        lp_solve(test_context(opt.seed), lp.problem, lp.interior_point, opt);
+    const auto again =
+        lp_solve(test_context(opt.seed), lp.problem, lp.interior_point, opt);
+    for (double v : first.x) ASSERT_TRUE(std::isfinite(v));
+    EXPECT_TRUE(bitwise_equal(first.x, again.x));
+    EXPECT_EQ(first.newton_steps, again.newton_steps);
+  }
 }
 
 TEST(LpSolver, GramAssembly) {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <string>
 
@@ -16,30 +15,22 @@
 #include "graph/generators.h"
 #include "sparsify/spectral_sparsify.h"
 #include "support/fixtures.h"
+#include "support/fnv.h"
 
 namespace bcclap {
 namespace {
 
 using Breakdown = std::map<std::string, std::int64_t>;
 
-// FNV-1a over the sparsifier's (u, v, weight-bits) edge list, each field
-// fed as 8 little-endian bytes.
+// FNV-1a over the sparsifier's (u, v, weight-bits) edge list.
 std::uint64_t edge_list_hash(const graph::Graph& h) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto feed = [&hash](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (x >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ull;
-    }
-  };
+  testsupport::Fnv hash;
   for (const graph::Edge& e : h.edges()) {
-    std::uint64_t wbits = 0;
-    std::memcpy(&wbits, &e.weight, sizeof wbits);
-    feed(e.u);
-    feed(e.v);
-    feed(wbits);
+    hash.feed(static_cast<std::uint64_t>(e.u));
+    hash.feed(static_cast<std::uint64_t>(e.v));
+    hash.feed(e.weight);
   }
-  return hash;
+  return hash.value();
 }
 
 struct Pin {
