@@ -59,8 +59,8 @@ void BM_LpShortStepModes(benchmark::State& state) {
     opt.epsilon = 1e-3;
     const auto res = lp::lp_solve(gb_context(opt.seed), prob, x0,
                                   opt);
-    steps += static_cast<double>(res.path_steps);
-    newton += static_cast<double>(res.newton_steps);
+    steps += static_cast<double>(res.stats.iterations);
+    newton += static_cast<double>(res.stats.steps);
     obj += res.objective;
     ++runs;
   }
@@ -93,9 +93,9 @@ void BM_LpFlowAdaptive(benchmark::State& state) {
     opt.epsilon = 1e-2;
     const auto res = lp::lp_solve(gb_context(opt.seed), mlp.problem,
                                   mlp.interior_point, opt);
-    steps += static_cast<double>(res.path_steps);
-    newton += static_cast<double>(res.newton_steps);
-    rounds += static_cast<double>(res.rounds);
+    steps += static_cast<double>(res.stats.iterations);
+    newton += static_cast<double>(res.stats.steps);
+    rounds += static_cast<double>(res.stats.rounds);
     ++runs;
   }
   const double r = static_cast<double>(runs);

@@ -38,7 +38,7 @@ void sparsifier_size(bench::State& s, std::size_t n, std::size_t t) {
   s.counter("m", static_cast<double>(g.num_edges()));
   s.counter("size", size);
   s.counter("size_per_nlog", size / (static_cast<double>(n) * logn));
-  s.counter("rounds", static_cast<double>(res.rounds));
+  s.counter("rounds", static_cast<double>(res.stats.rounds));
   s.counter("max_outdeg", static_cast<double>(mx));
 }
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -29,15 +28,6 @@ bool first_sighting(const char* name, const std::string& value) {
   return warned().insert(std::string(name) + "=" + value).second;
 }
 
-std::string join(const std::vector<std::string>& values) {
-  std::ostringstream oss;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) oss << ", ";
-    oss << values[i];
-  }
-  return oss.str();
-}
-
 }  // namespace
 
 std::optional<std::string> raw(const char* name) {
@@ -59,22 +49,6 @@ std::optional<std::size_t> positive_count(const char* name) {
   if (first_sighting(name, *value)) {
     BCCLAP_WARN(name << "=\"" << *value
                      << "\" is not a positive integer; ignoring it");
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> keyword(const char* name,
-                                   const std::vector<std::string>& accepted,
-                                   const std::string& fallback_note) {
-  const auto value = raw(name);
-  if (!value) return std::nullopt;
-  for (const auto& a : accepted) {
-    if (*value == a) return value;
-  }
-  if (first_sighting(name, *value)) {
-    BCCLAP_WARN(name << "=\"" << *value
-                     << "\" is not a recognized value (accepted: "
-                     << join(accepted) << "); " << fallback_note);
   }
   return std::nullopt;
 }

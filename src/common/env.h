@@ -1,20 +1,16 @@
 // One environment-variable parsing seam for the whole library.
 //
-// Three knobs used to hand-roll their own getenv/parse/warn logic —
-// BCCLAP_ENGINE (laplacian/engine_registry.cpp), BCCLAP_FACTOR_PATH
-// (linalg/sparse_ldlt.cpp) and BCCLAP_THREADS (common/thread_pool.cpp) —
-// with three slightly different misspelling policies (two warned, one was
-// silent). These helpers unify them: every variable is read live (tests
-// set and unset them), and an unrecognized value warns exactly once per
-// distinct (variable, value) pair process-wide, then falls back to the
-// caller's default. The warn-once latch means a bench loop that resolves
-// the engine per solve emits one line, not thousands.
+// BCCLAP_THREADS (common/thread_pool.cpp) is the library's only
+// environment knob; dispatch decisions (engine key, factor backend) are
+// explicit per-call arguments, never process state. Every variable is
+// read live (tests set and unset them), and an unrecognized value warns
+// exactly once per distinct (variable, value) pair process-wide, then
+// falls back to the caller's default.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace bcclap::common::env {
 
@@ -25,13 +21,6 @@ std::optional<std::string> raw(const char* name);
 // when unset; non-integer, negative, zero or trailing-garbage values warn
 // once and also return nullopt (caller applies its default).
 std::optional<std::size_t> positive_count(const char* name);
-
-// Keyword variable: returns the value when it is one of `accepted`;
-// anything else warns once — listing `accepted` and appending
-// `fallback_note` (e.g. "falling back to auto") — and returns nullopt.
-std::optional<std::string> keyword(const char* name,
-                                   const std::vector<std::string>& accepted,
-                                   const std::string& fallback_note);
 
 // Clears the warn-once latch so tests can assert the warning fires again.
 void reset_warnings_for_tests();

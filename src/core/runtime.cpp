@@ -7,6 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bcc/network.h"
@@ -22,21 +24,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// Resolve-and-build for the facade's Laplacian calls: one registry lookup
-// per run, with the tuner (or BCCLAP_ENGINE, or an explicit options key)
-// deciding the concrete engine.
-std::unique_ptr<laplacian::LaplacianEngine> build_engine(
-    const graph::Graph& g, const LaplacianSolveOptions& opt) {
-  auto& registry = laplacian::EngineRegistry::instance();
-  const std::string key = registry.resolve(
-      opt.engine, g.num_vertices(),
-      laplacian::EngineRegistry::laplacian_density(g), opt.eps);
-  laplacian::EngineOptions eopt;
-  eopt.eps = opt.eps;
-  eopt.sparsify = opt.sparsify;
-  return registry.create(key, eopt);
 }
 
 // Process-default Runtime storage. The atomic pointer is the lock-free
@@ -114,48 +101,116 @@ void Runtime::reset_process_default(std::size_t threads) {
   }
 }
 
-bool Runtime::prepare_engine(laplacian::LaplacianEngine& engine,
-                             const graph::Graph& g, core::RunStats* stats) {
-  if (!cache_) return engine.factor(context(), g);
-  core::FactorCacheKey key;
-  key.engine = std::string(engine.key());
-  key.fingerprint = graph::fingerprint(g);
-  key.seed = opts_.seed;
-  key.min_work_per_chunk = opts_.min_work_per_chunk;
-  key.options_hash = core::prepare_options_hash(engine.options());
+namespace {
+
+// The artifact a facade run applies, and whether this run prepared it.
+struct Artifact {
+  std::shared_ptr<const laplacian::PreparedLaplacian> prepared;
+  bool prepared_here = true;
+};
+
+// Prepares the artifact behind the concrete engine `key` for graph g: from
+// rt's cache when one is configured (counting hits/misses/evictions into
+// *stats), otherwise by running the engine's prepare function.
+Artifact prepare_artifact(const Runtime& rt, const std::string& key,
+                          const graph::Graph& g,
+                          const laplacian::EngineOptions& eopt,
+                          core::RunStats* stats) {
+  const auto& registry = laplacian::EngineRegistry::instance();
+  const std::shared_ptr<core::FactorCache>& cache = rt.factor_cache();
+  if (!cache) return {registry.prepare(key, rt.context(), g, eopt)};
+  core::FactorCacheKey ckey;
+  ckey.engine = key;
+  ckey.fingerprint = graph::fingerprint(g);
+  ckey.seed = rt.options().seed;
+  ckey.min_work_per_chunk = rt.options().min_work_per_chunk;
+  ckey.options_hash = core::prepare_options_hash(eopt);
   // Deduplicating lookup: N concurrent cold requests for the same key run
   // ONE prepare — the first caller leads, the rest block on the in-flight
   // registration and adopt the published artifact as cache hits.
   bool leader = false;
-  if (auto artifact = cache_->lookup_or_join(key, &leader)) {
-    engine.adopt(std::move(artifact));
+  if (auto hit = cache->lookup_or_join(ckey, &leader)) {
     stats->cache_hits += 1;
-    return true;
+    return {std::move(hit), false};
   }
   stats->cache_misses += 1;
-  bool usable = false;
+  Artifact out;
   try {
-    usable = engine.factor(context(), g);
+    out.prepared = registry.prepare(key, rt.context(), g, eopt);
   } catch (...) {
-    cache_->withdraw(key);
+    cache->withdraw(ckey);
     throw;
   }
-  if (!usable) {
+  if (!out.prepared->usable()) {
     // Waiters must not adopt an unusable artifact; wake them to re-elect
     // (their own prepare will fail the same way, but independently).
-    cache_->withdraw(key);
-    return false;
+    cache->withdraw(ckey);
+    return out;
   }
-  const std::uint64_t evictions_before = cache_->evictions();
-  auto canonical = cache_->publish(key, engine.prepared());
+  const std::uint64_t evictions_before = cache->evictions();
+  auto canonical = cache->publish(ckey, out.prepared);
   // A concurrent preparer may have raced us past the in-flight slot (e.g.
-  // via a plain insert); its entry is canonical, so later applies on this
-  // engine use the same bytes every cached run sees.
-  if (canonical != engine.prepared()) engine.adopt(std::move(canonical));
+  // via a plain insert); its entry is canonical, so this run applies the
+  // same bytes every cached run sees — and reports none of our prepare
+  // work, as for any other artifact prepared elsewhere.
+  if (canonical != out.prepared) out = {std::move(canonical), false};
   stats->cache_evictions +=
-      static_cast<std::size_t>(cache_->evictions() - evictions_before);
-  return usable;
+      static_cast<std::size_t>(cache->evictions() - evictions_before);
+  return out;
 }
+
+// Shared body of solve_laplacian{,_many}: resolve the engine, prepare (or
+// adopt) the artifact, apply it to b, and fold the counters into one
+// RunStats. Prepare-phase tallies are charged only when this run prepared
+// the artifact; an unusable artifact is never applied, but its
+// tree_patched / sparsifier / preprocessing rounds are still reported.
+template <typename Run, typename Rhs>
+Run solve_on(const Runtime& rt, const graph::Graph& g, const Rhs& b,
+             const LaplacianSolveOptions& opt) {
+  const auto start = std::chrono::steady_clock::now();
+  Run out;
+  out.stats.engine = laplacian::EngineRegistry::instance().resolve(
+      opt.engine, g.num_vertices(),
+      laplacian::EngineRegistry::laplacian_density(g), opt.eps);
+  laplacian::EngineOptions eopt;
+  eopt.eps = opt.eps;
+  eopt.sparsify = opt.sparsify;
+  const Artifact artifact =
+      prepare_artifact(rt, out.stats.engine, g, eopt, &out.stats);
+  const laplacian::PreparedLaplacian& p = *artifact.prepared;
+  out.usable = p.usable();
+  if (out.usable) {
+    core::RunStats st;
+    if constexpr (std::is_same_v<Rhs, linalg::Vec>) {
+      out.x = p.apply(rt.context(), b, eopt, &st);
+    } else {
+      out.x = p.apply_many(rt.context(), b, eopt, &st);
+    }
+    out.stats.iterations += st.iterations;
+    out.stats.rounds += st.rounds;
+    out.stats.panels += st.panels;
+    if (artifact.prepared_here) {
+      out.stats.dense_factors += p.dense_factors();
+      out.stats.sparse_factors += p.sparse_factors();
+      out.stats.sparsify_count += p.sparsify_count();
+      const linalg::SparseFactorPhases phases = p.factor_phases();
+      out.stats.supernodes += phases.supernodes;
+      out.stats.factor_fill_nnz += phases.fill_nnz;
+      out.stats.ordering_seconds += phases.ordering_seconds;
+      out.stats.symbolic_seconds += phases.symbolic_seconds;
+      out.stats.numeric_seconds += phases.numeric_seconds;
+    }
+  }
+  out.tree_patched = p.tree_patched();
+  if (const graph::Graph* h = p.sparsifier()) out.sparsifier = *h;
+  out.preprocessing_rounds =
+      artifact.prepared_here ? p.preprocessing_rounds() : 0;
+  out.stats.rounds += out.preprocessing_rounds;
+  out.stats.wall_seconds = seconds_since(start);
+  return out;
+}
+
+}  // namespace
 
 LaplacianRun Runtime::solve_laplacian(const graph::Graph& g,
                                       const linalg::Vec& b,
@@ -166,21 +221,7 @@ LaplacianRun Runtime::solve_laplacian(const graph::Graph& g,
         std::to_string(b.size()) + " rows, graph has " +
         std::to_string(g.num_vertices()) + " vertices");
   }
-  const auto start = std::chrono::steady_clock::now();
-  LaplacianRun out;
-  auto engine = build_engine(g, opt);
-  out.stats.engine = std::string(engine->key());
-  out.usable = prepare_engine(*engine, g, &out.stats);
-  if (out.usable) {
-    out.x = engine->solve(context(), b);
-    engine->report(&out.stats);
-  }
-  out.tree_patched = engine->tree_patched();
-  if (const graph::Graph* h = engine->sparsifier()) out.sparsifier = *h;
-  out.preprocessing_rounds = engine->preprocessing_rounds();
-  out.stats.rounds += out.preprocessing_rounds;
-  out.stats.wall_seconds = seconds_since(start);
-  return out;
+  return solve_on<LaplacianRun>(*this, g, b, opt);
 }
 
 LaplacianManyRun Runtime::solve_laplacian_many(
@@ -192,21 +233,7 @@ LaplacianManyRun Runtime::solve_laplacian_many(
         std::to_string(b.rows()) + " rows, graph has " +
         std::to_string(g.num_vertices()) + " vertices");
   }
-  const auto start = std::chrono::steady_clock::now();
-  LaplacianManyRun out;
-  auto engine = build_engine(g, opt);
-  out.stats.engine = std::string(engine->key());
-  out.usable = prepare_engine(*engine, g, &out.stats);
-  if (out.usable) {
-    out.x = engine->solve_many(context(), b);
-    engine->report(&out.stats);
-  }
-  out.tree_patched = engine->tree_patched();
-  if (const graph::Graph* h = engine->sparsifier()) out.sparsifier = *h;
-  out.preprocessing_rounds = engine->preprocessing_rounds();
-  out.stats.rounds += out.preprocessing_rounds;
-  out.stats.wall_seconds = seconds_since(start);
-  return out;
+  return solve_on<LaplacianManyRun>(*this, g, b, opt);
 }
 
 SparsifyRun Runtime::sparsify(const graph::Graph& g,

@@ -48,9 +48,6 @@ namespace bcclap {
 namespace core {
 class FactorCache;
 }
-namespace laplacian {
-class LaplacianEngine;
-}
 
 struct RuntimeOptions {
   // Worker threads (including the calling thread). 0 resolves via
@@ -87,9 +84,9 @@ struct LaplacianSolveOptions {
   double eps = 1e-8;                    // energy-norm accuracy target
   sparsify::SparsifyOptions sparsify;   // preconditioner construction
   // Engine registry key (laplacian/engine.h): "auto" lets the tuner pick
-  // per instance from (n, density, eps) — respecting BCCLAP_ENGINE — and
-  // a concrete key ("exact-dense", "exact-sparse", "sparsified-chebyshev",
-  // "cg") pins the backend. Unknown keys throw std::invalid_argument.
+  // per instance from (n, density, eps), and a concrete key
+  // ("exact-dense", "exact-sparse", "sparsified-chebyshev", "cg") pins the
+  // backend. Unknown keys throw std::invalid_argument.
   std::string engine = "auto";
 };
 
@@ -101,7 +98,11 @@ struct LaplacianRun {
                              // builds none — the exact and cg engines)
   std::int64_t preprocessing_rounds = 0;
   // rounds = preprocessing + solve; iterations = the engine's outer
-  // iterations; engine = the concrete registry key that served the run.
+  // iterations; engine = the resolved registry key that served the run.
+  // Prepare-phase tallies (factor counts, sparsify count, factor phases,
+  // preprocessing_rounds) are charged only when this run prepared the
+  // artifact — a cache hit, or a publish that lost to a canonical cached
+  // artifact, did none of that work.
   core::RunStats stats;
 };
 
@@ -112,8 +113,9 @@ struct LaplacianManyRun {
   graph::Graph sparsifier;
   std::int64_t preprocessing_rounds = 0;
   // Per-panel stats: rounds = preprocessing + the whole panel's solve,
-  // iterations = per-column iterations, panels = 1, engine = the concrete
-  // registry key that served the run.
+  // iterations = per-column iterations, panels = 1, engine = the resolved
+  // registry key that served the run; prepare-phase tallies as in
+  // LaplacianRun.
   core::RunStats stats;
 };
 
@@ -206,13 +208,6 @@ class Runtime {
   static void reset_process_default(std::size_t threads);
 
  private:
-  // Installs an artifact into `engine` for graph g: from the cache when
-  // one is configured (counting hits/misses/evictions into *stats),
-  // otherwise by running the engine's own prepare phase. Returns
-  // engine.factor()'s usability.
-  bool prepare_engine(laplacian::LaplacianEngine& engine,
-                      const graph::Graph& g, core::RunStats* stats);
-
   RuntimeOptions opts_;
   std::unique_ptr<common::ThreadPool> pool_;
   rng::Stream root_;

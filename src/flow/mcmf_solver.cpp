@@ -106,9 +106,9 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
   StageLp stage_a = build_stage(g, s, t, /*with_f=*/true, 0.0, {},
                                 /*slack_penalty=*/2.0, /*f_cost=*/-1.0);
   const auto res_a = lp::lp_solve(ctx, stage_a.problem, stage_a.x0, lp_a);
-  out.path_steps += res_a.path_steps;
-  out.newton_steps += res_a.newton_steps;
-  out.rounds += res_a.rounds;
+  out.path_steps += res_a.stats.iterations;
+  out.newton_steps += res_a.stats.steps;
+  out.rounds += res_a.stats.rounds;
   if (!res_a.converged) {
     out.stats.rounds = out.rounds;
     out.stats.iterations = out.path_steps;
@@ -149,9 +149,9 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
                                     static_cast<double>(f_target), q_tilde,
                                     lambda, 0.0);
       const auto res_b = lp::lp_solve(ctx, stage_b.problem, stage_b.x0, lp_b);
-      out.path_steps += res_b.path_steps;
-      out.newton_steps += res_b.newton_steps;
-      out.rounds += res_b.rounds;
+      out.path_steps += res_b.stats.iterations;
+      out.newton_steps += res_b.stats.steps;
+      out.rounds += res_b.stats.rounds;
       // Centering can stall at extreme path parameters in double precision
       // while the iterate is already rounding-grade; the feasibility and
       // value checks below are the authoritative validation, so attempt

@@ -38,7 +38,9 @@ struct McmfIpmResult {
   std::int64_t rounds = 0;     // accounted BCC rounds
   std::int64_t max_flow_value = 0;
   // Unified shape (core/stats.h): iterations = path_steps, steps =
-  // newton_steps, rounds as above. Kept in sync with the legacy fields.
+  // newton_steps, rounds as above. path_steps, newton_steps and rounds
+  // duplicate stats because the benchmark harness
+  // (perfbench/flow_exact.cpp) reads them; they go when it reads stats.
   core::RunStats stats;
 };
 

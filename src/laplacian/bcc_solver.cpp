@@ -1,7 +1,7 @@
 #include "laplacian/bcc_solver.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/context.h"
 #include "common/encoding.h"
@@ -57,7 +57,10 @@ class ExactSddEngine final : public SddEngine {
       : ctx_(ctx),
         network_n_(std::max<std::size_t>(network_n, 2)),
         factor_(prepare_sdd_dense_factor(ctx, std::move(m))) {
-    assert(factor_);
+    if (!factor_) {
+      throw std::runtime_error(
+          "exact-dense SDD engine: matrix does not factor, even with a ridge");
+    }
   }
 
   linalg::Vec solve(const linalg::Vec& y, double eps) override {
@@ -97,7 +100,10 @@ class SparsifiedSddEngine final : public SddEngine {
   SparsifiedSddEngine(const common::Context& ctx, linalg::DenseMatrix m)
       : ctx_(ctx), matrix_(std::move(m)) {
     reduction_ = gremban_reduce(matrix_);
-    assert(reduction_.valid && "matrix must be SDD");
+    if (!reduction_.valid) {
+      throw std::invalid_argument(
+          "sparsified-chebyshev SDD engine: matrix is not SDD");
+    }
     sparsify::SparsifyOptions opt;
     opt.epsilon = 0.5;
     // Gremban virtual graphs here are small (2(n-1) vertices) and rebuilt
@@ -181,7 +187,11 @@ class SparsifiedSddEngine final : public SddEngine {
   void ensure_fallback() {
     if (fallback_) return;
     fallback_ = prepare_sdd_dense_factor(ctx_, matrix_);
-    assert(fallback_);
+    if (!fallback_) {
+      throw std::runtime_error(
+          "sparsified-chebyshev SDD engine: dense fallback does not factor, "
+          "even with a ridge");
+    }
   }
 
   common::Context ctx_;

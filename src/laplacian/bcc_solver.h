@@ -67,7 +67,10 @@ std::shared_ptr<const linalg::LdltFactor> prepare_sdd_dense_factor(
 
 // Builds an engine for a concrete SDD matrix M (n x n dense), executing on
 // ctx's pool; the sparsified engine draws its sparsifier randomness from
-// ctx.seed().
+// ctx.seed(). The exact engine throws std::runtime_error when M does not
+// factor even after the ridge retry; the sparsified engine throws
+// std::invalid_argument when M is not SDD, and std::runtime_error from a
+// solve whose dense fallback does not factor.
 std::unique_ptr<SddEngine> make_exact_sdd_engine(const common::Context& ctx,
                                                  linalg::DenseMatrix m,
                                                  std::size_t network_n);

@@ -6,7 +6,7 @@
 // preconditioner its iteration count scales with sqrt(kappa(L_G)), so it
 // exists for explicit requests (baselines, sanity checks, ablations).
 // The iteration itself lives in the prepared artifact (PreparedCg,
-// laplacian/prepared.cpp); this TU keeps only the engine wrapper and the
+// laplacian/prepared.cpp); this TU keeps only the registration and the
 // SDD-side CG, which has no graph artifact to share.
 //
 // Accuracy note: CG's stopping rule is the 2-norm relative residual at
@@ -26,18 +26,6 @@
 namespace bcclap::laplacian::engines {
 
 namespace {
-
-class CgEngine final : public LaplacianEngine {
- public:
-  using LaplacianEngine::LaplacianEngine;
-
-  std::string_view key() const override { return "cg"; }
-
-  std::shared_ptr<const PreparedLaplacian> prepare(
-      const common::Context& ctx, const graph::Graph& g) const override {
-    return prepare_cg(ctx, g);
-  }
-};
 
 // SDD-side CG: solves M x = y against the dense-stored SDD matrix with a
 // Jacobi preconditioner, charging one broadcast per iteration under the
@@ -98,7 +86,8 @@ class CgSddEngine final : public SddEngine {
 void register_cg(EngineRegistry& registry) {
   registry.register_engine(
       "cg",
-      [](const EngineOptions& opt) { return std::make_unique<CgEngine>(opt); },
+      [](const common::Context& ctx, const graph::Graph& g,
+         const EngineOptions&) { return prepare_cg(ctx, g); },
       [](const common::Context& ctx, linalg::DenseMatrix m,
          const SddEngineOptions& opt) {
         return std::make_unique<CgSddEngine>(ctx, std::move(m),

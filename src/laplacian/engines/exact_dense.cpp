@@ -3,7 +3,7 @@
 // exact to working precision, zero iterations, no preconditioner — models
 // the local computation each node performs on a globally-known topology,
 // so it charges no BCC rounds.
-#include <memory>
+#include <utility>
 
 #include "laplacian/engine.h"
 #include "laplacian/engines/builtin.h"
@@ -11,27 +11,13 @@
 
 namespace bcclap::laplacian::engines {
 
-namespace {
-
-class ExactDenseEngine final : public LaplacianEngine {
- public:
-  using LaplacianEngine::LaplacianEngine;
-
-  std::string_view key() const override { return "exact-dense"; }
-
-  std::shared_ptr<const PreparedLaplacian> prepare(
-      const common::Context& ctx, const graph::Graph& g) const override {
-    return prepare_exact(ctx, g, linalg::FactorMode::kForceDense, key());
-  }
-};
-
-}  // namespace
-
 void register_exact_dense(EngineRegistry& registry) {
   registry.register_engine(
       "exact-dense",
-      [](const EngineOptions& opt) {
-        return std::make_unique<ExactDenseEngine>(opt);
+      [](const common::Context& ctx, const graph::Graph& g,
+         const EngineOptions&) {
+        return prepare_exact(ctx, g, linalg::FactorMode::kForceDense,
+                             "exact-dense");
       },
       [](const common::Context& ctx, linalg::DenseMatrix m,
          const SddEngineOptions& opt) {

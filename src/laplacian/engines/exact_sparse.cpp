@@ -7,9 +7,9 @@
 // analytic exact-solve model so "exact-dense" and "exact-sparse" are
 // round-identical and differ only in local arithmetic.
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -22,24 +22,13 @@ namespace bcclap::laplacian::engines {
 
 namespace {
 
-class ExactSparseEngine final : public LaplacianEngine {
- public:
-  using LaplacianEngine::LaplacianEngine;
-
-  std::string_view key() const override { return "exact-sparse"; }
-
-  std::shared_ptr<const PreparedLaplacian> prepare(
-      const common::Context& ctx, const graph::Graph& g) const override {
-    return prepare_exact(ctx, g, linalg::FactorMode::kForceSparse, key());
-  }
-};
-
 // SDD engine on the sparse factorization: the dense-stored SDD matrix is
 // scanned into its upper triangle once and factored on the CSC path.
 // Mirrors ExactSddEngine (bcc_solver.cpp) in every contract — Tikhonov
-// ridge retry on semi-definite inputs, per-right-hand-side round charging
-// via the shared exact model — so the two exact keys are interchangeable
-// to the LP layer.
+// ridge retry on semi-definite inputs, std::runtime_error when even the
+// ridged matrix fails, per-right-hand-side round charging via the shared
+// exact model — so the two exact keys are interchangeable to the LP
+// layer.
 class ExactSparseSddEngine final : public SddEngine {
  public:
   ExactSparseSddEngine(const common::Context& ctx, linalg::DenseMatrix m,
@@ -53,7 +42,11 @@ class ExactSparseSddEngine final : public SddEngine {
       for (std::size_t i = 0; i < n; ++i) m(i, i) += 1e-12 * (scale + 1.0);
       factor_ = linalg::SparseLdltFactor::factor(ctx, upper_triangle(m));
     }
-    assert(factor_);
+    if (!factor_) {
+      throw std::runtime_error(
+          "exact-sparse SDD engine: matrix does not factor, even with a "
+          "ridge");
+    }
   }
 
   linalg::Vec solve(const linalg::Vec& y, double eps) override {
@@ -96,8 +89,10 @@ class ExactSparseSddEngine final : public SddEngine {
 void register_exact_sparse(EngineRegistry& registry) {
   registry.register_engine(
       "exact-sparse",
-      [](const EngineOptions& opt) {
-        return std::make_unique<ExactSparseEngine>(opt);
+      [](const common::Context& ctx, const graph::Graph& g,
+         const EngineOptions&) {
+        return prepare_exact(ctx, g, linalg::FactorMode::kForceSparse,
+                             "exact-sparse");
       },
       [](const common::Context& ctx, linalg::DenseMatrix m,
          const SddEngineOptions& opt) {

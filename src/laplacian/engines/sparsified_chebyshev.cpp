@@ -1,37 +1,21 @@
 // "sparsified-chebyshev": the paper pipeline (Theorem 1.3) — spectral
-// sparsifier preconditioner + preconditioned Chebyshev — wrapped as a
-// registry engine. This is the engine behind the facade's historical
-// behavior: "auto" resolves here for every pre-registry anchor case
+// sparsifier preconditioner + preconditioned Chebyshev — as a registry
+// engine. "auto" resolves here for every pre-registry anchor case
 // (n < kSparseMinDim, eps above the exact cutoff), and the prepared
 // artifact runs the byte-identical PR 6 code path.
-#include <memory>
+#include <utility>
 
 #include "laplacian/engine.h"
 #include "laplacian/engines/builtin.h"
 
 namespace bcclap::laplacian::engines {
 
-namespace {
-
-class SparsifiedChebyshevEngine final : public LaplacianEngine {
- public:
-  using LaplacianEngine::LaplacianEngine;
-
-  std::string_view key() const override { return "sparsified-chebyshev"; }
-
-  std::shared_ptr<const PreparedLaplacian> prepare(
-      const common::Context& ctx, const graph::Graph& g) const override {
-    return prepare_sparsified_chebyshev(ctx, g, options().sparsify);
-  }
-};
-
-}  // namespace
-
 void register_sparsified_chebyshev(EngineRegistry& registry) {
   registry.register_engine(
       "sparsified-chebyshev",
-      [](const EngineOptions& opt) {
-        return std::make_unique<SparsifiedChebyshevEngine>(opt);
+      [](const common::Context& ctx, const graph::Graph& g,
+         const EngineOptions& opt) {
+        return prepare_sparsified_chebyshev(ctx, g, opt.sparsify);
       },
       [](const common::Context& ctx, linalg::DenseMatrix m,
          const SddEngineOptions&) {

@@ -153,7 +153,7 @@ class PreparedSparsifiedChebyshev final : public PreparedLaplacian {
     bandwidth_ = bcc::Network::default_bandwidth(g_.num_vertices());
     bcc::Network net(bcc::Model::kBroadcastCongest, g_, bandwidth_, ctx);
     auto sp = sparsify::spectral_sparsify(ctx, g_, opt, net);
-    preprocessing_rounds_ = sp.rounds;
+    preprocessing_rounds_ = sp.stats.rounds;
     h_ = std::move(sp.sparsifier);
     g_components_ = g_.component_labels();
     weight_bound_ = std::max({g_.max_weight(), h_.max_weight(), 1.0});

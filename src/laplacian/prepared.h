@@ -22,9 +22,9 @@
 // graph fingerprint, which is the "factor once, solve many across
 // requests" economics the solver service is built on.
 //
-// Engines (laplacian/engine.h) are thin stateful wrappers: prepare() is
-// their only engine-specific virtual; solve/solve_many are base-class
-// apply calls that accumulate per-request counters.
+// The engine registry (laplacian/engine.h) maps each key to the prepare
+// function that builds its artifact; the facade (core/runtime.h) and the
+// solver service hold artifacts directly and call apply/apply_many.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +113,7 @@ class PreparedLaplacian {
 };
 
 // Prepare-phase factories for the built-in engines (implemented in
-// prepared.cpp; the engine wrappers in engines/ call these). Each always
+// prepared.cpp; the registrations in engines/ call these). Each always
 // returns a non-null artifact; numerical failure is reported via
 // usable() so the caller can distinguish "degenerate input" from a bug.
 

@@ -10,7 +10,8 @@
 // over the immutable prepared artifact (laplacian/prepared.h): the
 // constructor runs the prepare phase (prepare_sparsified_chebyshev) and
 // every solve is an apply against it, plus round-accountant charges. The
-// artifact itself is what the engines and the factorization cache share.
+// artifact itself is what the facade, the solver service and the
+// factorization cache share.
 #pragma once
 
 #include <cstdint>

@@ -387,11 +387,6 @@ DenseMatrix LdltFactor::solve_many(const common::Context& ctx,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 std::optional<LaplacianFactor> LaplacianFactor::factor(
-    const common::Context& ctx, const CsrMatrix& laplacian) {
-  return factor(ctx, laplacian, factor_mode());
-}
-
-std::optional<LaplacianFactor> LaplacianFactor::factor(
     const common::Context& ctx, const CsrMatrix& laplacian, FactorMode mode) {
   require_square(laplacian);
   const std::size_t n = laplacian.rows();
@@ -484,11 +479,6 @@ DenseMatrix LaplacianFactor::solve_many(const common::Context& ctx,
     x.set_column(j, col);
   }
   return x;
-}
-
-std::optional<ComponentLaplacianFactor> ComponentLaplacianFactor::factor(
-    const common::Context& ctx, const CsrMatrix& laplacian) {
-  return factor(ctx, laplacian, factor_mode());
 }
 
 std::optional<ComponentLaplacianFactor> ComponentLaplacianFactor::factor(

@@ -14,12 +14,13 @@
 //
 // Backend dispatch: `factor` grounds the matrix and then picks the dense
 // blocked kernel or the sparse CSC path via `sparse_path_selected`
-// (sparse_ldlt.h) — large, sparse inputs (sparsified Laplacians at bench
-// scale) take the sparse factorization, everything else stays on the
-// dense kernel, and callers never see the difference except in `path()` /
-// the RunStats counters. Both backends keep the byte-identical-at-any-
-// thread-count determinism contract, and every factor exposes a multi-RHS
-// `solve_many` panel path byte-identical to sequential per-column solves.
+// (sparse_ldlt.h) under the caller's FactorMode — under kAuto, large,
+// sparse inputs (sparsified Laplacians at bench scale) take the sparse
+// factorization, everything else stays on the dense kernel, and callers
+// never see the difference except in `path()` / the RunStats counters.
+// Both backends keep the byte-identical-at-any-thread-count determinism
+// contract, and every factor exposes a multi-RHS `solve_many` panel path
+// byte-identical to sequential per-column solves.
 //
 // Shareability contract (load-bearing for the factorization cache,
 // core/factor_cache.h): a factored value is immutable — every solve is
@@ -49,17 +50,13 @@ namespace bcclap::linalg {
 // handling.
 class LaplacianFactor {
  public:
-  // Both factor() overloads throw std::invalid_argument on a non-square
-  // laplacian.
-  static std::optional<LaplacianFactor> factor(const common::Context& ctx,
-                                               const CsrMatrix& laplacian);
-
-  // Same, with an explicit backend mode instead of the process-wide
-  // factor_mode() — the engine registry's per-request "exact-dense" /
-  // "exact-sparse" keys pin their backend through here.
-  static std::optional<LaplacianFactor> factor(const common::Context& ctx,
-                                               const CsrMatrix& laplacian,
-                                               FactorMode mode);
+  // `mode` picks the backend (sparse_ldlt.h): kAuto applies the
+  // size/density rule, the force modes pin one — the engine registry's
+  // "exact-dense" / "exact-sparse" keys pin theirs through here. Throws
+  // std::invalid_argument on a non-square laplacian.
+  static std::optional<LaplacianFactor> factor(
+      const common::Context& ctx, const CsrMatrix& laplacian,
+      FactorMode mode = FactorMode::kAuto);
 
   // Requires sum(b) ~ 0 (the solver projects b to be safe). Returns x with
   // mean zero satisfying L x = b. Throws std::invalid_argument on a
@@ -116,14 +113,11 @@ class LaplacianFactor {
 // matrix has zero off-diagonals between some vertex groups.
 class ComponentLaplacianFactor {
  public:
-  // Both factor() overloads throw std::invalid_argument on a non-square
-  // laplacian.
+  // Backend per component as in LaplacianFactor::factor(ctx, l, mode).
+  // Throws std::invalid_argument on a non-square laplacian.
   static std::optional<ComponentLaplacianFactor> factor(
-      const common::Context& ctx, const CsrMatrix& laplacian);
-
-  // Explicit-backend variant; see LaplacianFactor::factor(ctx, l, mode).
-  static std::optional<ComponentLaplacianFactor> factor(
-      const common::Context& ctx, const CsrMatrix& laplacian, FactorMode mode);
+      const common::Context& ctx, const CsrMatrix& laplacian,
+      FactorMode mode = FactorMode::kAuto);
 
   // Returns the minimum-norm-style representative: per component, the
   // solution with zero component mean for the component-projected rhs.

@@ -1,15 +1,12 @@
 #include "linalg/sparse_ldlt.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "linalg/amd.h"
 
 namespace bcclap::linalg {
@@ -22,23 +19,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(const Clock::time_point& start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-FactorMode env_factor_mode() {
-  // Recognition and the warn-once-on-misspelling policy live in
-  // common::env::keyword; parse_factor_mode stays exported for callers
-  // that parse explicit strings (tested in test_sparse_factor.cpp).
-  const auto value = common::env::keyword(
-      "BCCLAP_FACTOR_PATH", {"dense", "sparse", "auto"},
-      "falling back to auto");
-  if (!value) return FactorMode::kAuto;
-  bool recognized = true;
-  return parse_factor_mode(value->c_str(), &recognized);
-}
-
-std::atomic<FactorMode>& mode_atomic() {
-  static std::atomic<FactorMode> mode{env_factor_mode()};
-  return mode;
 }
 
 // Permuted upper triangle P A P^T in CSC. Contract: entries within a
@@ -136,27 +116,8 @@ std::vector<std::size_t> postorder_forest(
 
 }  // namespace
 
-FactorMode factor_mode() {
-  return mode_atomic().load(std::memory_order_relaxed);
-}
-
-void set_factor_mode(FactorMode mode) {
-  mode_atomic().store(mode, std::memory_order_relaxed);
-}
-
-FactorMode parse_factor_mode(const char* value, bool* recognized) {
-  if (recognized != nullptr) *recognized = true;
-  if (value == nullptr) return FactorMode::kAuto;
-  const std::string s(value);
-  if (s == "dense") return FactorMode::kForceDense;
-  if (s == "sparse") return FactorMode::kForceSparse;
-  if (s == "auto") return FactorMode::kAuto;
-  if (recognized != nullptr) *recognized = false;
-  return FactorMode::kAuto;
-}
-
-bool sparse_path_selected(std::size_t dim, std::size_t nnz) {
-  return sparse_path_selected(dim, nnz, factor_mode());
+bool sparse_path_preferred(std::size_t dim, double density) {
+  return dim >= kSparseMinDim && density <= kSparseMaxDensity;
 }
 
 bool sparse_path_selected(std::size_t dim, std::size_t nnz, FactorMode mode) {
@@ -168,10 +129,9 @@ bool sparse_path_selected(std::size_t dim, std::size_t nnz, FactorMode mode) {
     case FactorMode::kAuto:
       break;
   }
-  if (dim < kSparseMinDim) return false;
-  const double density = static_cast<double>(nnz) /
-                         (static_cast<double>(dim) * static_cast<double>(dim));
-  return density <= kSparseMaxDensity;
+  return sparse_path_preferred(
+      dim, static_cast<double>(nnz) /
+               (static_cast<double>(dim) * static_cast<double>(dim)));
 }
 
 std::optional<SparseLdltFactor> SparseLdltFactor::factor(

@@ -4,8 +4,8 @@
 // so the dense LdltFactor's O(n^2) storage and O(n^3) arithmetic are the
 // scaling wall (ROADMAP: "break the dense O(n^2) wall"). This factor is
 // the sparse-first path behind LaplacianFactor / ComponentLaplacianFactor
-// (linalg/cholesky.h), which select it automatically by a density
-// heuristic — see `sparse_path_selected` below.
+// (linalg/cholesky.h), which select it by a size/density rule unless the
+// caller pins a backend — see `sparse_path_selected` below.
 //
 // Pipeline, the classic sparse-direct recipe:
 //  1. Fill-reducing ordering: approximate minimum degree on the quotient
@@ -57,21 +57,12 @@ enum class FactorKind {
   kSparse,  // SparseLdltFactor
 };
 
-// Process-wide override for the dense/sparse dispatch inside the
-// Laplacian factors. kAuto applies the density heuristic; the force modes
-// pin one backend (test equivalence suites, benchmarks, escape hatch).
-// Initialized from the BCCLAP_FACTOR_PATH environment variable
-// ("dense" / "sparse" / "auto") on first use.
+// Backend of the dense/sparse dispatch inside the Laplacian factors.
+// kAuto applies the size/density rule below; the force modes pin one
+// backend. Callers pass it explicitly: the engine registry's
+// "exact-dense" / "exact-sparse" keys pin their backend this way, and no
+// process state can override it.
 enum class FactorMode { kAuto, kForceDense, kForceSparse };
-
-FactorMode factor_mode();
-void set_factor_mode(FactorMode mode);
-
-// Parses a BCCLAP_FACTOR_PATH-style value ("dense" / "sparse" / "auto").
-// Unrecognized values set *recognized to false and return kAuto — the
-// env reader warns on that case instead of silently falling through
-// (tested in test_sparse_factor.cpp).
-FactorMode parse_factor_mode(const char* value, bool* recognized);
 
 // Auto-dispatch thresholds: the sparse path takes over only above
 // kSparseMinDim (below it the dense kernel's constants win — and keeping
@@ -81,15 +72,14 @@ FactorMode parse_factor_mode(const char* value, bool* recognized);
 inline constexpr std::size_t kSparseMinDim = 384;
 inline constexpr double kSparseMaxDensity = 0.25;
 
-// The dispatch predicate: true when a grounded matrix of dimension `dim`
-// with `nnz` stored entries (duplicates counted; heuristic only) should
-// be factored on the sparse path under the current factor_mode().
-bool sparse_path_selected(std::size_t dim, std::size_t nnz);
+// The one threshold rule: true when a system of dimension `dim` with
+// stored-entry density `density` belongs on the sparse path. Both the
+// factor dispatch below and the engine registry's "auto" tuner apply it.
+bool sparse_path_preferred(std::size_t dim, double density);
 
-// Same predicate under an explicit mode instead of the process-wide one.
-// kAuto applies the density heuristic; the force modes pin a backend.
-// The engine registry's "exact-dense" / "exact-sparse" keys use this so a
-// per-request engine choice never has to mutate process state.
+// The factor dispatch: true when a grounded matrix of dimension `dim`
+// with `nnz` stored entries (duplicates counted; heuristic only) should
+// be factored on the sparse path under `mode`.
 bool sparse_path_selected(std::size_t dim, std::size_t nnz, FactorMode mode);
 
 // Wall-clock and size breakdown of one sparse factorization, surfaced

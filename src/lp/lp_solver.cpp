@@ -38,8 +38,8 @@ void assemble_gram_into(const linalg::CsrMatrix& a, const linalg::Vec& d,
 // resolved on the first system and that registry entry's SDD factory
 // builds every system: the tuner's inputs cannot change within a solve
 // (the dimension, eps_hint = 1e-12, and the stored density, which is A's
-// column co-occurrence pattern because D > 0), so "auto" and
-// BCCLAP_ENGINE are consulted once instead of per Newton step.
+// column co-occurrence pattern because D > 0), so "auto" is resolved
+// once instead of per Newton step.
 GramSolverFactory gram_engines(const common::Context& ctx,
                                const LpProblem& prob, const LpOptions& opt) {
   if (opt.gram_factory) return opt.gram_factory;
@@ -367,12 +367,9 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   for (std::size_t i = 0; i < m; ++i) d_cost[i] = -w[i] * phi1_x0[i];
 
   PathFollower phase1(ctx, prob, opt, barrier, engines, d_cost, acct);
-  if (!phase1.follow(out.x, w, 1.0, t1, opt.centering_tol, &out.path_steps,
-                     &out.newton_steps)) {
-    out.rounds = acct.total();
-    out.stats.rounds = out.rounds;
-    out.stats.iterations = out.path_steps;
-    out.stats.steps = out.newton_steps;
+  if (!phase1.follow(out.x, w, 1.0, t1, opt.centering_tol,
+                     &out.stats.iterations, &out.stats.steps)) {
+    out.stats.rounds = acct.total();
     out.stats.panels = phase1.panels_solved();
     return out;
   }
@@ -383,7 +380,7 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   const double t2 = 4.0 * std::max(w_sum, 1.0) / opt.epsilon;
   PathFollower phase2(ctx, prob, opt, barrier, engines, prob.c, acct);
   const bool ok = phase2.follow(out.x, w, t1, t2, opt.centering_tol / 4.0,
-                                &out.path_steps, &out.newton_steps);
+                                &out.stats.iterations, &out.stats.steps);
 
   // Final feasibility restoration: centering can stop with a residual
   // A^T x - b of the order of the last Newton decrement; one weighted
@@ -411,10 +408,7 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
 
   out.converged = ok;
   out.objective = linalg::dot(prob.c, out.x);
-  out.rounds = acct.total();
-  out.stats.rounds = out.rounds;
-  out.stats.iterations = out.path_steps;
-  out.stats.steps = out.newton_steps;
+  out.stats.rounds = acct.total();
   // Every Gram system went through the batched interface: phase panels
   // plus the final feasibility-restoration panel.
   out.stats.panels = phase1.panels_solved() + phase2.panels_solved() + 1;

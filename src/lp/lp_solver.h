@@ -72,7 +72,7 @@ struct LpOptions {
   LewisOptions lewis;
   GramSolverFactory gram_factory;  // empty = registry engine (below)
   // Engine registry key for the Gram systems when gram_factory is empty:
-  // "auto" (with BCCLAP_ENGINE) is resolved once per lp_solve, on the
+  // "auto" is resolved once per lp_solve, on the
   // first Gram system, from (n, density, eps_hint = 1e-12) — inputs no
   // later system of the solve can change; small dense grams resolve to
   // "exact-dense", reproducing the historical exact engine — and a
@@ -86,11 +86,9 @@ struct LpResult {
   linalg::Vec x;
   double objective = 0.0;
   bool converged = false;
-  std::size_t path_steps = 0;    // t-updates across both phases
-  std::size_t newton_steps = 0;  // total centering steps
-  std::int64_t rounds = 0;       // accounted BCC rounds
-  // Unified shape (core/stats.h): iterations = path_steps, steps =
-  // newton_steps, rounds as above. Kept in sync with the legacy fields.
+  // Unified shape (core/stats.h): iterations = path steps (t-updates
+  // across both phases), steps = Newton centering steps, rounds =
+  // accounted BCC rounds, engine = the registry key of the Gram systems.
   core::RunStats stats;
 };
 

@@ -73,9 +73,9 @@ Submission SolverService::submit(Request req) {
   ticket.laplacian = req.type == RequestType::kSolve ||
                      req.type == RequestType::kSolveMany;
   if (ticket.laplacian) {
-    // The admission key mirrors Runtime::prepare_engine's cache key
-    // exactly: resolved concrete engine, canonical fingerprint, the
-    // request seed and the service-wide chunking policy. resolve() throws
+    // The admission key mirrors the Runtime facade's cache key exactly:
+    // resolved concrete engine, canonical fingerprint, the request seed
+    // and the service-wide chunking policy. resolve() throws
     // std::invalid_argument on unknown keys — fail at the boundary, not
     // on a worker.
     auto& registry = laplacian::EngineRegistry::instance();

@@ -164,10 +164,9 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
   net.exchange(additions, "sparsify/final-sample");
 
   result.sparsifier = std::move(h);
-  result.rounds = net.accountant().since(start);
   result.resolved_t = opt.t;
   result.resolved_k = opt.k;
-  result.stats.rounds = result.rounds;
+  result.stats.rounds = net.accountant().since(start);
   result.stats.iterations = L;
   return result;
 }
@@ -234,7 +233,6 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
     result.out_vertex.push_back(ed.u);
   }
   result.sparsifier = std::move(h);
-  result.rounds = 0;
   result.resolved_t = opt.t;
   result.resolved_k = opt.k;
   result.stats.iterations = L;

@@ -53,7 +53,6 @@ struct SparsifyResult {
   // out-degree claim).
   std::vector<graph::VertexId> out_vertex;
   bool deduction_consistent = true;
-  std::int64_t rounds = 0;  // kept in sync with stats.rounds (legacy field)
   std::size_t resolved_t = 0;  // the t actually used
   std::size_t resolved_k = 0;
   // Unified shape: rounds = BC rounds of the run, iterations = resolved

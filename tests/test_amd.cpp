@@ -24,21 +24,6 @@ namespace {
 
 using testsupport::test_context;
 
-// Pins the process-wide dispatch mode for one test body and restores the
-// previous mode on every exit path (same guard as test_sparse_factor.cpp).
-class ModeGuard {
- public:
-  explicit ModeGuard(FactorMode mode) : prev_(factor_mode()) {
-    set_factor_mode(mode);
-  }
-  ~ModeGuard() { set_factor_mode(prev_); }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
-
- private:
-  FactorMode prev_;
-};
-
 graph::Graph star_graph(std::size_t n) {
   graph::Graph g(n);
   for (std::size_t v = 1; v < n; ++v)
@@ -158,8 +143,8 @@ TEST(AmdOrder, SupernodeBlockedFactorIsThreadCountInvariant) {
     opts.threads = threads;
     opts.seed = 5;
     Runtime rt(opts);
-    ModeGuard guard(FactorMode::kForceSparse);
-    const auto f = LaplacianFactor::factor(rt.context(), lap);
+    const auto f =
+        LaplacianFactor::factor(rt.context(), lap, FactorMode::kForceSparse);
     EXPECT_TRUE(f);
     EXPECT_EQ(f->path(), FactorKind::kSparse);
     // The factor actually went through the supernode machinery.
@@ -184,15 +169,10 @@ TEST(AmdOrder, DenseDispatchBelowThresholdIsByteIdentical) {
   rng::Stream gstream(23);
   const auto g = graph::random_connected_gnp(256, 0.05, 6, gstream);
   const auto lap = graph::laplacian(g);
-  std::optional<LaplacianFactor> fa, fd;
-  {
-    ModeGuard guard(FactorMode::kAuto);
-    fa = LaplacianFactor::factor(test_context(), lap);
-  }
-  {
-    ModeGuard guard(FactorMode::kForceDense);
-    fd = LaplacianFactor::factor(test_context(), lap);
-  }
+  const auto fa =
+      LaplacianFactor::factor(test_context(), lap, FactorMode::kAuto);
+  const auto fd =
+      LaplacianFactor::factor(test_context(), lap, FactorMode::kForceDense);
   ASSERT_TRUE(fa);
   ASSERT_TRUE(fd);
   EXPECT_EQ(fa->path(), FactorKind::kDense);

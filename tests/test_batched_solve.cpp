@@ -381,7 +381,7 @@ TEST(BatchedSolve, LpSolveCountsGramPanels) {
   ASSERT_TRUE(res.converged);
   // Every Newton system went through the batched interface as a k = 1
   // panel, plus the final feasibility-restoration panel.
-  EXPECT_EQ(res.stats.panels, res.newton_steps + 1);
+  EXPECT_EQ(res.stats.panels, res.stats.steps + 1);
 }
 
 }  // namespace

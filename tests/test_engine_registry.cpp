@@ -1,13 +1,13 @@
 // EngineRegistry suite (PR 7): key listing, unknown-key diagnostics,
-// per-key solve equivalence against the exact reference, the auto-tuner's
-// thresholds, the BCCLAP_ENGINE override, RunStats engine-name propagation
-// through the Runtime and LP facades, and 1-vs-4-thread bitwise identity
-// per engine — extending the determinism contract to every backend.
+// per-key prepare/apply equivalence against the exact reference, the
+// auto-tuner's thresholds, RunStats engine-name propagation through the
+// Runtime and LP facades, 1-vs-4-thread bitwise identity per engine —
+// extending the determinism contract to every backend — and SDD engines
+// that fail loudly on matrices they cannot factor.
 #include "laplacian/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -24,36 +24,6 @@ namespace bcclap::laplacian {
 namespace {
 
 using testsupport::test_context;
-
-// Scoped environment-variable override; restores the previous state on
-// scope exit so suite order does not matter.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 TEST(EngineRegistry, ListsTheBuiltinKeysSorted) {
   auto& registry = EngineRegistry::instance();
@@ -74,8 +44,9 @@ TEST(EngineRegistry, ListsTheBuiltinKeysSorted) {
 
 TEST(EngineRegistry, UnknownKeyThrowsListingRegisteredKeys) {
   auto& registry = EngineRegistry::instance();
+  const auto g = graph::path(4);
   try {
-    registry.create("exact-dens", EngineOptions{});
+    registry.prepare("exact-dens", test_context(), g, EngineOptions{});
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -87,9 +58,10 @@ TEST(EngineRegistry, UnknownKeyThrowsListingRegisteredKeys) {
   // resolve() rejects unknown concrete keys with the same diagnostic.
   EXPECT_THROW(registry.resolve("chebishev", 64, 0.5, 1e-8),
                std::invalid_argument);
-  // create() refuses the selector: the tuner needs the instance shape,
+  // prepare() refuses the selector: the tuner needs the instance shape,
   // which only the caller has.
-  EXPECT_THROW(registry.create("auto", EngineOptions{}), std::invalid_argument);
+  EXPECT_THROW(registry.prepare("auto", test_context(), g, EngineOptions{}),
+               std::invalid_argument);
 }
 
 TEST(EngineRegistry, EveryKeySolvesTheReferenceLaplacian) {
@@ -106,12 +78,11 @@ TEST(EngineRegistry, EveryKeySolvesTheReferenceLaplacian) {
     EngineOptions opt;
     opt.eps = 1e-8;
     opt.sparsify = testsupport::small_sparsify_options(0.5, 2, 4);
-    auto engine = registry.create(key, opt);
-    ASSERT_TRUE(engine) << key;
-    EXPECT_EQ(engine->key(), key);
     const auto ctx = test_context(404);
-    ASSERT_TRUE(engine->factor(ctx, g)) << key;
-    const auto x = engine->solve(ctx, b);
+    const auto artifact = registry.prepare(key, ctx, g, opt);
+    ASSERT_TRUE(artifact->usable()) << key;
+    EXPECT_EQ(artifact->engine_key(), key);
+    const auto x = artifact->apply(ctx, b, opt, nullptr);
     EXPECT_TRUE(testsupport::EnergyNormWithin(g, x, ref, 1e-6)) << key;
     // The batched surface honors the same accuracy contract per column.
     linalg::DenseMatrix panel(32, 2);
@@ -119,7 +90,7 @@ TEST(EngineRegistry, EveryKeySolvesTheReferenceLaplacian) {
       panel(i, 0) = b[i];
       panel(i, 1) = -b[i];
     }
-    const auto many = engine->solve_many(ctx, panel);
+    const auto many = artifact->apply_many(ctx, panel, opt, nullptr);
     linalg::Vec col0(32), col1(32);
     for (std::size_t i = 0; i < 32; ++i) {
       col0[i] = many(i, 0);
@@ -127,10 +98,6 @@ TEST(EngineRegistry, EveryKeySolvesTheReferenceLaplacian) {
     }
     EXPECT_TRUE(testsupport::EnergyNormWithin(g, col0, ref, 1e-6)) << key;
     EXPECT_TRUE(testsupport::EnergyNormWithin(g, col1, ref, 1e-6)) << key;
-    // report() stamps the concrete key into the unified stats shape.
-    core::RunStats stats;
-    engine->report(&stats);
-    EXPECT_EQ(stats.engine, key);
   }
 }
 
@@ -158,6 +125,12 @@ TEST(EngineRegistry, AutoSelectFollowsTheDocumentedThresholds) {
             "sparsified-chebyshev");
   // Large-and-sparse outranks the accuracy rule.
   EXPECT_EQ(EngineRegistry::auto_select(1024, 0.01, 1e-12), "exact-sparse");
+  // resolve() hands "auto" and the empty key to the tuner; an explicit
+  // key is served as is.
+  const auto& registry = EngineRegistry::instance();
+  EXPECT_EQ(registry.resolve("auto", 64, 0.9, 1e-8), "sparsified-chebyshev");
+  EXPECT_EQ(registry.resolve("", kSparseMinDim, 0.01, 1e-4), "exact-sparse");
+  EXPECT_EQ(registry.resolve("exact-dense", 64, 0.9, 1e-8), "exact-dense");
   // "cg" is a baseline for ablations; the tuner never picks it.
   for (const std::size_t n : {16u, 256u, 384u, 2048u})
     for (const double d : {0.001, 0.25, 0.5, 1.0})
@@ -165,44 +138,7 @@ TEST(EngineRegistry, AutoSelectFollowsTheDocumentedThresholds) {
         EXPECT_NE(EngineRegistry::auto_select(n, d, eps), "cg");
 }
 
-TEST(EngineRegistry, BcclapEngineOverridesTheTuner) {
-  auto& registry = EngineRegistry::instance();
-  // Shape where the tuner would say sparsified-chebyshev.
-  const std::size_t n = 64;
-  const double density = 0.9, eps = 1e-8;
-  ASSERT_EQ(EngineRegistry::auto_select(n, density, eps),
-            "sparsified-chebyshev");
-  {
-    ScopedEnv env("BCCLAP_ENGINE", "cg");
-    EXPECT_EQ(registry.resolve("auto", n, density, eps), "cg");
-    EXPECT_EQ(registry.resolve("", n, density, eps), "cg");
-    // An explicit key in options wins over the environment.
-    EXPECT_EQ(registry.resolve("exact-dense", n, density, eps), "exact-dense");
-  }
-  {
-    // BCCLAP_ENGINE=auto is a valid no-op: the tuner decides.
-    ScopedEnv env("BCCLAP_ENGINE", "auto");
-    EXPECT_EQ(registry.resolve("auto", n, density, eps),
-              "sparsified-chebyshev");
-  }
-  {
-    // A misspelled value warns (once per distinct value) and falls back to
-    // the tuner instead of silently picking some backend.
-    ScopedEnv env("BCCLAP_ENGINE", "warp-drive");
-    EXPECT_EQ(registry.resolve("auto", n, density, eps),
-              "sparsified-chebyshev");
-  }
-  {
-    ScopedEnv env("BCCLAP_ENGINE", nullptr);
-    EXPECT_EQ(registry.resolve("auto", n, density, eps),
-              "sparsified-chebyshev");
-    EXPECT_EQ(registry.resolve("auto", linalg::kSparseMinDim, 0.01, 1e-4),
-              "exact-sparse");
-  }
-}
-
 TEST(EngineRegistry, FacadeStampsTheConcreteKeyIntoRunStats) {
-  ScopedEnv env("BCCLAP_ENGINE", nullptr);  // isolate from ambient config
   RuntimeOptions ropts;
   ropts.threads = 1;
   ropts.seed = 99;
@@ -264,7 +200,6 @@ TEST(EngineRegistry, FacadeStampsTheConcreteKeyIntoRunStats) {
 }
 
 TEST(EngineRegistry, EveryEngineIsThreadCountInvariant) {
-  ScopedEnv env("BCCLAP_ENGINE", nullptr);
   rng::Stream gstream(21);
   const auto g = graph::complete(26, 4, gstream);
   linalg::Vec b(26, 0.0);
@@ -296,12 +231,32 @@ TEST(EngineRegistry, EveryEngineIsThreadCountInvariant) {
   }
 }
 
+// An SDD matrix that does not factor, even with the ridge retry, and is
+// not SDD: [[1, 2], [2, 1]] has eigenvalues 3 and -1. Every engine must
+// throw its documented exception at construction instead of handing back
+// an engine that crashes or misreports on its first solve.
+TEST(EngineRegistry, SddConstructionFailsLoudly) {
+  linalg::DenseMatrix m(2, 2);
+  m(0, 0) = 1.0;
+  m(0, 1) = 2.0;
+  m(1, 0) = 2.0;
+  m(1, 1) = 1.0;
+  const auto& registry = EngineRegistry::instance();
+  EXPECT_THROW(registry.create_sdd("exact-dense", test_context(), m, {}),
+               std::runtime_error);
+  EXPECT_THROW(registry.create_sdd("exact-sparse", test_context(), m, {}),
+               std::runtime_error);
+  EXPECT_THROW(
+      registry.create_sdd("sparsified-chebyshev", test_context(), m, {}),
+      std::invalid_argument);
+}
+
 TEST(EngineRegistry, RegistrationIsLatestWins) {
-  // The test-double seam: re-registering a key replaces its factories.
+  // The test-double seam: re-registering a key replaces its functions.
   // Registered last in this suite so the listing assertions above see
   // only the built-ins.
   // An artifact whose prepare phase "failed": usable() is false, so the
-  // base engine's factor() reports unusable and never applies it.
+  // facade reports unusable and never applies it.
   struct StubArtifact : PreparedLaplacian {
     std::string_view engine_key() const override { return "test-stub"; }
     bool usable() const override { return false; }
@@ -318,31 +273,36 @@ TEST(EngineRegistry, RegistrationIsLatestWins) {
     }
     std::size_t resident_bytes() const override { return 0; }
   };
-  struct StubEngine : LaplacianEngine {
-    using LaplacianEngine::LaplacianEngine;
-    std::string_view key() const override { return "test-stub"; }
-    std::shared_ptr<const PreparedLaplacian> prepare(
-        const common::Context&, const graph::Graph&) const override {
+  // Prepare functions that count their calls in steps of `weight`.
+  int prepared = 0;
+  const auto counting = [&prepared](int weight) {
+    return [&prepared, weight](const common::Context&, const graph::Graph&,
+                               const EngineOptions&) {
+      prepared += weight;
       return std::make_shared<StubArtifact>();
-    }
+    };
   };
   auto& registry = EngineRegistry::instance();
-  int built = 0;
-  registry.register_engine("test-stub", [&built](const EngineOptions& opt) {
-    ++built;
-    return std::make_unique<StubEngine>(opt);
-  });
+  registry.register_engine("test-stub", counting(1));
   EXPECT_TRUE(registry.registered("test-stub"));
-  auto first = registry.create("test-stub", EngineOptions{});
-  EXPECT_EQ(built, 1);
-  EXPECT_EQ(first->key(), "test-stub");
-  // Replacement: the newest factory serves subsequent creates.
-  registry.register_engine("test-stub", [&built](const EngineOptions& opt) {
-    built += 10;
-    return std::make_unique<StubEngine>(opt);
-  });
-  auto second = registry.create("test-stub", EngineOptions{});
-  EXPECT_EQ(built, 11);
+  const auto g = graph::path(3);
+  const auto first =
+      registry.prepare("test-stub", test_context(), g, EngineOptions{});
+  EXPECT_EQ(prepared, 1);
+  EXPECT_EQ(first->engine_key(), "test-stub");
+  // Replacement: the newest prepare function serves subsequent calls.
+  registry.register_engine("test-stub", counting(10));
+  // The facade stamps the key and never applies an unusable artifact.
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  Runtime rt(ropts);
+  LaplacianSolveOptions lopt;
+  lopt.engine = "test-stub";
+  const auto run = rt.solve_laplacian(g, linalg::Vec(3, 0.0), lopt);
+  EXPECT_EQ(prepared, 11);
+  EXPECT_FALSE(run.usable);
+  EXPECT_TRUE(run.x.empty());
+  EXPECT_EQ(run.stats.engine, "test-stub");
   // No SDD factory was registered for the stub: create_sdd must refuse.
   EXPECT_THROW(registry.create_sdd("test-stub", test_context(),
                                    linalg::DenseMatrix(2, 2),

@@ -1,7 +1,7 @@
 // common::env (common/env.h): the one environment-variable parsing seam.
-// Covers live reads, strict positive-integer parsing, keyword validation,
-// and the warn-once-per-(variable, value) latch that keeps a bench loop
-// from emitting thousands of identical lines.
+// Covers live reads, strict positive-integer parsing, and the
+// warn-once-per-(variable, value) latch that keeps a bench loop from
+// emitting thousands of identical lines.
 #include "common/env.h"
 
 #include <gtest/gtest.h>
@@ -70,23 +70,6 @@ TEST(Env, PositiveCountRejectsEverythingElse) {
   EXPECT_FALSE(positive_count(kVar).has_value());
 }
 
-TEST(Env, KeywordAcceptsListedValuesOnly) {
-  reset_warnings_for_tests();
-  const std::vector<std::string> accepted = {"auto", "exact-dense"};
-  {
-    ScopedEnvVar set(kVar, "exact-dense");
-    ASSERT_TRUE(keyword(kVar, accepted, "falling back to auto").has_value());
-    EXPECT_EQ(*keyword(kVar, accepted, "falling back to auto"),
-              "exact-dense");
-  }
-  {
-    ScopedEnvVar set(kVar, "exact-dnese");
-    EXPECT_FALSE(keyword(kVar, accepted, "falling back to auto").has_value());
-  }
-  ScopedEnvVar unset(kVar, nullptr);
-  EXPECT_FALSE(keyword(kVar, accepted, "falling back to auto").has_value());
-}
-
 TEST(Env, WarnsOncePerDistinctValue) {
   reset_warnings_for_tests();
   ScopedEnvVar set(kVar, "bogus");
@@ -122,17 +105,6 @@ TEST(Env, ResetRearmsTheLatch) {
   EXPECT_FALSE(positive_count(kVar).has_value());
   EXPECT_NE(::testing::internal::GetCapturedStderr().find("stillbad"),
             std::string::npos);
-}
-
-TEST(Env, KeywordWarningListsAcceptedValuesAndFallback) {
-  reset_warnings_for_tests();
-  ScopedEnvVar set(kVar, "nope");
-  ::testing::internal::CaptureStderr();
-  EXPECT_FALSE(keyword(kVar, {"auto", "cg"}, "falling back to auto")
-                   .has_value());
-  const std::string msg = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(msg.find("auto, cg"), std::string::npos);
-  EXPECT_NE(msg.find("falling back to auto"), std::string::npos);
 }
 
 }  // namespace

@@ -7,6 +7,9 @@
 // preprocessing rounds) while staying bitwise-identical to the uncached
 // path — at 1 and 4 worker threads, and under concurrent lookups from two
 // Runtimes sharing one cache (this suite runs in CI's TSan rerun lane).
+// A run whose publish loses to an entry another preparer inserted first
+// applies that canonical artifact and reports none of its own prepare
+// work.
 #include "core/factor_cache.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "core/runtime.h"
 #include "graph/fingerprint.h"
 #include "graph/generators.h"
+#include "laplacian/engine.h"
 #include "support/fixtures.h"
 
 namespace bcclap {
@@ -268,6 +272,52 @@ TEST(FactorCacheRuntime, SolveManyRidesTheSameCache) {
   EXPECT_EQ(panel.stats.sparsify_count, 0u);
   EXPECT_EQ(panel.preprocessing_rounds, 0);
   EXPECT_TRUE(BitwiseEqual(panel.x.column(0), single.x));
+}
+
+TEST(FactorCacheRuntime, LostPublishAppliesTheCanonicalArtifact) {
+  // A stub engine whose prepare function races itself: before returning
+  // its own (sparsified) artifact it inserts a different usable one
+  // (exact-dense) under the Runtime's exact cache key, so the facade's
+  // publish finds a canonical entry that is not the artifact it prepared.
+  const graph::Graph g = cache_test_graph();
+  const Vec b = gaussian_rhs(g.num_vertices(), 9);
+  Runtime rt(cached_runtime_options(1));
+  std::shared_ptr<const laplacian::PreparedLaplacian> canonical;
+  laplacian::EngineRegistry::instance().register_engine(
+      "test-publish-race",
+      [&](const common::Context& ctx, const graph::Graph& topology,
+          const laplacian::EngineOptions& eopt) {
+        FactorCacheKey key;
+        key.engine = "test-publish-race";
+        key.fingerprint = graph::fingerprint(topology);
+        key.seed = ctx.seed();
+        key.min_work_per_chunk = rt.options().min_work_per_chunk;
+        key.options_hash = core::prepare_options_hash(eopt);
+        canonical = laplacian::prepare_exact(
+            ctx, topology, linalg::FactorMode::kForceDense, "exact-dense");
+        rt.factor_cache()->insert(key, canonical);
+        return laplacian::prepare_sparsified_chebyshev(ctx, topology,
+                                                       eopt.sparsify);
+      });
+  LaplacianSolveOptions opt = cheby_options();
+  opt.engine = "test-publish-race";
+  const auto run = rt.solve_laplacian(g, b, opt);
+  ASSERT_TRUE(run.usable);
+  ASSERT_TRUE(canonical);
+
+  laplacian::EngineOptions eopt;
+  eopt.eps = opt.eps;
+  eopt.sparsify = opt.sparsify;
+  EXPECT_TRUE(
+      BitwiseEqual(run.x, canonical->apply(rt.context(), b, eopt, nullptr)));
+  // Neither the canonical artifact's tallies nor the discarded one's.
+  EXPECT_EQ(run.stats.dense_factors, 0u);
+  EXPECT_EQ(run.stats.sparse_factors, 0u);
+  EXPECT_EQ(run.stats.sparsify_count, 0u);
+  EXPECT_EQ(run.preprocessing_rounds, 0);
+  EXPECT_EQ(run.stats.cache_misses, 1u);
+  EXPECT_EQ(run.stats.cache_hits, 0u);
+  EXPECT_EQ(run.stats.engine, "test-publish-race");
 }
 
 TEST(FactorCacheRuntime, SharedCacheAcrossRuntimesAndConcurrentLookups) {

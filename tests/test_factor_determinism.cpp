@@ -154,7 +154,7 @@ TEST(FactorDeterminism, SparsifierFastPathIsThreadCountInvariant) {
   const auto one = run(1);
   for (const std::size_t threads : {3u, 5u}) {
     const auto many = run(threads);
-    EXPECT_EQ(one.rounds, many.rounds);
+    EXPECT_EQ(one.stats.rounds, many.stats.rounds);
     EXPECT_EQ(one.original_edge, many.original_edge);
     EXPECT_EQ(one.out_vertex, many.out_vertex);
     ASSERT_EQ(one.sparsifier.num_edges(), many.sparsifier.num_edges());

@@ -134,7 +134,6 @@ TEST(Pipeline, RunStatsPropagateThroughFacade) {
 
   const auto sp = rt.sparsify(g, sopt);
   EXPECT_GT(sp.stats.rounds, 0);
-  EXPECT_EQ(sp.stats.rounds, sp.result.rounds);
   EXPECT_EQ(sp.stats.iterations,
             sparsify::resolve_options(g, sopt).iterations);
 
@@ -155,15 +154,12 @@ TEST(Pipeline, RunStatsPropagateThroughFacade) {
   EXPECT_EQ(lap.stats.iterations, st.iterations);
   EXPECT_EQ(lap.x, x);
 
-  // LP layer: the legacy rounds/steps fields and the unified stats agree.
+  // LP layer: the run's rounds land in the unified stats.
   const auto p = testsupport::diamond_lp();
   lp::LpOptions lpopt;
   lpopt.epsilon = 1e-4;
   const auto res = lp::lp_solve(rt.context(), p, {0.5, 0.5, 0.5, 0.5}, lpopt);
   ASSERT_TRUE(res.converged);
-  EXPECT_EQ(res.stats.rounds, res.rounds);
-  EXPECT_EQ(res.stats.iterations, res.path_steps);
-  EXPECT_EQ(res.stats.steps, res.newton_steps);
   EXPECT_GT(res.stats.rounds, 0);
 }
 

@@ -37,7 +37,7 @@ struct LpPin {
 std::uint64_t lp_hash(const lp::LpResult& res) {
   Fnv h;
   h.feed(res.x);
-  h.feed(static_cast<std::uint64_t>(res.path_steps));
+  h.feed(static_cast<std::uint64_t>(res.stats.iterations));
   h.feed(static_cast<std::uint64_t>(res.converged));
   return h.value();
 }
@@ -81,15 +81,15 @@ class IpmGolden : public ::testing::TestWithParam<std::size_t> {
     const auto res = lp::lp_solve(rt_.context(), prob, x0, vanilla(steps));
     EXPECT_EQ(lp_hash(res), pin.hash)
         << std::hex << "0x" << lp_hash(res) << std::dec
-        << " newton_steps=" << res.newton_steps;
+        << " newton_steps=" << res.stats.steps;
     if (steps == lp::StepMode::kAdaptive) {
-      EXPECT_LT(res.newton_steps, pin.newton_before);
+      EXPECT_LT(res.stats.steps, pin.newton_before);
     } else {
-      EXPECT_EQ(res.newton_steps, pin.newton_before);
+      EXPECT_EQ(res.stats.steps, pin.newton_before);
     }
     // Every Gram system is one counted panel: one per Newton step plus
     // the final feasibility restoration.
-    EXPECT_EQ(res.stats.panels, res.newton_steps + 1);
+    EXPECT_EQ(res.stats.panels, res.stats.steps + 1);
   }
 
   Runtime rt_;

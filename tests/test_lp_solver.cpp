@@ -107,7 +107,7 @@ TEST(LpSolver, ShortStepModeConverges) {
   const auto res = lp_solve(test_context(opt.seed), prob, {0.5, 0.5}, opt);
   ASSERT_TRUE(res.converged);
   EXPECT_NEAR(res.objective, 1.0, 1e-2);
-  EXPECT_GT(res.path_steps, 10u);  // short steps take many path steps
+  EXPECT_GT(res.stats.iterations, 10u);  // short steps take many path steps
 }
 
 TEST(LpSolver, ReportsAccounting) {
@@ -115,9 +115,9 @@ TEST(LpSolver, ReportsAccounting) {
   LpOptions opt;
   opt.epsilon = 1e-4;
   const auto res = lp_solve(test_context(opt.seed), prob, {0.5, 0.5}, opt);
-  EXPECT_GT(res.rounds, 0);
-  EXPECT_GT(res.newton_steps, 0u);
-  EXPECT_GT(res.path_steps, 0u);
+  EXPECT_GT(res.stats.rounds, 0);
+  EXPECT_GT(res.stats.steps, 0u);
+  EXPECT_GT(res.stats.iterations, 0u);
 }
 
 // Forwards to an exact-dense engine under its own registry key.
@@ -153,13 +153,14 @@ TEST(LpSolver, GramEnginePerSystem) {
   const auto p = testsupport::diamond_lp();
   const linalg::Vec x0 = {0.5, 0.5, 0.5, 0.5};
   std::size_t built = 0;
-  // Registered through the registry's latest-wins seam: a graph factory
-  // borrowed from exact-dense and a counting SDD factory.
+  // Registered through the registry's latest-wins seam: a prepare
+  // function borrowed from exact-dense and a counting SDD factory.
   laplacian::EngineRegistry::instance().register_engine(
       "test-counting-sdd",
-      [](const laplacian::EngineOptions& eopt) {
-        return laplacian::EngineRegistry::instance().create("exact-dense",
-                                                            eopt);
+      [](const common::Context& ctx, const graph::Graph& g,
+         const laplacian::EngineOptions& eopt) {
+        return laplacian::EngineRegistry::instance().prepare("exact-dense",
+                                                             ctx, g, eopt);
       },
       [&built](const common::Context& ctx, linalg::DenseMatrix m,
                const laplacian::SddEngineOptions& eopt) {
@@ -172,7 +173,7 @@ TEST(LpSolver, GramEnginePerSystem) {
   keyed.engine = "test-counting-sdd";
   const auto by_key = lp_solve(test_context(keyed.seed), p, x0, keyed);
   ASSERT_TRUE(by_key.converged);
-  EXPECT_EQ(built, by_key.newton_steps + 1);
+  EXPECT_EQ(built, by_key.stats.steps + 1);
   EXPECT_EQ(by_key.stats.engine, "test-counting-sdd");
 
   std::size_t called = 0;
@@ -185,7 +186,7 @@ TEST(LpSolver, GramEnginePerSystem) {
   };
   const auto by_hook = lp_solve(test_context(hooked.seed), p, x0, hooked);
   ASSERT_TRUE(by_hook.converged);
-  EXPECT_EQ(called, by_hook.newton_steps + 1);
+  EXPECT_EQ(called, by_hook.stats.steps + 1);
 
   // Under "auto" the run names the key the tuner resolved; every path
   // builds the same exact-dense arithmetic.
@@ -194,7 +195,7 @@ TEST(LpSolver, GramEnginePerSystem) {
   const auto by_auto = lp_solve(test_context(tuned.seed), p, x0, tuned);
   ASSERT_TRUE(by_auto.converged);
   EXPECT_EQ(by_auto.stats.engine, "exact-dense");
-  EXPECT_EQ(by_auto.newton_steps, by_key.newton_steps);
+  EXPECT_EQ(by_auto.stats.steps, by_key.stats.steps);
   EXPECT_TRUE(bitwise_equal(by_auto.x, by_key.x));
   EXPECT_TRUE(bitwise_equal(by_auto.x, by_hook.x));
 }
@@ -218,7 +219,7 @@ TEST(LpSolver, LewisFlowLpIsDefined) {
         lp_solve(test_context(opt.seed), lp.problem, lp.interior_point, opt);
     for (double v : first.x) ASSERT_TRUE(std::isfinite(v));
     EXPECT_TRUE(bitwise_equal(first.x, again.x));
-    EXPECT_EQ(first.newton_steps, again.newton_steps);
+    EXPECT_EQ(first.stats.steps, again.stats.steps);
   }
 }
 

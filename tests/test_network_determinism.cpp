@@ -188,7 +188,7 @@ TEST(NetworkDeterminism, SparsifierIsThreadCountInvariant) {
   };
   const auto one = run(1);
   const auto many = run(4);
-  EXPECT_EQ(one.rounds, many.rounds);
+  EXPECT_EQ(one.stats.rounds, many.stats.rounds);
   EXPECT_EQ(one.original_edge, many.original_edge);
   EXPECT_EQ(one.out_vertex, many.out_vertex);
   ASSERT_EQ(one.sparsifier.num_edges(), many.sparsifier.num_edges());

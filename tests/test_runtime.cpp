@@ -247,7 +247,6 @@ TEST(Runtime, FacadeStatsCarryRoundsIterationsAndWallTime) {
 
   const auto sp = rt.sparsify(g, pipeline_sparsify_options());
   EXPECT_GT(sp.stats.rounds, 0);
-  EXPECT_EQ(sp.stats.rounds, sp.result.rounds);
   EXPECT_GT(sp.stats.iterations, 0u);
   EXPECT_GE(sp.stats.wall_seconds, 0.0);
 

@@ -24,21 +24,6 @@ namespace {
 
 using testsupport::test_context;
 
-// Pins the process-wide dispatch mode for one test body and restores the
-// previous mode on every exit path.
-class ModeGuard {
- public:
-  explicit ModeGuard(FactorMode mode) : prev_(factor_mode()) {
-    set_factor_mode(mode);
-  }
-  ~ModeGuard() { set_factor_mode(prev_); }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
-
- private:
-  FactorMode prev_;
-};
-
 Vec gaussian(std::size_t n, std::uint64_t seed) {
   rng::Stream stream(seed);
   Vec b(n);
@@ -162,15 +147,10 @@ TEST(CscSymmetricMatrix, LaplacianCscMatchesCsrLaplacian) {
 TEST(SparseLdlt, MatchesDenseOnEquivalenceGraphs) {
   for (auto& [name, g] : equivalence_graphs()) {
     const auto lap = graph::laplacian(g);
-    std::optional<LaplacianFactor> fs, fd;
-    {
-      ModeGuard guard(FactorMode::kForceSparse);
-      fs = LaplacianFactor::factor(test_context(), lap);
-    }
-    {
-      ModeGuard guard(FactorMode::kForceDense);
-      fd = LaplacianFactor::factor(test_context(), lap);
-    }
+    const auto fs =
+        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceSparse);
+    const auto fd =
+        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceDense);
     ASSERT_TRUE(fs) << name;
     ASSERT_TRUE(fd) << name;
     EXPECT_EQ(fs->path(), FactorKind::kSparse) << name;
@@ -204,15 +184,10 @@ TEST(SparseLdlt, ComponentFactorMatchesDenseOnDisconnectedInput) {
     g.add_edge(200 + e.u, 200 + e.v, e.weight);
   const auto lap = graph::laplacian(g);  // vertex 450: singleton
 
-  std::optional<ComponentLaplacianFactor> fs, fd;
-  {
-    ModeGuard guard(FactorMode::kForceSparse);
-    fs = ComponentLaplacianFactor::factor(test_context(), lap);
-  }
-  {
-    ModeGuard guard(FactorMode::kForceDense);
-    fd = ComponentLaplacianFactor::factor(test_context(), lap);
-  }
+  const auto fs = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                  FactorMode::kForceSparse);
+  const auto fd = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                  FactorMode::kForceDense);
   ASSERT_TRUE(fs);
   ASSERT_TRUE(fd);
   EXPECT_EQ(fs->num_components(), 3u);
@@ -238,8 +213,8 @@ TEST(SparseLdlt, DuplicateCsrEntriesAccumulate) {
       {0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1, 2, 2},
       {0.5, 0.5, -0.5, -0.5, -0.5, -0.5, 1.0, 1.0, -0.5, -0.5, -0.5, -0.5,
        0.5, 0.5});
-  ModeGuard guard(FactorMode::kForceSparse);
-  const auto f = LaplacianFactor::factor(test_context(), split);
+  const auto f =
+      LaplacianFactor::factor(test_context(), split, FactorMode::kForceSparse);
   const auto ref = LaplacianFactor::factor(test_context(),
                                            graph::laplacian(graph::path(3)));
   ASSERT_TRUE(f);
@@ -253,11 +228,8 @@ TEST(SparseLdlt, DuplicateCsrEntriesAccumulate) {
 TEST(SparseLdlt, SolveManyIsBitwiseEqualToColumnSolves) {
   for (auto& [name, g] : equivalence_graphs()) {
     const auto lap = graph::laplacian(g);
-    std::optional<LaplacianFactor> f;
-    {
-      ModeGuard guard(FactorMode::kForceSparse);
-      f = LaplacianFactor::factor(test_context(), lap);
-    }
+    const auto f =
+        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceSparse);
     ASSERT_TRUE(f) << name;
     const auto b = gaussian_panel(g.num_vertices(), 7, 211);
     const auto x = f->solve_many(test_context(), b);
@@ -289,8 +261,8 @@ TEST(SparseLdlt, FactorAndSolveAreThreadCountInvariant) {
     opts.threads = threads;
     opts.seed = 3;
     Runtime rt(opts);
-    ModeGuard guard(FactorMode::kForceSparse);
-    const auto f = LaplacianFactor::factor(rt.context(), lap);
+    const auto f =
+        LaplacianFactor::factor(rt.context(), lap, FactorMode::kForceSparse);
     EXPECT_TRUE(f);
     if (!f) return DenseMatrix(0, 0);
     EXPECT_EQ(f->path(), FactorKind::kSparse);
@@ -317,65 +289,37 @@ TEST(SparseLdlt, RejectsDegenerateInputs) {
                                                                 std::move(t))));
 }
 
-TEST(SparseLdlt, FactorModeParserFlagsUnrecognizedValues) {
-  // The parser recognizes exactly the documented BCCLAP_FACTOR_PATH
-  // values; anything else is flagged so env_factor_mode warns instead of
-  // silently treating a misspelling as kAuto.
-  bool recognized = false;
-  EXPECT_EQ(parse_factor_mode("dense", &recognized), FactorMode::kForceDense);
-  EXPECT_TRUE(recognized);
-  EXPECT_EQ(parse_factor_mode("sparse", &recognized), FactorMode::kForceSparse);
-  EXPECT_TRUE(recognized);
-  EXPECT_EQ(parse_factor_mode("auto", &recognized), FactorMode::kAuto);
-  EXPECT_TRUE(recognized);
-  recognized = true;
-  EXPECT_EQ(parse_factor_mode("Dense", &recognized), FactorMode::kAuto);
-  EXPECT_FALSE(recognized);
-  recognized = true;
-  EXPECT_EQ(parse_factor_mode("", &recognized), FactorMode::kAuto);
-  EXPECT_FALSE(recognized);
-  // Absent (nullptr) is not a misspelling: kAuto, recognized.
-  recognized = false;
-  EXPECT_EQ(parse_factor_mode(nullptr, &recognized), FactorMode::kAuto);
-  EXPECT_TRUE(recognized);
-}
-
 TEST(SparseLdlt, ExplicitModeOverridesDensityHeuristic) {
-  // The per-request overload pins a backend without touching process
-  // state — the seam the engine registry's exact-* keys dispatch through.
+  // The force modes pin a backend regardless of shape — the seam the
+  // engine registry's exact-* keys dispatch through.
   const std::size_t dim = kSparseMinDim;
   EXPECT_TRUE(sparse_path_selected(dim, 3 * dim, FactorMode::kAuto));
   EXPECT_FALSE(sparse_path_selected(dim, dim * dim, FactorMode::kAuto));
   EXPECT_FALSE(sparse_path_selected(dim, 3 * dim, FactorMode::kForceDense));
+  EXPECT_FALSE(sparse_path_selected(100000, 100000, FactorMode::kForceDense));
   EXPECT_TRUE(sparse_path_selected(2, 4, FactorMode::kForceSparse));
-  EXPECT_EQ(factor_mode(), FactorMode::kAuto);  // process state untouched
 }
 
 TEST(SparseLdlt, AutoDispatchFollowsDimAndDensity) {
-  ASSERT_EQ(factor_mode(), FactorMode::kAuto);
+  constexpr FactorMode kAuto = FactorMode::kAuto;
   // Below the dimension bar: dense regardless of sparsity.
-  EXPECT_FALSE(sparse_path_selected(kSparseMinDim - 1, 10));
+  EXPECT_FALSE(sparse_path_selected(kSparseMinDim - 1, 10, kAuto));
   // Above the bar and sparse: sparse path.
-  EXPECT_TRUE(sparse_path_selected(kSparseMinDim, 3 * kSparseMinDim));
+  EXPECT_TRUE(sparse_path_selected(kSparseMinDim, 3 * kSparseMinDim, kAuto));
   // Above the bar but dense: stays on the dense kernel.
-  EXPECT_FALSE(sparse_path_selected(1000, 1000 * 900));
-  {
-    ModeGuard guard(FactorMode::kForceSparse);
-    EXPECT_TRUE(sparse_path_selected(2, 4));
-  }
-  {
-    ModeGuard guard(FactorMode::kForceDense);
-    EXPECT_FALSE(sparse_path_selected(100000, 100000));
-  }
+  EXPECT_FALSE(sparse_path_selected(1000, 1000 * 900, kAuto));
   // The n=256 bench anchors must stay dense under kAuto so historical
   // fingerprints remain byte-identical (PR 6 acceptance criterion).
-  EXPECT_FALSE(sparse_path_selected(255, 255 * 17));
+  EXPECT_FALSE(sparse_path_selected(255, 255 * 17, kAuto));
+  // kAuto is the one (dim, density) rule the registry's tuner applies too.
+  EXPECT_TRUE(sparse_path_preferred(kSparseMinDim, kSparseMaxDensity));
+  EXPECT_FALSE(sparse_path_preferred(kSparseMinDim, kSparseMaxDensity * 1.01));
+  EXPECT_FALSE(sparse_path_preferred(kSparseMinDim - 1, 0.0));
 }
 
 TEST(SparseLdlt, AutoPathSelectsSparseForLargeSparseLaplacian) {
   rng::Stream gstream(53);
   const auto g = graph::random_regularish(600, 8, 4, gstream);
-  ASSERT_EQ(factor_mode(), FactorMode::kAuto);
   const auto f =
       LaplacianFactor::factor(test_context(), graph::laplacian(g));
   ASSERT_TRUE(f);

@@ -48,7 +48,7 @@ TEST(Sparsifier, DeterministicInSeed) {
   const auto r2 =
       spectral_sparsify(net2.context().with_seed(7), g, test_options(), net2);
   EXPECT_EQ(r1.original_edge, r2.original_edge);
-  EXPECT_EQ(r1.rounds, r2.rounds);
+  EXPECT_EQ(r1.stats.rounds, r2.stats.rounds);
 }
 
 TEST(Sparsifier, DifferentSeedsGiveDifferentSamples) {
@@ -123,7 +123,7 @@ TEST(Sparsifier, ChargesRounds) {
   auto net = bc_net(g);
   const auto res =
       spectral_sparsify(net.context().with_seed(51), g, test_options(), net);
-  EXPECT_TRUE(testsupport::RoundsConsistent(res.rounds, net));
+  EXPECT_TRUE(testsupport::RoundsConsistent(res.stats.rounds, net));
 }
 
 }  // namespace

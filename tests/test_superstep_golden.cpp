@@ -61,7 +61,7 @@ Pin run_adhoc(const graph::Graph& g, std::uint64_t seed,
   opt.iterations = iterations;
   const auto res =
       sparsify::spectral_sparsify(rt.context().with_seed(seed), g, opt, net);
-  return {edge_list_hash(res.sparsifier), res.rounds,
+  return {edge_list_hash(res.sparsifier), res.stats.rounds,
           net.accountant().breakdown(), res.deduction_consistent};
 }
 
@@ -73,7 +73,7 @@ Pin run_apriori(const graph::Graph& g, std::uint64_t seed,
   const auto res = sparsify::spectral_sparsify_apriori(
       rt.context().with_seed(seed), g,
       testsupport::small_sparsify_options(1.0, 2, 4));
-  return {edge_list_hash(res.sparsifier), res.rounds, {},
+  return {edge_list_hash(res.sparsifier), res.stats.rounds, {},
           res.deduction_consistent};
 }
 
