@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 
 #include "common/encoding.h"
@@ -37,25 +38,29 @@ Network::Network(Model model, const graph::Graph& g,
       ctx_(ctx) {
   check_bandwidth(bandwidth_);
   if (model_ != Model::kBroadcastCongest) return;
-  link_offsets_.assign(n_ + 1, 0);
+  using Link = Inboxes::Link;
+  auto table = std::make_shared<Inboxes::LinkTable>();
+  auto& links = table->links;
+  table->offsets.assign(n_ + 1, 0);
   for (std::size_t v = 0; v < n_; ++v) {
-    const auto first = static_cast<std::ptrdiff_t>(links_.size());
+    const auto first = static_cast<std::ptrdiff_t>(links.size());
     for (graph::EdgeId e : g.incident(v)) {
-      links_.push_back({g.other_endpoint(e, v), e});
+      links.push_back({g.other_endpoint(e, v), e});
     }
     // Ascending by neighbour, then edge id; unique() keeps the first link
     // per neighbour, i.e. the lowest edge id between the pair.
-    std::sort(links_.begin() + first, links_.end(),
+    std::sort(links.begin() + first, links.end(),
               [](const Link& a, const Link& b) {
                 return a.node != b.node ? a.node < b.node : a.edge < b.edge;
               });
-    links_.erase(std::unique(links_.begin() + first, links_.end(),
-                             [](const Link& a, const Link& b) {
-                               return a.node == b.node;
-                             }),
-                 links_.end());
-    link_offsets_[v + 1] = links_.size();
+    links.erase(std::unique(links.begin() + first, links.end(),
+                            [](const Link& a, const Link& b) {
+                              return a.node == b.node;
+                            }),
+                links.end());
+    table->offsets[v + 1] = links.size();
   }
+  links_ = std::move(table);
 }
 
 Network::Network(Model model, std::size_t n, std::int64_t bandwidth_bits,
@@ -94,68 +99,23 @@ Inboxes Network::exchange(const std::vector<std::vector<Message>>& outboxes,
   accountant_.charge(label, rounds);
 
   // The outboxes, laid out once in sender order: sender s's messages are
-  // in.messages_[first[s] .. first[s + 1]). Active senders (ascending)
-  // keep clique delivery O(active) per recipient under sparse traffic.
+  // in.messages_[in.offsets_[s] .. in.offsets_[s + 1]). Receiving reads
+  // them in place through the link table (BC) or the active senders (BCC,
+  // which keeps a clique recipient's walk O(active) under sparse traffic).
   Inboxes in;
-  std::vector<std::size_t> first(n_ + 1, 0);
-  std::vector<std::size_t> active;
+  in.n_ = n_;
+  in.offsets_.assign(n_ + 1, 0);
   for (std::size_t s = 0; s < n_; ++s) {
-    first[s + 1] = first[s] + outboxes[s].size();
-    if (!outboxes[s].empty()) active.push_back(s);
+    in.offsets_[s + 1] = in.offsets_[s] + outboxes[s].size();
   }
-  in.messages_.reserve(first[n_]);
-  for (std::size_t s : active) {
+  in.messages_.reserve(in.offsets_[n_]);
+  for (std::size_t s = 0; s < n_; ++s) {
+    if (outboxes[s].empty()) continue;
     in.messages_.insert(in.messages_.end(), outboxes[s].begin(),
                         outboxes[s].end());
+    if (!links_) in.active_.push_back({s, kNoEdge});
   }
-
-  // Delivery: each recipient's slice depends only on the (read-only)
-  // outboxes, so recipients count and then fill their slices concurrently.
-  // Senders are walked in ascending id order per recipient, which
-  // reproduces exactly the sender-ordered delivery of the sequential
-  // engine.
-  const bool clique = model_ == Model::kBroadcastCongestedClique;
-  const std::size_t total = first[n_];
-  in.offsets_.assign(n_ + 1, 0);
-  ctx_.parallel_for_chunks(
-      0, n_, kParallelGrainNodes, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t recv = lo; recv < hi; ++recv) {
-          std::size_t count = 0;
-          if (clique) {
-            count = total - outboxes[recv].size();
-          } else {
-            for (std::size_t l = link_offsets_[recv];
-                 l < link_offsets_[recv + 1]; ++l) {
-              count += outboxes[links_[l].node].size();
-            }
-          }
-          in.offsets_[recv + 1] = count;
-        }
-      });
-  for (std::size_t v = 0; v < n_; ++v) in.offsets_[v + 1] += in.offsets_[v];
-  in.deliveries_.resize(in.offsets_[n_]);
-  ctx_.parallel_for_chunks(
-      0, n_, kParallelGrainNodes, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t recv = lo; recv < hi; ++recv) {
-          Inboxes::Delivery* out = in.deliveries_.data() + in.offsets_[recv];
-          const auto deliver_from = [&](std::size_t sender,
-                                        graph::EdgeId edge) {
-            for (std::size_t i = first[sender]; i < first[sender + 1]; ++i) {
-              *out++ = {sender, edge, i};
-            }
-          };
-          if (clique) {
-            for (std::size_t s : active) {
-              if (s != recv) deliver_from(s, kNoEdge);
-            }
-          } else {
-            for (std::size_t l = link_offsets_[recv];
-                 l < link_offsets_[recv + 1]; ++l) {
-              deliver_from(links_[l].node, links_[l].edge);
-            }
-          }
-        }
-      });
+  in.links_ = links_;
   return in;
 }
 

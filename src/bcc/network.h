@@ -18,11 +18,11 @@
 // nodes cost the simulator charges.
 //
 // Execution is thread-parallel: per-node outbox computation
-// (run_superstep), round costing, and per-recipient inbox assembly all fan
-// out across the workers of the network's execution context
-// (common/context.h — the view of the bcclap::Runtime the network was
-// built under). Delivery stays deterministic — inboxes[v] is ordered by
-// sender id regardless of thread count, and the max-over-nodes round
+// (run_superstep) and round costing fan out across the workers of the
+// network's execution context (common/context.h — the view of the
+// bcclap::Runtime the network was built under). Delivery stays
+// deterministic — inboxes.from(v) walks senders by ascending id
+// regardless of thread count, and the max-over-nodes round
 // charge is order-independent — so a 1-worker and an N-worker
 // configuration of the same Runtime produce byte-identical traffic and
 // equal round accounting (enforced by tests/test_network_determinism.cpp
@@ -30,14 +30,20 @@
 // layers (spanner, sparsifier) reach the same context through context(),
 // so one Runtime's pipeline never touches another's pool.
 //
-// Delivery copies no message per recipient. A superstep's outboxes are
-// laid out once, flat and in sender order, and every recipient's inbox is
-// a CSR slice of deliveries that name the sender, the connecting edge and
-// the message's index in that flat array.
+// Receiving materializes nothing per recipient. A superstep's outboxes are
+// laid out once, flat and in sender order, and the returned Inboxes is a
+// view over them: per-sender offsets into that array plus the adjacency a
+// recipient hears from. inboxes.from(v) walks v's senders in ascending id
+// order and yields each one's id, connecting edge and contiguous slice of
+// messages, so a receiver reads the traffic it needs and nothing else. In
+// BC mode the adjacency is the network's immutable link table, built once
+// from the topology and shared by every Inboxes the network returns; in
+// BCC mode it is the superstep's list of active senders.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,7 +54,7 @@
 
 namespace bcclap::bcc {
 
-// Edge id of a delivery that did not travel along a graph edge (BCC mode).
+// Edge id of a sender heard without a graph edge (BCC mode).
 inline constexpr graph::EdgeId kNoEdge = static_cast<graph::EdgeId>(-1);
 
 enum class Model {
@@ -56,56 +62,147 @@ enum class Model {
   kBroadcastCongestedClique, // deliver to everyone
 };
 
-// The messages delivered by one superstep, as one flat CSR value:
-// recipient v's deliveries are inboxes[v], ordered by sender id (and by
-// outbox position within one sender).
+// The messages delivered by one superstep, as a view over the flat outbox
+// array. inboxes.from(v) yields, in ascending sender id, every sender v
+// heard from together with the connecting edge and that sender's messages
+// in outbox order. An Inboxes owns its messages and shares the link table,
+// so it stays valid after the Network that produced it is gone.
 class Inboxes {
- public:
-  struct Delivery {
-    std::size_t sender;
-    // BC mode: the lowest edge id between sender and recipient — the edge
-    // graph::Graph::find_edge reports. BCC mode: kNoEdge.
+  // A sender as one recipient hears it: the sender's id and, in BC mode,
+  // the lowest edge id joining the pair (the edge graph::Graph::find_edge
+  // reports).
+  struct Link {
+    std::size_t node;
     graph::EdgeId edge;
-    // Index of the message in the superstep's flat outbox array.
-    std::size_t message;
   };
 
-  // One recipient's deliveries.
-  class Inbox {
+  // BC mode: node v's links, ascending by neighbour, at
+  // links[offsets[v] .. offsets[v + 1]). Symmetric, so it serves as both
+  // send and receive adjacency.
+  struct LinkTable {
+    std::vector<std::size_t> offsets;
+    std::vector<Link> links;
+  };
+
+ public:
+  // One sender's messages of the superstep, contiguous, in outbox order.
+  class Messages {
    public:
-    Inbox(const Delivery* first, const Delivery* last)
+    Messages(const Message* first, const Message* last)
         : first_(first), last_(last) {}
-    const Delivery* begin() const { return first_; }
-    const Delivery* end() const { return last_; }
+    const Message* begin() const { return first_; }
+    const Message* end() const { return last_; }
     std::size_t size() const {
       return static_cast<std::size_t>(last_ - first_);
     }
     bool empty() const { return first_ == last_; }
-    const Delivery& operator[](std::size_t i) const { return first_[i]; }
+    const Message& operator[](std::size_t i) const { return first_[i]; }
 
    private:
-    const Delivery* first_;
-    const Delivery* last_;
+    const Message* first_;
+    const Message* last_;
+  };
+
+  // What a recipient heard from one sender.
+  struct FromSender {
+    std::size_t sender;
+    // BC mode: the lowest edge id between sender and recipient. BCC mode:
+    // kNoEdge.
+    graph::EdgeId edge;
+    Messages messages;  // never empty
+  };
+
+  // The senders one recipient heard from, ascending by id. Iterators copy
+  // what they read, so they stay valid while the Inboxes does.
+  class Senders {
+   public:
+    class iterator {
+     public:
+      FromSender operator*() const {
+        const std::size_t s = cur_->node;
+        return {s, cur_->edge,
+                {messages_ + offsets_[s], messages_ + offsets_[s + 1]}};
+      }
+      iterator& operator++() {
+        ++cur_;
+        skip_silent();
+        return *this;
+      }
+      bool operator!=(const iterator& o) const { return cur_ != o.cur_; }
+      bool operator==(const iterator& o) const { return cur_ == o.cur_; }
+
+     private:
+      friend class Senders;
+      iterator(const Senders& range, const Link* cur)
+          : messages_(range.messages_),
+            offsets_(range.offsets_),
+            cur_(cur),
+            end_(range.end_link_),
+            self_(range.self_) {
+        skip_silent();
+      }
+
+      // Steps past links whose sender broadcast nothing, and past the
+      // recipient itself on a clique.
+      void skip_silent() {
+        while (cur_ != end_ &&
+               (cur_->node == self_ ||
+                offsets_[cur_->node] == offsets_[cur_->node + 1])) {
+          ++cur_;
+        }
+      }
+
+      const Message* messages_;
+      const std::size_t* offsets_;
+      const Link* cur_;
+      const Link* end_;
+      std::size_t self_;
+    };
+
+    iterator begin() const { return {*this, begin_link_}; }
+    iterator end() const { return {*this, end_link_}; }
+
+   private:
+    friend class Inboxes;
+    Senders(const Inboxes& in, const Link* first, const Link* last,
+            std::size_t self)
+        : messages_(in.messages_.data()),
+          offsets_(in.offsets_.data()),
+          begin_link_(first),
+          end_link_(last),
+          self_(self) {}
+
+    const Message* messages_;
+    const std::size_t* offsets_;
+    const Link* begin_link_;
+    const Link* end_link_;
+    std::size_t self_;
   };
 
   // Number of recipients (the network's node count).
-  std::size_t size() const { return offsets_.size() - 1; }
-  Inbox operator[](std::size_t v) const {
-    return {deliveries_.data() + offsets_[v],
-            deliveries_.data() + offsets_[v + 1]};
+  std::size_t size() const { return n_; }
+
+  // The senders recipient v heard from, ascending by id.
+  Senders from(std::size_t v) const {
+    if (links_) {
+      const Link* base = links_->links.data();
+      return {*this, base + links_->offsets[v], base + links_->offsets[v + 1],
+              n_};
+    }
+    return {*this, active_.data(), active_.data() + active_.size(), v};
   }
-  const Message& message(const Delivery& d) const {
-    return messages_[d.message];
-  }
-  std::size_t num_deliveries() const { return deliveries_.size(); }
 
  private:
   friend class Network;
 
+  std::size_t n_ = 0;
   std::vector<Message> messages_;  // the outboxes, flat in sender order
-  // Recipient v's deliveries are deliveries_[offsets_[v] .. offsets_[v+1]).
+  // Sender s's messages are messages_[offsets_[s] .. offsets_[s + 1]).
   std::vector<std::size_t> offsets_{0};
-  std::vector<Delivery> deliveries_;
+  // BC mode: the network's link table. BCC mode: null, and every recipient
+  // hears from active_, the senders with messages (ascending, kNoEdge).
+  std::shared_ptr<const LinkTable> links_;
+  std::vector<Link> active_;
 };
 
 class Network {
@@ -129,8 +226,8 @@ class Network {
   const common::Context& context() const { return ctx_; }
 
   // Runs one superstep: outboxes[v] are the messages node v broadcasts
-  // (possibly empty). Returns inboxes: inboxes[v] = deliveries to v,
-  // ordered by sender id. Charges rounds to `label`. Throws
+  // (possibly empty). Returns the view in which inboxes.from(v) walks the
+  // senders v hears from, by ascending id. Charges rounds to `label`. Throws
   // std::invalid_argument unless outboxes.size() == num_nodes().
   Inboxes exchange(const std::vector<std::vector<Message>>& outboxes,
                    const std::string& label);
@@ -169,15 +266,9 @@ class Network {
   std::size_t n_;
   std::int64_t bandwidth_;
   common::Context ctx_;
-  // BC mode only: node v's neighbours, ascending, each with the lowest edge
-  // id joining it to v, at links_[link_offsets_[v] .. link_offsets_[v+1]).
-  // Symmetric, so it serves as both send and receive adjacency.
-  struct Link {
-    std::size_t node;
-    graph::EdgeId edge;
-  };
-  std::vector<std::size_t> link_offsets_;
-  std::vector<Link> links_;
+  // BC mode only: the topology's links, shared with every Inboxes this
+  // network returns.
+  std::shared_ptr<const Inboxes::LinkTable> links_;
   RoundAccountant accountant_;
 };
 

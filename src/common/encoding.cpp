@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace bcclap::enc {
 
@@ -40,6 +41,22 @@ int real_bits(double max_abs, double eps) {
   const int int_bits = static_cast<int>(std::ceil(std::log2(m + 1.0)));
   const int frac_bits = static_cast<int>(std::ceil(std::log2(1.0 / e)));
   return 1 + int_bits + frac_bits;
+}
+
+std::uint64_t order_key(double x) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  // Negatives reverse their magnitude order; positives sit above them.
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+double from_order_key(std::uint64_t key) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const std::uint64_t bits = (key & kSign) != 0 ? key & ~kSign : ~key;
+  double x = 0.0;
+  std::memcpy(&x, &bits, sizeof x);
+  return x;
 }
 
 std::int64_t rounds_for_bits(std::int64_t bits, std::int64_t bandwidth) {

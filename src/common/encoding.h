@@ -24,6 +24,13 @@ int id_bits(std::size_t n);
 // relative precision `eps`: sign + integer part + log(1/eps) fraction bits.
 int real_bits(double max_abs, double eps);
 
+// An exact, order-preserving 64-bit key of a finite double: a < b iff
+// order_key(a) < order_key(b), with -0.0 keyed just below +0.0.
+// from_order_key inverts it bit for bit. Broadcasting the key sends the
+// value itself, at 64 bits.
+std::uint64_t order_key(double x);
+double from_order_key(std::uint64_t key);
+
 // Rounds needed to broadcast a payload of `bits` bits with bandwidth B.
 std::int64_t rounds_for_bits(std::int64_t bits, std::int64_t bandwidth);
 

@@ -51,7 +51,9 @@ inline bool candidate_less(const Candidate& a, const Candidate& b) {
 template <typename Exists>
 std::size_t connect_in_place(Candidate* first, Candidate* last,
                              Exists&& exists) {
-  std::sort(first, last, candidate_less);
+  std::sort(first, last, [](const Candidate& a, const Candidate& b) {
+    return candidate_less(a, b);
+  });
   std::size_t rejected = 0;
   for (const Candidate* c = first; c != last && !exists(c->e); ++c) {
     ++rejected;

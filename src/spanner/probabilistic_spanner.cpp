@@ -20,12 +20,18 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Wire format of the per-step broadcasts. We model them as bcc::Message
-// field sequences; `bits_w` is the (global) weight width, so one message is
+// field sequences; `w` is the weight field, so one message is
 // O(log n + log W) bits exactly as in Lemma 3.2.
 //
-// Step 2 message:    [has(1)] [joined_cluster(id)] [u(id)] [w(bits_w)]
+// Step 2 message:    [has(1)] [joined_cluster(id)] [u(id)] [w]
 //                    or [has=0] meaning (bot, W_v = inf).
-// Step 3/4 message:  [cluster X(id)] [has(1)] [u(id)] [w(bits_w)]
+// Step 3/4 message:  [cluster X(id)] [has(1)] [u(id)] [w]
+//
+// When every available weight of the run is an integer in [0, 2^63) (the
+// sparsifier's case: integer inputs times powers of 4), w is the weight
+// itself in bits_w bits, the (global) width of the largest one. Otherwise
+// w is the weight's exact order-preserving 64-bit key (enc::order_key), so
+// receivers compare against the decider's exact weight either way.
 struct Decoded {
   bool has = false;
   std::size_t cluster = kNone;
@@ -54,13 +60,18 @@ struct Decoded {
 //      F+/F- in exact (node, group, candidate) order, so both paths
 //      produce identical results.
 //   C. broadcast + deduce — the planned messages go through
-//      Network::exchange, whose deliveries name the edge each message
-//      arrived on, and recipients apply the Section 3.1 deduction rules
+//      Network::exchange, whose view names each sender's edge and message
+//      slice, and recipients apply the Section 3.1 deduction rules
 //      concurrently: receiver u only writes its own side's belief and
-//      w_seen_ slots, so the fan-out is race-free.
+//      w_seen_ slots, so the fan-out is race-free. A receiver applies the
+//      filters that do not depend on the message first, and in steps 3
+//      and 4 then looks up the one message addressed to its own cluster
+//      by binary search over the sender's slice, which is ascending by
+//      cluster id.
 //
 // All per-node candidate, group and outbox buffers live in the object and
-// are cleared, not reallocated, between supersteps and runs.
+// are cleared, not reallocated, between supersteps and runs. Each run also
+// builds a CSR of its live edges, so phase A scans only available edges.
 //
 // Phase A/B splitting is exact, not approximate: within one superstep each
 // edge has a unique decider (step 2 deciders sit in unmarked clusters and
@@ -149,10 +160,33 @@ class ProbabilisticSpanner::Impl {
   // Fresh per-run state; the buffers keep their capacity.
   void reset() {
     double wmax = 1.0;
-    for (std::size_t e = 0; e < m_; ++e)
-      if ((*avail_)[e]) wmax = std::max(wmax, weight(e));
-    bits_w_ = enc::bit_width_u64(static_cast<std::uint64_t>(
-        std::llround(wmax)));
+    integer_weights_ = true;
+    for (std::size_t e = 0; e < m_; ++e) {
+      if (!available(e)) continue;
+      const double w = weight(e);
+      if (!std::isfinite(w)) {
+        throw std::invalid_argument("spanner: edge weights must be finite");
+      }
+      integer_weights_ =
+          integer_weights_ && w >= 0.0 && w < 0x1p63 && w == std::trunc(w);
+      wmax = std::max(wmax, w);
+    }
+    bits_w_ = integer_weights_
+                  ? enc::bit_width_u64(static_cast<std::uint64_t>(wmax))
+                  : 64;
+    // Live adjacency: node v's available edges in incident order, kept
+    // branch-free like collect(). live_ has room for every incident entry.
+    live_offsets_.assign(n_ + 1, 0);
+    live_.resize(2 * m_);
+    std::size_t kept = 0;
+    for (std::size_t v = 0; v < n_; ++v) {
+      for (graph::EdgeId e : g_.incident(v)) {
+        const graph::Edge& ed = g_.edge(e);
+        live_[kept] = {ed.u == v ? ed.v : ed.u, e, weight(e)};
+        kept += static_cast<std::size_t>(available(e));
+      }
+      live_offsets_[v + 1] = kept;
+    }
     decision_.assign(m_, EdgeDecision::kUndecided);
     in_f_plus_.assign(m_, false);
     belief_.assign(m_, {EdgeDecision::kUndecided, EdgeDecision::kUndecided});
@@ -172,16 +206,19 @@ class ProbabilisticSpanner::Impl {
 
   bool available(graph::EdgeId e) const { return (*avail_)[e]; }
 
-  bool edge_usable(graph::EdgeId e) const {
-    return available(e) && decision_[e] != EdgeDecision::kDeleted;
+  // For a live edge: not yet sampled out of existence.
+  bool not_deleted(graph::EdgeId e) const {
+    return decision_[e] != EdgeDecision::kDeleted;
   }
 
-  void record_decider_belief(graph::VertexId v, graph::EdgeId e) {
-    belief_[e][side_of(e, v)] = decision_[e];
+  // The belief_/w_seen_ side of endpoint `self` on any edge joining it to
+  // `other`: graph edges store their lower endpoint first, on side 0.
+  static std::size_t side(graph::VertexId self, graph::VertexId other) {
+    return self < other ? 0 : 1;
   }
 
-  std::size_t side_of(graph::EdgeId e, graph::VertexId v) const {
-    return g_.edge(e).u == v ? 0 : 1;
+  void record_decider_belief(graph::VertexId v, const Candidate& c) {
+    belief_[c.e][side(v, c.u)] = decision_[c.e];
   }
 
   // Commit-side F+ bookkeeping only; the decider's belief was already
@@ -200,6 +237,22 @@ class ProbabilisticSpanner::Impl {
   }
   bool in_marked_cluster(graph::VertexId v) const {
     return cluster_[v] != kNone && marked_[cluster_[v]];
+  }
+
+  // Phase A helper: node v's live candidates c with keep(c), in incident
+  // order. Every candidate is stored and the cursor advances by the
+  // predicate, so the data-dependent filter costs no branch.
+  template <typename Keep>
+  void collect(graph::VertexId v, NodeScratch& sc, Keep&& keep) const {
+    const Candidate* first = live_.data() + live_offsets_[v];
+    const std::size_t deg = live_offsets_[v + 1] - live_offsets_[v];
+    sc.cands.resize(deg);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < deg; ++i) {
+      sc.cands[kept] = first[i];
+      kept += static_cast<std::size_t>(keep(first[i]));
+    }
+    sc.cands.resize(kept);
   }
 
   // Phase A helper for steps 3 and 4: groups node v's candidates (pushed in
@@ -226,6 +279,15 @@ class ProbabilisticSpanner::Impl {
 
   // --- message encoding --------------------------------------------------
 
+  std::uint64_t weight_field(double w) const {
+    return integer_weights_ ? static_cast<std::uint64_t>(w)
+                            : enc::order_key(w);
+  }
+
+  double weight_from_field(std::uint64_t f) const {
+    return integer_weights_ ? static_cast<double>(f) : enc::from_order_key(f);
+  }
+
   bcc::Message encode_step2(const Candidate* acc) const {
     bcc::Message msg;
     if (!acc) {
@@ -235,7 +297,7 @@ class ProbabilisticSpanner::Impl {
     msg.push_flag(true);
     msg.push_id(cluster_[acc->u], n_);
     msg.push_id(acc->u, n_);
-    msg.push(static_cast<std::uint64_t>(std::llround(acc->weight)), bits_w_);
+    msg.push(weight_field(acc->weight), bits_w_);
     return msg;
   }
 
@@ -245,7 +307,7 @@ class ProbabilisticSpanner::Impl {
     if (d.has) {
       d.cluster = msg.field(1);
       d.u = msg.field(2);
-      d.w = static_cast<double>(msg.field(3));
+      d.w = weight_from_field(msg.field(3));
     }
     return d;
   }
@@ -259,8 +321,33 @@ class ProbabilisticSpanner::Impl {
     }
     msg.push_flag(true);
     msg.push_id(acc->u, n_);
-    msg.push(static_cast<std::uint64_t>(std::llround(acc->weight)), bits_w_);
+    msg.push(weight_field(acc->weight), bits_w_);
     return msg;
+  }
+
+  static bool ascending_by_cluster(const bcc::Inboxes::Messages& msgs) {
+    for (std::size_t i = 1; i < msgs.size(); ++i) {
+      if (msgs[i - 1].field(0) >= msgs[i].field(0)) return false;
+    }
+    return true;
+  }
+
+  // The message in one sender's step-3/4 slice addressed to cluster x, or
+  // null. The slice holds one message per target cluster, strictly
+  // ascending: group_by_cluster sorts the groups and phase B emits them in
+  // that order.
+  static const bcc::Message* addressed_to(const bcc::Inboxes::Messages& msgs,
+                                          std::size_t x) {
+    assert(ascending_by_cluster(msgs));
+    // Branch-free lower bound: the probe outcomes are data-dependent.
+    const bcc::Message* base = msgs.begin();
+    std::size_t len = msgs.size();
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      base = base[half - 1].field(0) < x ? base + half : base;
+      len -= half;
+    }
+    return len == 1 && base->field(0) == x ? base : nullptr;
   }
 
   Decoded decode_cluster_msg(const bcc::Message& msg) const {
@@ -269,7 +356,7 @@ class ProbabilisticSpanner::Impl {
     d.has = msg.field(1) != 0;
     if (d.has) {
       d.u = msg.field(2);
-      d.w = static_cast<double>(msg.field(3));
+      d.w = weight_from_field(msg.field(3));
     }
     return d;
   }
@@ -284,8 +371,9 @@ class ProbabilisticSpanner::Impl {
   //      (the sort would have reached u first, so u was sampled and failed)
   //   3. accepted u' == u          -> (u,v) exists
   //   otherwise (u' before u)      -> no information, edge stays undecided.
-  void deduce(graph::VertexId u, graph::EdgeId e, const Decoded& d) {
-    auto& slot = belief_[e][side_of(e, u)];
+  // `slot` is u's belief about e.
+  void deduce(EdgeDecision& slot, graph::VertexId u, graph::EdgeId e,
+              const Decoded& d) const {
     if (!d.has) {
       slot = EdgeDecision::kDeleted;
       return;
@@ -298,10 +386,6 @@ class ProbabilisticSpanner::Impl {
     const Candidate theirs{d.u, kNone, d.w};
     if (candidate_less(mine, theirs)) slot = EdgeDecision::kDeleted;
     // else: u' precedes u, nothing learned.
-  }
-
-  bool believed_deleted(graph::VertexId u, graph::EdgeId e) const {
-    return belief_[e][side_of(e, u)] == EdgeDecision::kDeleted;
   }
 
   // --- step 1: cluster marking -------------------------------------------
@@ -353,9 +437,9 @@ class ProbabilisticSpanner::Impl {
             return exists;
           });
       for (std::size_t i = 0; i < grp.rejected; ++i) {
-        record_decider_belief(v, first[i].e);
+        record_decider_belief(v, first[i]);
       }
-      if (grp.accepted()) record_decider_belief(v, first[grp.rejected].e);
+      if (grp.accepted()) record_decider_belief(v, first[grp.rejected]);
     }
   }
 
@@ -404,11 +488,10 @@ class ProbabilisticSpanner::Impl {
       sc.cands.clear();
       sc.groups.clear();
       if (!in_unmarked_cluster(v)) return;
-      for (graph::EdgeId e : g_.incident(v)) {
-        if (!edge_usable(e)) continue;
-        const graph::VertexId u = g_.other_endpoint(e, v);
-        if (in_marked_cluster(u)) sc.cands.push_back({u, e, weight(e)});
-      }
+      collect(v, sc, [&](const Candidate& c) {
+        const bool marked = in_marked_cluster(c.u);
+        return not_deleted(c.e) & marked;
+      });
       sc.groups.push_back({kNone, 0, sc.cands.size()});
     });
 
@@ -427,15 +510,20 @@ class ProbabilisticSpanner::Impl {
     const bcc::Inboxes inboxes = net_.exchange(planned_, "spanner/step2");
     net_.context().parallel_for(0, n_, [&](std::size_t u) {
       const bool eligible = in_marked_cluster(u);
-      for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
-        const Decoded d = decode_step2(inboxes.message(dl));
-        const graph::EdgeId e = dl.edge;
-        // Every neighbour learns W_v (needed for step-3 eligibility).
-        w_seen_[e][side_of(e, u)] = d.has ? d.w : kInf;
-        // Deduction applies only if u was in v's candidate set: u in a
-        // marked cluster and the edge not already settled as deleted.
-        if (!eligible || !available(e) || believed_deleted(u, e)) continue;
-        deduce(u, e, d);
+      for (const bcc::Inboxes::FromSender& from : inboxes.from(u)) {
+        const graph::EdgeId e = from.edge;
+        const std::size_t s = side(u, from.sender);
+        EdgeDecision& slot = belief_[e][s];
+        for (const bcc::Message& msg : from.messages) {
+          const Decoded d = decode_step2(msg);
+          // Every neighbour learns W_v (needed for step-3 eligibility).
+          w_seen_[e][s] = d.has ? d.w : kInf;
+          // Deduction applies only if u was in v's candidate set: u in a
+          // marked cluster and the edge not already settled as deleted.
+          if (!eligible || !available(e)) continue;
+          if (slot == EdgeDecision::kDeleted) continue;
+          deduce(slot, u, e, d);
+        }
       }
     });
   }
@@ -450,17 +538,17 @@ class ProbabilisticSpanner::Impl {
       sc.cands.clear();
       sc.groups.clear();
       if (!in_unmarked_cluster(v)) return;
+      // Target clusters x with lo <= x < hi: below or above v's own.
       const std::size_t own = cluster_[v];
-      for (graph::EdgeId e : g_.incident(v)) {
-        if (!edge_usable(e)) continue;
-        if (weight(e) > w_threshold_[v]) continue;
-        const graph::VertexId u = g_.other_endpoint(e, v);
-        if (!in_unmarked_cluster(u)) continue;
-        const std::size_t x = cluster_[u];
-        if (x == own) continue;
-        if (lower_ids ? (x > own) : (x < own)) continue;
-        sc.cands.push_back({u, e, weight(e)});
-      }
+      const std::size_t lo = lower_ids ? 0 : own + 1;
+      const std::size_t hi = lower_ids ? own : kNone;
+      const double threshold = w_threshold_[v];
+      collect(v, sc, [&](const Candidate& c) {
+        const std::size_t x = cluster_[c.u];
+        const bool eligible = not_deleted(c.e) & (c.weight <= threshold) &
+                              (x >= lo) & (x < hi);
+        return eligible && !marked_[x];
+      });
       group_by_cluster(sc);
     });
 
@@ -475,15 +563,20 @@ class ProbabilisticSpanner::Impl {
         planned_, lower_ids ? "spanner/step3.1" : "spanner/step3.2");
     net_.context().parallel_for(0, n_, [&](std::size_t u) {
       if (!in_unmarked_cluster(u)) return;
-      for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
-        const Decoded d = decode_cluster_msg(inboxes.message(dl));
-        if (d.cluster != cluster_[u]) continue;
-        const graph::EdgeId e = dl.edge;
-        if (!available(e)) continue;
+      const std::size_t own = cluster_[u];
+      for (const bcc::Inboxes::FromSender& from : inboxes.from(u)) {
+        const graph::EdgeId e = from.edge;
+        const std::size_t s = side(u, from.sender);
+        EdgeDecision& slot = belief_[e][s];
         // Eligibility: w(u,v) <= W_v, learned from v's step-2 broadcast.
-        if (weight(e) > w_seen_[e][side_of(e, u)]) continue;
-        if (believed_deleted(u, e)) continue;
-        deduce(u, e, d);
+        // The three filters are plain loads, combined without branching.
+        const bool live = available(e);
+        const bool light = weight(e) <= w_seen_[e][s];
+        const bool open = slot != EdgeDecision::kDeleted;
+        if (!(live & light & open)) continue;
+        if (const bcc::Message* msg = addressed_to(from.messages, own)) {
+          deduce(slot, u, e, decode_cluster_msg(*msg));
+        }
       }
     });
   }
@@ -507,21 +600,16 @@ class ProbabilisticSpanner::Impl {
         NodeScratch& sc = scratch_[v];
         sc.cands.clear();
         sc.groups.clear();
-        const bool clustered = cluster_[v] != kNone;
-        if (sub == 1 && clustered) return;
-        if (sub != 1 && !clustered) return;
-        for (graph::EdgeId e : g_.incident(v)) {
-          if (!edge_usable(e)) continue;
-          const graph::VertexId u = g_.other_endpoint(e, v);
-          if (cluster_[u] == kNone) continue;
-          const std::size_t x = cluster_[u];
-          if (clustered) {
-            if (x == cluster_[v]) continue;
-            if (sub == 2 && x > cluster_[v]) continue;
-            if (sub == 3 && x < cluster_[v]) continue;
-          }
-          sc.cands.push_back({u, e, weight(e)});
-        }
+        const std::size_t own = cluster_[v];
+        if ((sub == 1) != (own == kNone)) return;
+        // Target clusters x with lo <= x < hi: any cluster for an
+        // unclustered node, else those below (4.2) or above (4.3) its own.
+        const std::size_t lo = sub == 3 ? own + 1 : 0;
+        const std::size_t hi = sub == 2 ? own : kNone;
+        collect(v, sc, [&](const Candidate& c) {
+          const std::size_t x = cluster_[c.u];
+          return not_deleted(c.e) & (x >= lo) & (x < hi);
+        });
         group_by_cluster(sc);
       });
 
@@ -534,13 +622,17 @@ class ProbabilisticSpanner::Impl {
       // Phase C.
       const bcc::Inboxes inboxes = net_.exchange(planned_, "spanner/step4");
       net_.context().parallel_for(0, n_, [&](std::size_t u) {
-        if (cluster_[u] == kNone) return;
-        for (const bcc::Inboxes::Delivery& dl : inboxes[u]) {
-          const Decoded d = decode_cluster_msg(inboxes.message(dl));
-          if (d.cluster != cluster_[u]) continue;
-          const graph::EdgeId e = dl.edge;
-          if (!available(e) || believed_deleted(u, e)) continue;
-          deduce(u, e, d);
+        const std::size_t own = cluster_[u];
+        if (own == kNone) return;
+        for (const bcc::Inboxes::FromSender& from : inboxes.from(u)) {
+          const graph::EdgeId e = from.edge;
+          EdgeDecision& slot = belief_[e][side(u, from.sender)];
+          const bool live = available(e);
+          const bool open = slot != EdgeDecision::kDeleted;
+          if (!(live & open)) continue;
+          if (const bcc::Message* msg = addressed_to(from.messages, own)) {
+            deduce(slot, u, e, decode_cluster_msg(*msg));
+          }
         }
       });
     }
@@ -572,15 +664,23 @@ class ProbabilisticSpanner::Impl {
   std::size_t m_;
   std::size_t k_;
   bool pure_oracle_ = false;
+  // Weight field: the integer weight in bits_w_ bits when integer_weights_,
+  // else the 64-bit order key.
+  bool integer_weights_ = true;
   int bits_w_ = 1;
 
-  // Current integer weights: the caller's vector, or graph_weights_ when
-  // the caller passed none.
+  // Current weights: the caller's vector, or graph_weights_ when the caller
+  // passed none.
   const std::vector<double>* weights_;
   std::vector<double> graph_weights_;
   // This run's eligible edges: the caller's vector, or all_available_.
   const std::vector<bool>* avail_ = nullptr;
   std::vector<bool> all_available_;
+  // This run's live adjacency: node v's available edges, as (neighbour,
+  // edge, weight) candidates in incident order, at
+  // live_[live_offsets_[v] .. live_offsets_[v + 1]).
+  std::vector<std::size_t> live_offsets_;
+  std::vector<Candidate> live_;
 
   std::vector<EdgeDecision> decision_;
   std::vector<bool> in_f_plus_;

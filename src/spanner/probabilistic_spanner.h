@@ -22,7 +22,7 @@
 // process-global pool.
 //
 // `net` must be a Broadcast CONGEST network over g's topology: receivers
-// identify the edge a message arrived on from the network's delivery, not
+// identify the edge a message arrived on from the network's inbox view, not
 // by searching g (std::invalid_argument for a clique network or a node
 // count other than g's).
 #pragma once
@@ -51,7 +51,9 @@ struct ProbabilisticSpannerOptions {
   // Edges eligible for this run (empty = all). Ineligible edges are
   // invisible to the algorithm.
   std::vector<bool> available;
-  // Current (possibly rescaled) integer weights; empty = graph weights.
+  // Current (possibly rescaled) weights; empty = graph weights. Integer
+  // weights travel in ceil(log2 W) bits; any other finite weight travels
+  // exactly, as a 64-bit field.
   std::vector<double> weights;
   // Declares the existence oracle a pure function of the edge id (no
   // internal state advanced per call — the sparsifier's survival coins
@@ -92,6 +94,8 @@ class ProbabilisticSpanner {
   ProbabilisticSpanner& operator=(const ProbabilisticSpanner&) = delete;
 
   // One spanner over the edges e with available[e] (empty = all edges).
+  // Throws std::invalid_argument if an available edge's weight is not
+  // finite.
   ProbabilisticSpannerResult run(const std::vector<bool>& available);
 
  private:

@@ -1,6 +1,8 @@
 #include "common/encoding.h"
 
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -76,6 +78,22 @@ TEST(Encoding, EmptyPayloadCostsNoRounds) {
   for (std::int64_t bw : {-1, 0, 1, 16, 1024}) {
     EXPECT_EQ(rounds_for_bits(0, bw), 0) << "bandwidth " << bw;
     EXPECT_EQ(rounds_for_bits(-5, bw), 0) << "bandwidth " << bw;
+  }
+}
+
+TEST(Encoding, OrderKeyIsExactAndMonotone) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {-inf,  -1e300, -2.5, -1e-300, -0.0, 0.0,
+                           1e-300, 1e-3,  0.25, 1.0,     1.25, 3.0,
+                           1e300,  inf};
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const std::uint64_t key = order_key(values[i]);
+    const double back = from_order_key(key);
+    EXPECT_EQ(std::signbit(back), std::signbit(values[i])) << i;
+    EXPECT_EQ(back, values[i]) << i;
+    if (i > 0) {
+      EXPECT_LT(order_key(values[i - 1]), key) << i;
+    }
   }
 }
 

@@ -2,14 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/generators.h"
 #include "support/fixtures.h"
 
 namespace bcclap::bcc {
 namespace {
+
+// One delivered message as recipient v sees it through the view.
+struct Delivered {
+  std::size_t sender;
+  graph::EdgeId edge;
+  const Message* message;
+};
+
+// Recipient v's messages, flattened in view order (ascending sender, then
+// outbox position).
+std::vector<Delivered> received(const Inboxes& in, std::size_t v) {
+  std::vector<Delivered> out;
+  for (const Inboxes::FromSender& from : in.from(v)) {
+    EXPECT_FALSE(from.messages.empty()) << v << " <- " << from.sender;
+    for (const Message& m : from.messages) {
+      out.push_back({from.sender, from.edge, &m});
+    }
+  }
+  return out;
+}
+
+// Total messages received over every recipient.
+std::size_t total_received(const Inboxes& in) {
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < in.size(); ++v) total += received(in, v).size();
+  return total;
+}
 
 TEST(Message, FieldsAndBits) {
   Message m;
@@ -65,10 +94,11 @@ TEST(Network, BccDeliversToEveryone) {
   std::vector<std::vector<Message>> out(4);
   out[1].push_back(Message().push_flag(true));
   const auto in = net.exchange(out, "step");
-  EXPECT_TRUE(in[1].empty());  // no self-delivery
+  EXPECT_TRUE(received(in, 1).empty());  // no self-delivery
   for (std::size_t v : {0u, 2u, 3u}) {
-    ASSERT_EQ(in[v].size(), 1u);
-    EXPECT_EQ(in[v][0].sender, 1u);
+    const auto got = received(in, v);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].sender, 1u);
   }
   EXPECT_EQ(net.accountant().total(), 1);
 }
@@ -81,9 +111,9 @@ TEST(Network, BcDeliversAlongEdgesOnly) {
   std::vector<std::vector<Message>> out(4);
   out[1].push_back(Message().push_flag(false));
   const auto in = net.exchange(out, "step");
-  EXPECT_EQ(in[0].size(), 1u);
-  EXPECT_EQ(in[2].size(), 1u);
-  EXPECT_TRUE(in[3].empty());  // not a neighbour of 1
+  EXPECT_EQ(received(in, 0).size(), 1u);
+  EXPECT_EQ(received(in, 2).size(), 1u);
+  EXPECT_TRUE(received(in, 3).empty());  // not a neighbour of 1
 }
 
 TEST(Network, RoundsAreMaxOverNodes) {
@@ -169,21 +199,32 @@ TEST(Network, BcDeliveriesCarryLowestEdgeIdOncePerNeighbour) {
     }
     std::size_t expected = 0;
     for (std::size_t s_id : neighbours) expected += out[s_id].size();
-    ASSERT_EQ(in[recv].size(), expected) << recv;
+    const auto got = received(in, recv);
+    ASSERT_EQ(got.size(), expected) << recv;
     total += expected;
     std::size_t prev_sender = 0;
-    for (std::size_t i = 0; i < in[recv].size(); ++i) {
-      const auto& d = in[recv][i];
+    for (const Delivered& d : got) {
       EXPECT_TRUE(neighbours.count(d.sender)) << recv;
       EXPECT_GE(d.sender, prev_sender) << recv;  // ascending sender ids
       prev_sender = d.sender;
       const auto found = g.find_edge(recv, d.sender);
       ASSERT_TRUE(found.has_value());
       EXPECT_EQ(d.edge, *found) << recv << " <- " << d.sender;
-      EXPECT_EQ(in.message(d).field(0), d.sender);
+      EXPECT_EQ(d.message->field(0), d.sender);
     }
+    // The view yields each sender once, strictly ascending.
+    std::size_t senders = 0;
+    std::size_t last = 0;
+    for (const Inboxes::FromSender& from : in.from(recv)) {
+      if (senders++ > 0) {
+        EXPECT_GT(from.sender, last) << recv;
+      }
+      last = from.sender;
+      EXPECT_EQ(from.messages.size(), out[from.sender].size());
+    }
+    EXPECT_EQ(senders, neighbours.size()) << recv;
   }
-  EXPECT_EQ(in.num_deliveries(), total);
+  EXPECT_EQ(total_received(in), total);
 }
 
 TEST(Network, BcMultigraphDeliveryUsesLowestParallelEdge) {
@@ -196,11 +237,13 @@ TEST(Network, BcMultigraphDeliveryUsesLowestParallelEdge) {
   std::vector<std::vector<Message>> out(3);
   out[1].push_back(Message().push_flag(true));
   const Inboxes in = net.exchange(out, "step");
-  ASSERT_EQ(in[0].size(), 1u);
-  EXPECT_EQ(in[0][0].edge, 0u);
-  ASSERT_EQ(in[2].size(), 1u);
-  EXPECT_EQ(in[2][0].edge, 1u);
-  EXPECT_TRUE(in[1].empty());
+  const auto at0 = received(in, 0);
+  ASSERT_EQ(at0.size(), 1u);
+  EXPECT_EQ(at0[0].edge, 0u);
+  const auto at2 = received(in, 2);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(at2[0].edge, 1u);
+  EXPECT_TRUE(received(in, 1).empty());
 }
 
 TEST(Network, BccDeliveriesCarryNoEdge) {
@@ -211,12 +254,12 @@ TEST(Network, BccDeliveriesCarryNoEdge) {
   out[3].push_back(Message().push_flag(true));
   const Inboxes in = net.exchange(out, "step");
   for (std::size_t v = 0; v < 5; ++v) {
-    for (const auto& d : in[v]) EXPECT_EQ(d.edge, kNoEdge) << v;
+    for (const auto& d : received(in, v)) EXPECT_EQ(d.edge, kNoEdge) << v;
   }
-  EXPECT_EQ(in[1].size(), 3u);
-  EXPECT_EQ(in[0].size(), 2u);
-  EXPECT_EQ(in[3].size(), 1u);
-  EXPECT_EQ(in.num_deliveries(), 4u * 1 + 4u * 2);  // n - 1 recipients each
+  EXPECT_EQ(received(in, 1).size(), 3u);
+  EXPECT_EQ(received(in, 0).size(), 2u);
+  EXPECT_EQ(received(in, 3).size(), 1u);
+  EXPECT_EQ(total_received(in), 4u * 1 + 4u * 2);  // n - 1 recipients each
 }
 
 TEST(Network, DefaultBandwidthIsThetaLogN) {
@@ -251,7 +294,7 @@ TEST(Network, SingleNodeBccExchange) {
   const auto in = net.exchange(out, "solo");
   // No other node exists; the broadcast still costs its round.
   ASSERT_EQ(in.size(), 1u);
-  EXPECT_TRUE(in[0].empty());
+  EXPECT_TRUE(received(in, 0).empty());
   EXPECT_EQ(net.accountant().total(), 1);
 }
 
@@ -263,9 +306,10 @@ TEST(Network, TwoNodeExchangeFitsMinimalMessageInOneRound) {
   out[0].push_back(
       Message().push_flag(true).push_id(1, 2).push_id(0, 2).push(1, 1));
   const auto in = net.exchange(out, "pair");
-  ASSERT_EQ(in[1].size(), 1u);
-  EXPECT_EQ(in[1][0].sender, 0u);
-  EXPECT_EQ(in.message(in[1][0]).total_bits(), 4);
+  const auto got = received(in, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].sender, 0u);
+  EXPECT_EQ(got[0].message->total_bits(), 4);
   EXPECT_EQ(net.accountant().total(), 1);
 }
 
@@ -277,10 +321,12 @@ TEST(Network, TwoNodeBcExchange) {
   out[0].push_back(Message().push_id(0, 2));
   out[1].push_back(Message().push_id(1, 2));
   const auto in = net.exchange(out, "pair");
-  ASSERT_EQ(in[0].size(), 1u);
-  EXPECT_EQ(in[0][0].sender, 1u);
-  ASSERT_EQ(in[1].size(), 1u);
-  EXPECT_EQ(in[1][0].sender, 0u);
+  const auto at0 = received(in, 0);
+  ASSERT_EQ(at0.size(), 1u);
+  EXPECT_EQ(at0[0].sender, 1u);
+  const auto at1 = received(in, 1);
+  ASSERT_EQ(at1.size(), 1u);
+  EXPECT_EQ(at1[0].sender, 0u);
 }
 
 TEST(Network, MessagesOrderedBySender) {
@@ -291,10 +337,74 @@ TEST(Network, MessagesOrderedBySender) {
   out[0].push_back(Message().push(0, 4));
   out[2].push_back(Message().push(2, 4));
   const auto in = net.exchange(out, "step");
-  ASSERT_EQ(in[1].size(), 3u);
-  EXPECT_EQ(in[1][0].sender, 0u);
-  EXPECT_EQ(in[1][1].sender, 2u);
-  EXPECT_EQ(in[1][2].sender, 3u);
+  const auto got = received(in, 1);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].sender, 0u);
+  EXPECT_EQ(got[1].sender, 2u);
+  EXPECT_EQ(got[2].sender, 3u);
+}
+
+// A BC sender's messages reach each neighbour as one contiguous slice in
+// outbox order; silent neighbours are not yielded at all.
+TEST(Network, BcSenderSliceKeepsOutboxOrder) {
+  graph::Graph g(4);
+  g.add_edge(0, 1, 1.0);  // edge 0
+  g.add_edge(0, 2, 1.0);  // edge 1
+  g.add_edge(0, 3, 1.0);  // edge 2
+  auto net = testsupport::bc_net(g);
+  std::vector<std::vector<Message>> out(4);
+  out[2].push_back(Message().push(5, 4));
+  out[2].push_back(Message().push(3, 4));
+  out[2].push_back(Message().push(9, 4));
+  out[3].push_back(Message().push(1, 4));
+  const Inboxes in = net.exchange(out, "step");
+  std::vector<std::size_t> senders;
+  for (const Inboxes::FromSender& from : in.from(0)) {
+    senders.push_back(from.sender);
+    if (from.sender == 2) {
+      EXPECT_EQ(from.edge, 1u);
+      ASSERT_EQ(from.messages.size(), 3u);
+      EXPECT_EQ(from.messages[0].field(0), 5u);
+      EXPECT_EQ(from.messages[1].field(0), 3u);
+      EXPECT_EQ(from.messages[2].field(0), 9u);
+    }
+  }
+  EXPECT_EQ(senders, (std::vector<std::size_t>{2, 3}));  // 1 is silent
+}
+
+// The view owns its messages and shares the network's link table, so it
+// stays readable after being moved out of the scope of its Network.
+TEST(Network, InboxesOutliveTheirNetwork) {
+  graph::Graph g(3);
+  g.add_edge(0, 1, 1.0);  // edge 0
+  g.add_edge(1, 2, 1.0);  // edge 1
+  g.add_edge(2, 1, 1.0);  // edge 2, parallel to edge 1
+  Inboxes kept;
+  {
+    auto net = std::make_unique<Network>(
+        Model::kBroadcastCongest, g, Network::default_bandwidth(3),
+        testsupport::test_context());
+    std::vector<std::vector<Message>> out(3);
+    out[1].push_back(Message().push_id(1, 3));
+    out[2].push_back(Message().push_id(2, 3));
+    Inboxes in = net->exchange(out, "step");
+    net.reset();
+    kept = std::move(in);
+  }
+  ASSERT_EQ(kept.size(), 3u);
+  const auto at0 = received(kept, 0);
+  ASSERT_EQ(at0.size(), 1u);
+  EXPECT_EQ(at0[0].sender, 1u);
+  EXPECT_EQ(at0[0].edge, 0u);
+  EXPECT_EQ(at0[0].message->field(0), 1u);
+  const auto at1 = received(kept, 1);
+  ASSERT_EQ(at1.size(), 1u);
+  EXPECT_EQ(at1[0].sender, 2u);
+  EXPECT_EQ(at1[0].edge, 1u);  // lowest of the parallel pair
+  const auto at2 = received(kept, 2);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(at2[0].sender, 1u);
+  EXPECT_EQ(total_received(kept), 3u);
 }
 
 }  // namespace

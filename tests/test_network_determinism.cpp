@@ -48,20 +48,33 @@ bool same_message(const Message& a, const Message& b) {
   if (a.size() != b.size())
     return ::testing::AssertionFailure() << "node count differs";
   for (std::size_t v = 0; v < a.size(); ++v) {
-    if (a[v].size() != b[v].size())
+    const auto from_a = a.from(v);
+    const auto from_b = b.from(v);
+    auto ia = from_a.begin();
+    auto ib = from_b.begin();
+    std::size_t slot = 0;
+    for (; ia != from_a.end() && ib != from_b.end(); ++ia, ++ib) {
+      const Inboxes::FromSender sa = *ia;
+      const Inboxes::FromSender sb = *ib;
+      if (sa.sender != sb.sender)
+        return ::testing::AssertionFailure()
+               << "sender order differs at node " << v << " slot " << slot;
+      if (sa.edge != sb.edge)
+        return ::testing::AssertionFailure()
+               << "delivery edge differs at node " << v << " slot " << slot;
+      if (sa.messages.size() != sb.messages.size())
+        return ::testing::AssertionFailure()
+               << "message count differs at node " << v << " slot " << slot;
+      for (std::size_t i = 0; i < sa.messages.size(); ++i) {
+        if (!same_message(sa.messages[i], sb.messages[i]))
+          return ::testing::AssertionFailure()
+                 << "message bytes differ at node " << v << " slot " << slot;
+      }
+      ++slot;
+    }
+    if (ia != from_a.end() || ib != from_b.end())
       return ::testing::AssertionFailure()
              << "inbox size differs at node " << v;
-    for (std::size_t i = 0; i < a[v].size(); ++i) {
-      if (a[v][i].sender != b[v][i].sender)
-        return ::testing::AssertionFailure()
-               << "sender order differs at node " << v << " slot " << i;
-      if (a[v][i].edge != b[v][i].edge)
-        return ::testing::AssertionFailure()
-               << "delivery edge differs at node " << v << " slot " << i;
-      if (!same_message(a.message(a[v][i]), b.message(b[v][i])))
-        return ::testing::AssertionFailure()
-               << "message bytes differ at node " << v << " slot " << i;
-    }
   }
   return ::testing::AssertionSuccess();
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "graph/generators.h"
 #include "spanner/baswana_sen.h"
 #include "spanner/cluster.h"
+#include "sparsify/spectral_sparsify.h"
 #include "support/fixtures.h"
 
 namespace bcclap::spanner {
@@ -183,6 +186,100 @@ TEST(ProbSpanner, RoundsScaleWithWeightBits) {
   const auto r2 =
       spanner_with_probabilistic_edges(g2, opt, always, marks2, net2);
   EXPECT_GT(r2.rounds, r1.rounds);
+}
+
+// G(48, 0.4) with integer weights in [1, 8], reweighted edge by edge.
+template <typename Reweight>
+graph::Graph reweighted_gnp(Reweight&& reweight) {
+  rng::Stream gstream(3);
+  const auto base = graph::random_connected_gnp(48, 0.4, 8, gstream);
+  graph::Graph g(base.num_vertices());
+  for (const auto& e : base.edges()) g.add_edge(e.u, e.v, reweight(e));
+  return g;
+}
+
+graph::Graph fractional_weights() {
+  return reweighted_gnp([](const graph::Edge& e) {
+    return e.weight + 0.25 * static_cast<double>((e.u + e.v) % 3);
+  });
+}
+
+graph::Graph integer_weights() {
+  return reweighted_gnp([](const graph::Edge& e) { return e.weight; });
+}
+
+graph::Graph sub_unit_weights() {
+  return reweighted_gnp([](const graph::Edge& e) { return e.weight * 1e-3; });
+}
+
+// Receivers compare against the exact weight, so non-integer weights must
+// reach them exactly: rounding them on the wire breaks the deduction rules
+// (rule 2 compares (w, u) pairs) and the step-3 eligibility threshold.
+void expect_exact_deduction(const graph::Graph& g) {
+  for (const std::size_t k : {2u, 3u}) {
+    auto net = bc_net(g);
+    rng::Stream marks(5);
+    rng::Stream edges(6);
+    ProbabilisticSpannerOptions opt;
+    opt.k = k;
+    const ExistenceOracle oracle = [&](graph::EdgeId) {
+      return edges.bernoulli(0.5);
+    };
+    const auto res =
+        spanner_with_probabilistic_edges(g, opt, oracle, marks, net);
+    EXPECT_TRUE(res.deduction_consistent) << k;
+  }
+  // The sparsifier's bundles (k = 2, t = 4) over the same weights.
+  auto net = bc_net(g);
+  const auto opt = testsupport::small_sparsify_options(1.0, 2, 4);
+  const auto res =
+      sparsify::spectral_sparsify(net.context().with_seed(3), g, opt, net);
+  EXPECT_TRUE(res.deduction_consistent);
+}
+
+TEST(ProbSpanner, FractionalWeightsDeduceExactly) {
+  expect_exact_deduction(fractional_weights());
+}
+
+TEST(ProbSpanner, SubUnitWeightsDeduceExactly) {
+  expect_exact_deduction(sub_unit_weights());
+}
+
+// A non-integer weight travels as a 64-bit field, so the same topology
+// costs more rounds than with its integer weights; integer runs keep the
+// ceil(log2 W)-bit field.
+TEST(ProbSpanner, NonIntegerWeightsAreChargedSixtyFourBits) {
+  const ExistenceOracle always = [](graph::EdgeId) { return true; };
+  ProbabilisticSpannerOptions opt;
+  opt.k = 2;
+  const auto rounds_of = [&](const graph::Graph& g) {
+    auto net = bc_net(g);
+    rng::Stream marks(9);
+    return spanner_with_probabilistic_edges(g, opt, always, marks, net).rounds;
+  };
+  EXPECT_GT(rounds_of(sub_unit_weights()), rounds_of(integer_weights()));
+}
+
+TEST(ProbSpanner, NonFiniteWeightsThrow) {
+  rng::Stream gstream(91);
+  const auto g = graph::random_connected_gnp(12, 0.5, 3, gstream);
+  const ExistenceOracle always = [](graph::EdgeId) { return true; };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto net = bc_net(g);
+    rng::Stream marks(92);
+    ProbabilisticSpannerOptions opt;
+    opt.weights = testsupport::edge_weights(g);
+    opt.weights[1] = bad;
+    EXPECT_THROW(spanner_with_probabilistic_edges(g, opt, always, marks, net),
+                 std::invalid_argument);
+    // An unavailable edge's weight is never sent, so it is not checked.
+    opt.available.assign(g.num_edges(), true);
+    opt.available[1] = false;
+    EXPECT_NO_THROW(
+        spanner_with_probabilistic_edges(g, opt, always, marks, net));
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "core/runtime.h"
 #include "graph/generators.h"
+#include "spanner/probabilistic_spanner.h"
 #include "sparsify/spectral_sparsify.h"
 #include "support/fixtures.h"
 #include "support/fnv.h"
@@ -47,22 +48,54 @@ void expect_pin(const Pin& got, const Pin& want) {
   EXPECT_EQ(got.deduction_consistent, want.deduction_consistent);
 }
 
-// Algorithm 5 (k = 2, bundle size t) on a BC network over g, inside a
-// dedicated `threads`-worker Runtime. `iterations` = 0 keeps the paper's
-// ceil(log2 m) outer iterations.
+// Algorithm 5 (stretch parameter k, bundle size t) on a BC network over g,
+// inside a dedicated `threads`-worker Runtime. `iterations` = 0 keeps the
+// paper's ceil(log2 m) outer iterations.
 Pin run_adhoc(const graph::Graph& g, std::uint64_t seed,
                    std::size_t threads, std::size_t t = 4,
-                   std::size_t iterations = 0) {
+                   std::size_t iterations = 0, std::size_t k = 2) {
   RuntimeOptions opts;
   opts.threads = threads;
   Runtime rt(opts);
   auto net = testsupport::bc_net(rt.context(), g);
-  auto opt = testsupport::small_sparsify_options(1.0, 2, t);
+  auto opt = testsupport::small_sparsify_options(1.0, k, t);
   opt.iterations = iterations;
   const auto res =
       sparsify::spectral_sparsify(rt.context().with_seed(seed), g, opt, net);
   return {edge_list_hash(res.sparsifier), res.stats.rounds,
           net.accountant().breakdown(), res.deduction_consistent};
+}
+
+// One standalone Section 3.1 spanner (stretch parameter k) under a
+// stateful Bernoulli(1/2) oracle: the oracle draws from a sequential
+// stream, so the pin also covers the engine's ordered sampling path. The
+// hash runs over F+, F- and the orientation, in output order.
+Pin run_stateful_spanner(const graph::Graph& g, std::size_t k,
+                         std::size_t threads) {
+  RuntimeOptions opts;
+  opts.threads = threads;
+  Runtime rt(opts);
+  auto net = testsupport::bc_net(rt.context(), g);
+  rng::Stream marks(11);
+  rng::Stream coins(13);
+  spanner::ProbabilisticSpannerOptions opt;
+  opt.k = k;
+  opt.pure_oracle = false;
+  const spanner::ExistenceOracle oracle = [&](graph::EdgeId) {
+    return coins.bernoulli(0.5);
+  };
+  const auto res =
+      spanner::spanner_with_probabilistic_edges(g, opt, oracle, marks, net);
+  testsupport::Fnv hash;
+  for (const auto* ids : {&res.f_plus, &res.f_minus}) {
+    hash.feed(static_cast<std::uint64_t>(ids->size()));
+    for (graph::EdgeId e : *ids) hash.feed(static_cast<std::uint64_t>(e));
+  }
+  for (graph::VertexId v : res.out_vertex) {
+    hash.feed(static_cast<std::uint64_t>(v));
+  }
+  return {hash.value(), res.rounds, net.accountant().breakdown(),
+          res.deduction_consistent};
 }
 
 Pin run_apriori(const graph::Graph& g, std::uint64_t seed,
@@ -158,6 +191,31 @@ TEST_P(SuperstepGolden, WeightedMultigraph) {
                   {"sparsify/final-sample", 0}},
                  false};
   expect_pin(run_adhoc(multigraph(), 41, GetParam()), want);
+}
+
+// k = 3 runs two step-3 phases (and two step-1/step-2 phases) per
+// spanner, a path the k = 2 cases never reach.
+TEST_P(SuperstepGolden, Gnp64StretchThree) {
+  const Pin want{16427370059418926864ull, 2879,
+                 {{"spanner/step1", 120},
+                  {"spanner/step2", 159},
+                  {"spanner/step3.1", 1080},
+                  {"spanner/step3.2", 1018},
+                  {"spanner/step4", 502},
+                  {"sparsify/final-sample", 0}},
+                 true};
+  expect_pin(run_adhoc(gnp(64, 8), 17, GetParam(), 4, 0, 3), want);
+}
+
+TEST_P(SuperstepGolden, StatefulOracleSpanner) {
+  const Pin want{6944301005939755795ull, 86,
+                 {{"spanner/step1", 3},
+                  {"spanner/step2", 4},
+                  {"spanner/step3.1", 25},
+                  {"spanner/step3.2", 34},
+                  {"spanner/step4", 20}},
+                 true};
+  expect_pin(run_stateful_spanner(gnp(48, 31), 3, GetParam()), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SuperstepGolden, ::testing::Values(1, 4));
