@@ -8,7 +8,7 @@
 #include "core/runtime.h"
 #include "graph/generators.h"
 #include "graph/laplacian.h"
-#include "laplacian/solver.h"
+#include "laplacian/prepared.h"
 #include "linalg/cg.h"
 #include "sparsify/spectral_sparsify.h"
 #include "sparsify/verifier.h"
@@ -71,20 +71,28 @@ void BM_AblationPreconditioning(benchmark::State& state) {
   opt.epsilon = 0.5;
   opt.k = 2;
   opt.t = 3;
-  laplacian::SparsifiedLaplacianSolver solver(gb_context(11), g,
-                                              opt);
+  const auto solver =
+      laplacian::prepare_sparsified_chebyshev(gb_context(11), g, opt);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
+  const auto b_panel = linalg::DenseMatrix::from_columns({b});
 
   double cheb_iters = 0, cg_iters = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
-    laplacian::SolveStats stats;
-    benchmark::DoNotOptimize(solver.solve(b, 1e-8, &stats));
+    core::RunStats stats;
+    benchmark::DoNotOptimize(solver->apply(gb_context(11), b, eopt, &stats));
     cheb_iters += static_cast<double>(stats.iterations);
     const auto ctx = gb_context();
-    const auto cg = linalg::conjugate_gradient(
-        [&lap, ctx](const linalg::Vec& x) { return lap.multiply(ctx, x); }, b,
-        1e-8, 20000);
-    cg_iters += static_cast<double>(cg.iterations);
+    const auto cg = linalg::conjugate_gradient_many(
+        [&lap, ctx](const linalg::DenseMatrix& x) {
+          linalg::DenseMatrix y(x.rows(), x.cols());
+          for (std::size_t j = 0; j < x.cols(); ++j)
+            y.set_column(j, lap.multiply(ctx, x.column(j)));
+          return y;
+        },
+        b_panel, 1e-8, 20000);
+    cg_iters += static_cast<double>(cg.iterations[0]);
     ++runs;
   }
   const double r = static_cast<double>(runs);

@@ -28,6 +28,20 @@ Vec make_spectrum(std::size_t n, double kappa, rng::Stream& stream) {
   return d;
 }
 
+// The diagonal operator x -> d .* x, column by column.
+linalg::PanelOperator diag_op(const Vec& d) {
+  return [&d](const linalg::DenseMatrix& x) {
+    linalg::DenseMatrix y(x.rows(), x.cols());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      for (std::size_t j = 0; j < x.cols(); ++j) y(i, j) = d[i] * x(i, j);
+    return y;
+  };
+}
+
+const linalg::PanelOperator identity = [](const linalg::DenseMatrix& x) {
+  return x;
+};
+
 void BM_ChebyshevKappa(benchmark::State& state) {
   const double kappa = static_cast<double>(state.range(0));
   const std::size_t n = 400;
@@ -35,22 +49,19 @@ void BM_ChebyshevKappa(benchmark::State& state) {
   const Vec d = make_spectrum(n, kappa, stream);
   Vec b(n);
   for (auto& v : b) v = stream.next_gaussian();
-  const auto op = [&d](const Vec& x) {
-    Vec y(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = d[i] * x[i];
-    return y;
-  };
-  const auto id = [](const Vec& x) { return x; };
+  const auto op = diag_op(d);
+  const auto b_panel = linalg::DenseMatrix::from_columns({b});
   double cheb_iters = 0, cg_iters = 0, cheb_err = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
-    const auto cheb = linalg::preconditioned_chebyshev(op, id, b, kappa, 1e-8);
+    const auto cheb = linalg::preconditioned_chebyshev_many(
+        op, identity, b_panel, kappa, 1e-8);
     cheb_iters += static_cast<double>(cheb.iterations);
     Vec err(n);
-    for (std::size_t i = 0; i < n; ++i) err[i] = cheb.x[i] - b[i] / d[i];
+    for (std::size_t i = 0; i < n; ++i) err[i] = cheb.x(i, 0) - b[i] / d[i];
     cheb_err += linalg::norm2(err) / linalg::norm2(b);
-    const auto cg = linalg::conjugate_gradient(op, b, 1e-8, 100000);
-    cg_iters += static_cast<double>(cg.iterations);
+    const auto cg = linalg::conjugate_gradient_many(op, b_panel, 1e-8, 100000);
+    cg_iters += static_cast<double>(cg.iterations[0]);
     ++runs;
   }
   const double r = static_cast<double>(runs);
@@ -72,16 +83,13 @@ void BM_ChebyshevEps(benchmark::State& state) {
   const Vec d = make_spectrum(n, 3.0, stream);  // the Corollary 2.4 kappa
   Vec b(n);
   for (auto& v : b) v = stream.next_gaussian();
-  const auto op = [&d](const Vec& x) {
-    Vec y(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = d[i] * x[i];
-    return y;
-  };
-  const auto id = [](const Vec& x) { return x; };
+  const auto op = diag_op(d);
+  const auto b_panel = linalg::DenseMatrix::from_columns({b});
   double iters = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
-    const auto res = linalg::preconditioned_chebyshev(op, id, b, 3.0, eps);
+    const auto res = linalg::preconditioned_chebyshev_many(op, identity,
+                                                           b_panel, 3.0, eps);
     iters += static_cast<double>(res.iterations);
     ++runs;
   }

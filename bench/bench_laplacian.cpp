@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "graph/laplacian.h"
+#include "laplacian/prepared.h"
 #include "laplacian/solver.h"
 #include "linalg/cholesky.h"
 
@@ -96,21 +97,23 @@ void batched_solve_k(bench::State& s, const graph::Graph& g, std::size_t k) {
   opt.epsilon = 0.5;
   opt.k = 2;
   opt.t = 2;
-  laplacian::SparsifiedLaplacianSolver solver(bench::bench_context(4242), g,
-                                              opt);
+  const auto ctx = bench::bench_context(4242);
+  const auto solver = laplacian::prepare_sparsified_chebyshev(ctx, g, opt);
   rng::Stream bstream(n * 13 + k);
   linalg::DenseMatrix b(n, k);
   for (std::size_t j = 0; j < k; ++j) {
     for (std::size_t i = 0; i < n; ++i) b(i, j) = bstream.next_gaussian();
   }
-  laplacian::SolveStats stats;
-  const auto x = solver.solve_many(b, 1e-8, &stats);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
+  core::RunStats stats;
+  const auto x = solver->apply_many(ctx, b, eopt, &stats);
   s.counter("n", static_cast<double>(n));
   s.counter("k", static_cast<double>(k));
   s.counter("iterations", static_cast<double>(stats.iterations));
   s.counter("panel_rounds", static_cast<double>(stats.rounds));
   s.counter("preproc_rounds",
-            static_cast<double>(solver.preprocessing_rounds()));
+            static_cast<double>(solver->preprocessing_rounds()));
   double frob = 0.0;
   for (std::size_t i = 0; i < x.rows(); ++i) {
     const double* xi = x.row_data(i);
@@ -128,8 +131,8 @@ void laplacian_solve_eps(bench::State& s, int eps_exp) {
   opt.epsilon = 0.5;
   opt.k = 2;
   opt.t = 4;
-  laplacian::SparsifiedLaplacianSolver solver(bench::bench_context(1001), g,
-                                              opt);
+  const auto ctx = bench::bench_context(1001);
+  const auto solver = laplacian::prepare_sparsified_chebyshev(ctx, g, opt);
   rng::Stream bstream(6);
   linalg::Vec b(n);
   for (auto& v : b) v = bstream.next_gaussian();
@@ -139,13 +142,15 @@ void laplacian_solve_eps(bench::State& s, int eps_exp) {
   const double ref = laplacian::laplacian_norm(bench::bench_context(), g,
                                                exact);
 
-  laplacian::SolveStats stats;
-  const auto y = solver.solve(b, eps, &stats);
+  laplacian::EngineOptions eopt;
+  eopt.eps = eps;
+  core::RunStats stats;
+  const auto y = solver->apply(ctx, b, eopt, &stats);
   s.counter("eps", eps);
   s.counter("iterations", static_cast<double>(stats.iterations));
   s.counter("instance_rounds", static_cast<double>(stats.rounds));
   s.counter("preproc_rounds",
-            static_cast<double>(solver.preprocessing_rounds()));
+            static_cast<double>(solver->preprocessing_rounds()));
   s.counter("measured_err",
             laplacian::laplacian_norm(bench::bench_context(), g,
                                       linalg::sub(exact, y)) /
@@ -159,17 +164,19 @@ void laplacian_solve_n(bench::State& s, std::size_t n) {
   opt.epsilon = 0.5;
   opt.k = 2;
   opt.t = 2;
-  laplacian::SparsifiedLaplacianSolver solver(bench::bench_context(n * 7), g,
-                                              opt);
+  const auto ctx = bench::bench_context(n * 7);
+  const auto solver = laplacian::prepare_sparsified_chebyshev(ctx, g, opt);
   linalg::Vec b(n, 0.0);
   b[0] = 1.0;
   b[n - 1] = -1.0;
-  laplacian::SolveStats stats;
-  const auto y = solver.solve(b, 1e-8, &stats);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
+  core::RunStats stats;
+  const auto y = solver->apply(ctx, b, eopt, &stats);
   s.counter("n", static_cast<double>(n));
   s.counter("instance_rounds", static_cast<double>(stats.rounds));
   s.counter("preproc_rounds",
-            static_cast<double>(solver.preprocessing_rounds()));
+            static_cast<double>(solver->preprocessing_rounds()));
   s.counter("fingerprint_ynorm", linalg::norm2(y));
 }
 

@@ -20,7 +20,7 @@
 #include "graph/laplacian.h"
 #include "laplacian/bcc_solver.h"
 #include "laplacian/engine.h"
-#include "laplacian/solver.h"
+#include "laplacian/prepared.h"
 #include "linalg/amd.h"
 #include "linalg/vector_ops.h"
 #include "sparsify/verifier.h"
@@ -36,22 +36,24 @@ void pipeline_sparsify_and_solve(bench::State& s, std::size_t n) {
   opt.epsilon = 0.5;
   opt.k = 2;
   opt.t = 3;
-  laplacian::SparsifiedLaplacianSolver solver(
-      bench::bench_context(s.iteration() + 1), g, opt);
-  const auto check = sparsify::check_sparsifier(g, solver.sparsifier());
+  const auto ctx = bench::bench_context(s.iteration() + 1);
+  const auto solver = laplacian::prepare_sparsified_chebyshev(ctx, g, opt);
+  const auto check = sparsify::check_sparsifier(g, *solver->sparsifier());
   linalg::Vec b(n, 0.0);
   b[0] = 1.0;
   b[n - 1] = -1.0;
-  laplacian::SolveStats stats;
-  const auto x = solver.solve(b, 1e-8, &stats);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
+  core::RunStats stats;
+  const auto x = solver->apply(ctx, b, eopt, &stats);
 
   s.counter("n", static_cast<double>(n));
   s.counter("achieved_eps", check.valid ? check.achieved_epsilon() : 99.0);
   s.counter("preproc_rounds",
-            static_cast<double>(solver.preprocessing_rounds()));
+            static_cast<double>(solver->preprocessing_rounds()));
   s.counter("solve_rounds", static_cast<double>(stats.rounds));
   s.counter("sparsifier_edges",
-            static_cast<double>(solver.sparsifier().num_edges()));
+            static_cast<double>(solver->sparsifier()->num_edges()));
   // Determinism fingerprint: solution norm is a function of every upstream
   // choice (spanner, sampling, solver iterations).
   s.counter("fingerprint_xnorm", linalg::norm2(x));

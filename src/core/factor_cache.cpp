@@ -37,6 +37,19 @@ std::uint64_t prepare_options_hash(const laplacian::EngineOptions& opt) {
   return h;
 }
 
+FactorCacheKey make_factor_cache_key(std::string engine, const graph::Graph& g,
+                                     std::uint64_t seed,
+                                     std::size_t min_work_per_chunk,
+                                     const laplacian::EngineOptions& opt) {
+  FactorCacheKey key;
+  key.engine = std::move(engine);
+  key.fingerprint = graph::fingerprint(g);
+  key.seed = seed;
+  key.min_work_per_chunk = min_work_per_chunk;
+  key.options_hash = prepare_options_hash(opt);
+  return key;
+}
+
 std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::find_locked(
     const FactorCacheKey& key) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {

@@ -77,6 +77,15 @@ struct FactorCacheKey {
 // max_iterations) are excluded on purpose; see the header comment.
 std::uint64_t prepare_options_hash(const laplacian::EngineOptions& opt);
 
+// The one place a FactorCacheKey is filled: the concrete engine key, g's
+// fingerprint, the seed and chunking policy of the context that will
+// prepare, and prepare_options_hash(opt). The Runtime facade and the
+// solver service's admission both call it, so the two keys cannot drift.
+FactorCacheKey make_factor_cache_key(std::string engine, const graph::Graph& g,
+                                     std::uint64_t seed,
+                                     std::size_t min_work_per_chunk,
+                                     const laplacian::EngineOptions& opt);
+
 class FactorCache {
  public:
   // One consistent snapshot of the cache's size and traffic counters,

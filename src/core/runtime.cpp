@@ -13,7 +13,6 @@
 
 #include "bcc/network.h"
 #include "core/factor_cache.h"
-#include "graph/fingerprint.h"
 #include "laplacian/engine.h"
 
 namespace bcclap {
@@ -119,12 +118,9 @@ Artifact prepare_artifact(const Runtime& rt, const std::string& key,
   const auto& registry = laplacian::EngineRegistry::instance();
   const std::shared_ptr<core::FactorCache>& cache = rt.factor_cache();
   if (!cache) return {registry.prepare(key, rt.context(), g, eopt)};
-  core::FactorCacheKey ckey;
-  ckey.engine = key;
-  ckey.fingerprint = graph::fingerprint(g);
-  ckey.seed = rt.options().seed;
-  ckey.min_work_per_chunk = rt.options().min_work_per_chunk;
-  ckey.options_hash = core::prepare_options_hash(eopt);
+  const core::FactorCacheKey ckey =
+      core::make_factor_cache_key(key, g, rt.options().seed,
+                                  rt.options().min_work_per_chunk, eopt);
   // Deduplicating lookup: N concurrent cold requests for the same key run
   // ONE prepare — the first caller leads, the rest block on the in-flight
   // registration and adopt the published artifact as cache hits.

@@ -10,15 +10,18 @@
 //    analytical cost model of Lemma 5.1 (sparsify + Chebyshev). Default for
 //    the IPM benches, where wall-clock matters.
 //  - SparsifiedSddEngine: the real pipeline — Gremban reduction + spectral
-//    sparsifier + preconditioned Chebyshev. Used by the end-to-end pipeline
-//    experiment (E12) and fidelity tests.
+//    sparsifier + preconditioned Chebyshev, applied through the prepared
+//    sparsified-chebyshev artifact (laplacian/prepared.h). Used by the
+//    end-to-end pipeline experiment (E12) and fidelity tests.
+//
+// Every engine implements one solve body, the panel one (solve_many); a
+// single right-hand side is a k = 1 panel.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string_view>
 
-#include "bcc/round_accountant.h"
 #include "common/context.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/ldlt.h"
@@ -29,16 +32,17 @@ namespace bcclap::laplacian {
 class SddEngine {
  public:
   virtual ~SddEngine() = default;
-  // Solve M x = y to (at least) relative residual `eps`.
-  virtual linalg::Vec solve(const linalg::Vec& y, double eps) = 0;
 
-  // Batched multi-RHS solve: y is n x k, one right-hand side per column.
-  // The base implementation is a sequential column loop over solve() —
-  // engines with a real panel path (both engines below) override it with
-  // one that factors/sparsifies once and fans the panel out, byte-identical
-  // to the column loop (outputs and rounds) at any thread count.
+  // Batched solve M X = Y to (at least) relative residual `eps` per
+  // column: y is n x k, one right-hand side per column. The engine's one
+  // solve body; a k-column panel is byte-identical (outputs and rounds) to
+  // k one-column panels at any thread count.
   virtual linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
-                                         double eps);
+                                         double eps) = 0;
+
+  // Single right-hand side: y as an n x 1 panel through solve_many,
+  // returning column 0. Virtual only so forwarding wrappers can time it.
+  virtual linalg::Vec solve(const linalg::Vec& y, double eps);
 
   virtual std::int64_t rounds_charged() const = 0;
 
@@ -49,6 +53,12 @@ class SddEngine {
   virtual std::string_view key() const { return {}; }
 };
 
+// Rounds of one broadcast of an SDD-solve vector under the Lemma 5.1 /
+// Theorem 1.3 model: O(log(n / eps)) bits per coordinate over the
+// network's O(log n) bandwidth. Every SDD engine's round charge is a
+// multiple of this.
+std::int64_t sdd_broadcast_rounds(std::size_t network_n, double eps);
+
 // Analytical per-solve round cost of an exact SDD solve under the Lemma
 // 5.1 / Theorem 1.3 model (sparsify once per phase — charged by the
 // caller — then O(log(1/eps)) Chebyshev iterations of one broadcast
@@ -56,11 +66,15 @@ class SddEngine {
 // charge identical rounds and differ only in local arithmetic.
 std::int64_t exact_sdd_solve_rounds(std::size_t network_n, double eps);
 
+// The SDD engines' numerical guard for (numerically) semi-definite
+// inputs: adds a tiny Tikhonov ridge, 1e-12 x (max diagonal + 1), to m's
+// diagonal. Applied once, before the single factorization retry.
+void add_sdd_ridge(linalg::DenseMatrix& m);
+
 // The SDD layer's dense prepare phase, shared by the exact-dense engine
 // and the sparsified engine's residual-guard fallback: dense LDL^T of M
-// with a tiny Tikhonov ridge retry on (numerically) semi-definite inputs
-// — the documented guard both call sites used to hand-roll. Returns an
-// immutable, shareable factor (the shareability contract of
+// with one add_sdd_ridge retry on (numerically) semi-definite inputs.
+// Returns an immutable, shareable factor (the shareability contract of
 // linalg/cholesky.h); null only if even the ridged matrix fails.
 std::shared_ptr<const linalg::LdltFactor> prepare_sdd_dense_factor(
     const common::Context& ctx, linalg::DenseMatrix m);

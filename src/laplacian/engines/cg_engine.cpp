@@ -13,12 +13,10 @@
 // EngineOptions::eps, not the energy norm of the Chebyshev contract —
 // the usual baseline convention (tests compare at matching eps).
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/encoding.h"
 #include "laplacian/engine.h"
 #include "laplacian/engines/builtin.h"
 #include "linalg/cg.h"
@@ -41,20 +39,32 @@ class CgSddEngine final : public SddEngine {
     for (std::size_t i = 0; i < matrix_.rows(); ++i) diag_[i] = matrix_(i, i);
   }
 
-  linalg::Vec solve(const linalg::Vec& y, double eps) override {
-    const linalg::LinearOperator apply_a = [&](const linalg::Vec& x) {
-      return matrix_.multiply(ctx_, x);
+  linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
+                                 double eps) override {
+    const linalg::PanelOperator apply_a = [&](const linalg::DenseMatrix& x) {
+      linalg::DenseMatrix ax(x.rows(), x.cols());
+      for (std::size_t j = 0; j < x.cols(); ++j)
+        ax.set_column(j, matrix_.multiply(ctx_, x.column(j)));
+      return ax;
     };
-    const linalg::LinearOperator precond = [&](const linalg::Vec& r) {
-      linalg::Vec z(r.size());
-      for (std::size_t i = 0; i < r.size(); ++i)
-        z[i] = diag_[i] > 0.0 ? r[i] / diag_[i] : r[i];
+    const linalg::PanelOperator precond = [&](const linalg::DenseMatrix& r) {
+      linalg::DenseMatrix z(r.rows(), r.cols());
+      for (std::size_t i = 0; i < r.rows(); ++i) {
+        const double d = diag_[i];
+        for (std::size_t j = 0; j < r.cols(); ++j)
+          z(i, j) = d > 0.0 ? r(i, j) / d : r(i, j);
+      }
       return z;
     };
-    const auto res = linalg::conjugate_gradient(
+    auto res = linalg::conjugate_gradient_many(
         apply_a, y, eps, 4 * matrix_.rows() + 128, &precond);
-    charge(res.iterations, eps);
-    return res.x;
+    // One broadcast per iteration per column, under the exact engines'
+    // network model.
+    for (const std::size_t iters : res.iterations) {
+      rounds_ += static_cast<std::int64_t>(iters) *
+                 sdd_broadcast_rounds(network_n_, eps);
+    }
+    return std::move(res.x);
   }
 
   std::int64_t rounds_charged() const override { return rounds_; }
@@ -62,18 +72,6 @@ class CgSddEngine final : public SddEngine {
   std::string_view key() const override { return "cg"; }
 
  private:
-  void charge(std::size_t iterations, double eps) {
-    const double safe = std::max(eps, 1e-12);
-    const std::int64_t bits =
-        enc::real_bits(static_cast<double>(network_n_) / safe, safe);
-    const std::int64_t bw =
-        static_cast<std::int64_t>(
-            2 * std::log2(static_cast<double>(network_n_))) +
-        2;
-    rounds_ += static_cast<std::int64_t>(iterations) *
-               enc::rounds_for_bits(bits, bw);
-  }
-
   common::Context ctx_;
   linalg::DenseMatrix matrix_;
   std::vector<double> diag_;

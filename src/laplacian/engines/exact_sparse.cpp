@@ -24,10 +24,10 @@ namespace {
 
 // SDD engine on the sparse factorization: the dense-stored SDD matrix is
 // scanned into its upper triangle once and factored on the CSC path.
-// Mirrors ExactSddEngine (bcc_solver.cpp) in every contract — Tikhonov
-// ridge retry on semi-definite inputs, std::runtime_error when even the
-// ridged matrix fails, per-right-hand-side round charging via the shared
-// exact model — so the two exact keys are interchangeable to the LP
+// Mirrors ExactSddEngine (bcc_solver.cpp) in every contract — one
+// add_sdd_ridge retry on semi-definite inputs, std::runtime_error when
+// even the ridged matrix fails, per-right-hand-side round charging via the
+// shared exact model — so the two exact keys are interchangeable to the LP
 // layer.
 class ExactSparseSddEngine final : public SddEngine {
  public:
@@ -36,10 +36,7 @@ class ExactSparseSddEngine final : public SddEngine {
       : ctx_(ctx), network_n_(std::max<std::size_t>(network_n, 2)) {
     factor_ = linalg::SparseLdltFactor::factor(ctx, upper_triangle(m));
     if (!factor_) {
-      const std::size_t n = m.rows();
-      double scale = 0.0;
-      for (std::size_t i = 0; i < n; ++i) scale = std::max(scale, m(i, i));
-      for (std::size_t i = 0; i < n; ++i) m(i, i) += 1e-12 * (scale + 1.0);
+      add_sdd_ridge(m);
       factor_ = linalg::SparseLdltFactor::factor(ctx, upper_triangle(m));
     }
     if (!factor_) {
@@ -49,15 +46,10 @@ class ExactSparseSddEngine final : public SddEngine {
     }
   }
 
-  linalg::Vec solve(const linalg::Vec& y, double eps) override {
-    rounds_ += exact_sdd_solve_rounds(network_n_, eps);
-    return factor_->solve(y);
-  }
-
   linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
                                  double eps) override {
-    for (std::size_t j = 0; j < y.cols(); ++j)
-      rounds_ += exact_sdd_solve_rounds(network_n_, eps);
+    rounds_ += static_cast<std::int64_t>(y.cols()) *
+               exact_sdd_solve_rounds(network_n_, eps);
     return factor_->solve_many(ctx_, y);
   }
 

@@ -1,7 +1,6 @@
 #include "laplacian/prepared.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <optional>
 #include <queue>
@@ -47,32 +46,30 @@ std::vector<graph::EdgeId> spanning_forest(const graph::Graph& g) {
   return forest;
 }
 
-// Removes the per-component mean (projection onto range(L_G)).
-void remove_component_means(linalg::Vec& x,
+// Removes each column's per-component mean (projection onto range(L_G)).
+void remove_component_means(linalg::DenseMatrix& x,
                             const std::vector<std::size_t>& labels) {
   std::size_t k = 0;
   for (std::size_t l : labels) k = std::max(k, l + 1);
-  std::vector<double> sum(k, 0.0);
   std::vector<std::size_t> count(k, 0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum[labels[i]] += x[i];
-    ++count[labels[i]];
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] -= sum[labels[i]] / static_cast<double>(count[labels[i]]);
+  for (std::size_t l : labels) ++count[l];
+  std::vector<double> sum(k);
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    std::fill(sum.begin(), sum.end(), 0.0);
+    for (std::size_t i = 0; i < x.rows(); ++i) sum[labels[i]] += x(i, j);
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      x(i, j) -= sum[labels[i]] / static_cast<double>(count[labels[i]]);
   }
 }
 
-// Explicit apply-surface size check (carried over from the solve-path
-// bugfix sweep): a wrong-sized rhs in a Release build must fail loudly,
-// not read out of bounds inside the matvec kernels.
-void check_rhs_rows(const char* where, std::size_t got, std::size_t want) {
-  if (got != want) {
-    throw std::invalid_argument(std::string(where) +
-                                ": right-hand side has " +
-                                std::to_string(got) + " rows, graph has " +
-                                std::to_string(want) + " vertices");
-  }
+// Rounds of one distributed L_G matvec (Theorem 1.3): every node
+// broadcasts one vector coordinate at O(log(n U / eps)) bits, U the weight
+// bound. One per iteration of both iterative engines.
+std::int64_t matvec_rounds(const graph::Graph& g, double weight_bound,
+                           std::int64_t bandwidth, double eps) {
+  const int bits = enc::real_bits(
+      static_cast<double>(g.num_vertices()) * weight_bound, eps);
+  return enc::rounds_for_bits(bits, bandwidth);
 }
 
 // Approximate resident bytes of a graph copy: the edge list plus the
@@ -97,25 +94,6 @@ class PreparedExact final : public PreparedLaplacian {
   bool usable() const override { return factor_.has_value(); }
   std::size_t dim() const override { return n_; }
 
-  linalg::Vec apply(const common::Context& ctx, const linalg::Vec& b,
-                    const EngineOptions&, core::RunStats* stats) const override {
-    assert(factor_ && "apply() requires usable()");
-    if (stats) *stats = make_stats();
-    return factor_->solve(ctx, b);
-  }
-
-  linalg::DenseMatrix apply_many(const common::Context& ctx,
-                                 const linalg::DenseMatrix& b,
-                                 const EngineOptions&,
-                                 core::RunStats* stats) const override {
-    assert(factor_ && "apply() requires usable()");
-    if (stats) {
-      *stats = make_stats();
-      stats->panels = 1;
-    }
-    return factor_->solve_many(ctx, b);
-  }
-
   std::size_t dense_factors() const override {
     return factor_ ? factor_->dense_factor_count() : 0;
   }
@@ -130,11 +108,11 @@ class PreparedExact final : public PreparedLaplacian {
   }
 
  private:
-  core::RunStats make_stats() const {
-    core::RunStats st;
-    st.dense_factors = dense_factors();
-    st.sparse_factors = sparse_factors();
-    return st;
+  linalg::DenseMatrix apply_panel(const common::Context& ctx,
+                                  const linalg::DenseMatrix& b,
+                                  const EngineOptions&,
+                                  core::RunStats&) const override {
+    return factor_->solve_many(ctx, b);
   }
 
   std::string key_;
@@ -192,97 +170,6 @@ class PreparedSparsifiedChebyshev final : public PreparedLaplacian {
   bool usable() const override { return h_factor_.has_value(); }
   std::size_t dim() const override { return g_.num_vertices(); }
 
-  linalg::Vec apply(const common::Context& ctx, const linalg::Vec& b,
-                    const EngineOptions& opt,
-                    core::RunStats* stats) const override {
-    assert(h_factor_ && "apply() requires usable()");
-    check_rhs_rows("SparsifiedLaplacianSolver::solve", b.size(),
-                   g_.num_vertices());
-    linalg::Vec rhs = b;
-    remove_component_means(rhs, g_components_);
-
-    const auto apply_a = [&](const linalg::Vec& x) {
-      return graph::apply_laplacian(ctx, g_, x);
-    };
-    // B = (3/2) L_H  =>  B^{-1} r = (2/3) L_H^+ r.
-    const auto solve_b = [&](const linalg::Vec& r) {
-      return linalg::scale(h_factor_->solve(ctx, r), 2.0 / 3.0);
-    };
-    const auto res = linalg::preconditioned_chebyshev(apply_a, solve_b, rhs,
-                                                      3.0, opt.eps);
-
-    // Round accounting (Theorem 1.3): each iteration broadcasts one vector
-    // coordinate per node at O(log(n U / eps)) bits.
-    const std::int64_t rounds =
-        static_cast<std::int64_t>(res.iterations) * rounds_per_iter(opt.eps);
-    if (stats) {
-      core::RunStats st;
-      st.iterations = res.iterations;
-      st.rounds = rounds;
-      st.dense_factors = dense_factors();
-      st.sparse_factors = sparse_factors();
-      *stats = st;
-    }
-    linalg::Vec y = res.x;
-    remove_component_means(y, g_components_);
-    return y;
-  }
-
-  linalg::DenseMatrix apply_many(const common::Context& ctx,
-                                 const linalg::DenseMatrix& b,
-                                 const EngineOptions& opt,
-                                 core::RunStats* stats) const override {
-    assert(h_factor_ && "apply() requires usable()");
-    check_rhs_rows("SparsifiedLaplacianSolver::solve_many", b.rows(),
-                   g_.num_vertices());
-    const std::size_t k = b.cols();
-    linalg::DenseMatrix rhs = b;
-    for (std::size_t j = 0; j < k; ++j) {
-      linalg::Vec col = rhs.column(j);
-      remove_component_means(col, g_components_);
-      rhs.set_column(j, col);
-    }
-
-    const auto apply_a = [&](const linalg::DenseMatrix& x) {
-      return graph::apply_laplacian_many(ctx, g_, x);
-    };
-    // B = (3/2) L_H  =>  B^{-1} R = (2/3) L_H^+ R, one panel solve per
-    // iteration shared by every column.
-    const auto solve_b = [&](const linalg::DenseMatrix& r) {
-      linalg::DenseMatrix z = h_factor_->solve_many(ctx, r);
-      for (std::size_t i = 0; i < z.rows(); ++i) {
-        double* zi = z.row_data(i);
-        for (std::size_t j = 0; j < z.cols(); ++j) zi[j] *= 2.0 / 3.0;
-      }
-      return z;
-    };
-    const auto res = linalg::preconditioned_chebyshev_many(apply_a, solve_b,
-                                                           rhs, 3.0, opt.eps);
-
-    // Round accounting: each column still broadcasts its own vector per
-    // iteration — a k-wide panel costs k x the single-RHS rounds (the
-    // model charges communication; the batching amortizes wall time only).
-    const std::int64_t rounds = static_cast<std::int64_t>(k) *
-                                static_cast<std::int64_t>(res.iterations) *
-                                rounds_per_iter(opt.eps);
-    if (stats) {
-      core::RunStats st;
-      st.iterations = res.iterations;
-      st.rounds = rounds;
-      st.panels = 1;
-      st.dense_factors = dense_factors();
-      st.sparse_factors = sparse_factors();
-      *stats = st;
-    }
-    linalg::DenseMatrix y = res.x;
-    for (std::size_t j = 0; j < k; ++j) {
-      linalg::Vec col = y.column(j);
-      remove_component_means(col, g_components_);
-      y.set_column(j, col);
-    }
-    return y;
-  }
-
   const graph::Graph* sparsifier() const override { return &h_; }
   bool tree_patched() const override { return tree_patched_; }
   std::int64_t preprocessing_rounds() const override {
@@ -306,10 +193,36 @@ class PreparedSparsifiedChebyshev final : public PreparedLaplacian {
   }
 
  private:
-  std::int64_t rounds_per_iter(double eps) const {
-    const int bits = enc::real_bits(
-        static_cast<double>(g_.num_vertices()) * weight_bound_, eps);
-    return enc::rounds_for_bits(bits, bandwidth_);
+  linalg::DenseMatrix apply_panel(const common::Context& ctx,
+                                  const linalg::DenseMatrix& b,
+                                  const EngineOptions& opt,
+                                  core::RunStats& counters) const override {
+    linalg::DenseMatrix rhs = b;
+    remove_component_means(rhs, g_components_);
+
+    const auto apply_a = [&](const linalg::DenseMatrix& x) {
+      return graph::apply_laplacian_many(ctx, g_, x);
+    };
+    // B = (3/2) L_H  =>  B^{-1} R = (2/3) L_H^+ R, one panel solve per
+    // iteration shared by every column.
+    const auto solve_b = [&](const linalg::DenseMatrix& r) {
+      linalg::DenseMatrix z = h_factor_->solve_many(ctx, r);
+      double* zd = z.data();
+      for (std::size_t i = 0; i < z.rows() * z.cols(); ++i) zd[i] *= 2.0 / 3.0;
+      return z;
+    };
+    auto res = linalg::preconditioned_chebyshev_many(apply_a, solve_b, rhs,
+                                                     3.0, opt.eps);
+
+    // One L_G matvec broadcast per iteration per column: a k-wide panel
+    // costs k x the single-column rounds (the model charges
+    // communication; the batching amortizes wall time only).
+    counters.iterations = res.iterations;
+    counters.rounds = static_cast<std::int64_t>(b.cols()) *
+                      static_cast<std::int64_t>(res.iterations) *
+                      matvec_rounds(g_, weight_bound_, bandwidth_, opt.eps);
+    remove_component_means(res.x, g_components_);
+    return std::move(res.x);
   }
 
   graph::Graph g_;
@@ -349,47 +262,18 @@ class PreparedCg final : public PreparedLaplacian {
   bool usable() const override { return true; }
   std::size_t dim() const override { return g_.num_vertices(); }
 
-  linalg::Vec apply(const common::Context& ctx, const linalg::Vec& b,
-                    const EngineOptions& opt,
-                    core::RunStats* stats) const override {
-    check_rhs_rows("cg engine", b.size(), g_.num_vertices());
-    linalg::Vec rhs = b;
-    remove_component_means(rhs, labels_);
-    const linalg::LinearOperator apply_a = [&](const linalg::Vec& x) {
-      return graph::apply_laplacian(ctx, g_, x);
-    };
-    const linalg::LinearOperator precond = [&](const linalg::Vec& r) {
-      linalg::Vec z(r.size());
-      for (std::size_t i = 0; i < r.size(); ++i)
-        z[i] = diag_[i] > 0.0 ? r[i] / diag_[i] : 0.0;
-      return z;
-    };
-    const auto res = linalg::conjugate_gradient(
-        apply_a, rhs, opt.eps,
-        default_max_iter(g_.num_vertices(), opt.max_iterations), &precond);
-    if (stats) {
-      core::RunStats st;
-      st.iterations = res.iterations;
-      st.rounds = rounds_for(res.iterations, opt.eps);
-      *stats = st;
-    }
-    linalg::Vec x = res.x;
-    remove_component_means(x, labels_);
-    return x;
+  std::size_t resident_bytes() const override {
+    return graph_bytes(g_) + labels_.size() * sizeof(std::size_t) +
+           diag_.size() * sizeof(double);
   }
 
-  linalg::DenseMatrix apply_many(const common::Context& ctx,
-                                 const linalg::DenseMatrix& b,
-                                 const EngineOptions& opt,
-                                 core::RunStats* stats) const override {
-    check_rhs_rows("cg engine", b.rows(), g_.num_vertices());
-    const std::size_t k = b.cols();
+ private:
+  linalg::DenseMatrix apply_panel(const common::Context& ctx,
+                                  const linalg::DenseMatrix& b,
+                                  const EngineOptions& opt,
+                                  core::RunStats& counters) const override {
     linalg::DenseMatrix rhs = b;
-    for (std::size_t j = 0; j < k; ++j) {
-      linalg::Vec col = rhs.column(j);
-      remove_component_means(col, labels_);
-      rhs.set_column(j, col);
-    }
+    remove_component_means(rhs, labels_);
     const linalg::PanelOperator apply_a = [&](const linalg::DenseMatrix& x) {
       return graph::apply_laplacian_many(ctx, g_, x);
     };
@@ -404,48 +288,22 @@ class PreparedCg final : public PreparedLaplacian {
       }
       return z;
     };
-    const auto res = linalg::conjugate_gradient_many(
+    auto res = linalg::conjugate_gradient_many(
         apply_a, rhs, opt.eps,
         default_max_iter(g_.num_vertices(), opt.max_iterations), &precond);
-    // Communication is charged per column (the panel amortizes wall time,
-    // not broadcasts — same convention as the sparsified panel), and
+    // One L_G matvec broadcast per CG iteration, charged per column (the
+    // panel amortizes wall time, not broadcasts — same convention as the
+    // sparsified panel), and
     // iterations reports the panel's longest column, matching the
     // "per-column iterations" meaning of the other engines' panels.
-    std::int64_t rounds = 0;
-    std::size_t longest = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      rounds += rounds_for(res.iterations[j], opt.eps);
-      longest = std::max(longest, res.iterations[j]);
+    const std::int64_t per_iter =
+        matvec_rounds(g_, weight_bound_, bandwidth_, opt.eps);
+    for (const std::size_t iters : res.iterations) {
+      counters.rounds += static_cast<std::int64_t>(iters) * per_iter;
+      counters.iterations = std::max(counters.iterations, iters);
     }
-    if (stats) {
-      core::RunStats st;
-      st.iterations = longest;
-      st.rounds = rounds;
-      st.panels = 1;
-      *stats = st;
-    }
-    linalg::DenseMatrix x = res.x;
-    for (std::size_t j = 0; j < k; ++j) {
-      linalg::Vec col = x.column(j);
-      remove_component_means(col, labels_);
-      x.set_column(j, col);
-    }
-    return x;
-  }
-
-  std::size_t resident_bytes() const override {
-    return graph_bytes(g_) + labels_.size() * sizeof(std::size_t) +
-           diag_.size() * sizeof(double);
-  }
-
- private:
-  // One distributed L_G matvec broadcast per CG iteration — identical to
-  // the Chebyshev iteration's accounting in PreparedSparsifiedChebyshev.
-  std::int64_t rounds_for(std::size_t iterations, double eps) const {
-    const int bits = enc::real_bits(
-        static_cast<double>(g_.num_vertices()) * weight_bound_, eps);
-    const std::int64_t per_iter = enc::rounds_for_bits(bits, bandwidth_);
-    return static_cast<std::int64_t>(iterations) * per_iter;
+    remove_component_means(res.x, labels_);
+    return std::move(res.x);
   }
 
   graph::Graph g_;
@@ -456,6 +314,43 @@ class PreparedCg final : public PreparedLaplacian {
 };
 
 }  // namespace
+
+linalg::DenseMatrix PreparedLaplacian::apply_many(
+    const common::Context& ctx, const linalg::DenseMatrix& b,
+    const EngineOptions& opt, core::RunStats* stats) const {
+  if (!usable()) {
+    throw std::logic_error(std::string(engine_key()) +
+                           ": apply on an unusable artifact (its prepare "
+                           "phase failed)");
+  }
+  // Explicit size check: a wrong-sized rhs in a Release build must fail
+  // loudly, not read out of bounds inside the matvec kernels.
+  if (b.rows() != dim()) {
+    throw std::invalid_argument(std::string(engine_key()) +
+                                ": right-hand side has " +
+                                std::to_string(b.rows()) + " rows, graph has " +
+                                std::to_string(dim()) + " vertices");
+  }
+  core::RunStats counters;
+  linalg::DenseMatrix x = apply_panel(ctx, b, opt, counters);
+  if (stats) {
+    counters.panels = 1;
+    counters.dense_factors = dense_factors();
+    counters.sparse_factors = sparse_factors();
+    *stats = counters;
+  }
+  return x;
+}
+
+linalg::Vec PreparedLaplacian::apply(const common::Context& ctx,
+                                     const linalg::Vec& b,
+                                     const EngineOptions& opt,
+                                     core::RunStats* stats) const {
+  linalg::DenseMatrix x =
+      apply_many(ctx, linalg::DenseMatrix::from_columns({b}), opt, stats);
+  if (stats) stats->panels = 0;
+  return x.column(0);
+}
 
 std::shared_ptr<const PreparedLaplacian> prepare_exact(
     const common::Context& ctx, const graph::Graph& g, linalg::FactorMode mode,

@@ -66,27 +66,29 @@ class PreparedLaplacian {
   virtual std::string_view engine_key() const = 0;
 
   // False: the prepare phase failed numerically (degenerate input); apply
-  // must not be called. Unusable artifacts are never cached.
+  // throws std::logic_error. Unusable artifacts are never cached.
   virtual bool usable() const = 0;
 
   virtual std::size_t dim() const = 0;
 
-  // Solve L_G x = b (b projected onto range(L_G) per component) to the
-  // engine's accuracy contract at opt.eps. If stats is non-null, the
-  // apply's own counters are *assigned* (iterations, rounds, panels) along
-  // with the artifact's factor tallies — the per-call stats shape the
-  // historical SolveStats contract used. Throws std::invalid_argument on
-  // a wrong-sized b.
-  virtual linalg::Vec apply(const common::Context& ctx, const linalg::Vec& b,
-                            const EngineOptions& opt,
-                            core::RunStats* stats) const = 0;
+  // Batched solve L_G X = B: b is n x k, one right-hand side per column
+  // (each projected onto range(L_G) per component), solved to the
+  // engine's accuracy contract at opt.eps. Column j depends only on
+  // column j of b: a k-column panel is byte-identical to k one-column
+  // panels. If stats is non-null, the apply's own counters are *assigned*
+  // (iterations, rounds, panels = 1) along with the artifact's factor
+  // tallies. Throws std::logic_error when !usable() and
+  // std::invalid_argument on a b with other than dim() rows, both naming
+  // the engine key.
+  linalg::DenseMatrix apply_many(const common::Context& ctx,
+                                 const linalg::DenseMatrix& b,
+                                 const EngineOptions& opt,
+                                 core::RunStats* stats) const;
 
-  // Batched multi-RHS apply; column j matches apply(ctx, column j)'s
-  // contract (byte-identical for the exact artifacts). stats->panels = 1.
-  virtual linalg::DenseMatrix apply_many(const common::Context& ctx,
-                                         const linalg::DenseMatrix& b,
-                                         const EngineOptions& opt,
-                                         core::RunStats* stats) const = 0;
+  // Single right-hand side: b as an n x 1 panel, returning column 0. Same
+  // contract and stats as apply_many, except stats->panels stays 0.
+  linalg::Vec apply(const common::Context& ctx, const linalg::Vec& b,
+                    const EngineOptions& opt, core::RunStats* stats) const;
 
   // Preconditioner introspection (non-null only when the prepare phase
   // built one — the sparsified engine's H).
@@ -110,6 +112,15 @@ class PreparedLaplacian {
   // Bytes the artifact keeps resident (graph copies, factors, index
   // maps); the factorization cache charges its LRU budget with this.
   virtual std::size_t resident_bytes() const = 0;
+
+ protected:
+  // The engine's one solve body, behind apply/apply_many's checks: b has
+  // dim() rows and the artifact is usable. Sets the apply's own counters
+  // (iterations, rounds) in `counters`; apply_many adds the rest.
+  virtual linalg::DenseMatrix apply_panel(const common::Context& ctx,
+                                          const linalg::DenseMatrix& b,
+                                          const EngineOptions& opt,
+                                          core::RunStats& counters) const = 0;
 };
 
 // Prepare-phase factories for the built-in engines (implemented in

@@ -39,23 +39,6 @@ SddReduction gremban_reduce(const linalg::DenseMatrix& m, double tol) {
   return out;
 }
 
-linalg::Vec lift_rhs(const linalg::Vec& y) {
-  linalg::Vec out(2 * y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    out[i] = y[i];
-    out[i + y.size()] = -y[i];
-  }
-  return out;
-}
-
-linalg::Vec project_solution(const linalg::Vec& x12) {
-  assert(x12.size() % 2 == 0);
-  const std::size_t n = x12.size() / 2;
-  linalg::Vec x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = 0.5 * (x12[i] - x12[i + n]);
-  return x;
-}
-
 linalg::DenseMatrix lift_rhs_many(const linalg::DenseMatrix& y) {
   linalg::DenseMatrix out(2 * y.rows(), y.cols());
   for (std::size_t i = 0; i < y.rows(); ++i) {

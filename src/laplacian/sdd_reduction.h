@@ -23,14 +23,11 @@ struct SddReduction {
 // treated as zero.
 SddReduction gremban_reduce(const linalg::DenseMatrix& m, double tol = 1e-12);
 
-// Convenience: lifts y to [y; -y], solves the Laplacian system exactly
-// (dense factorization; the BCC solver path goes through
-// SparsifiedLaplacianSolver on `virtual_graph`), and projects back.
-linalg::Vec lift_rhs(const linalg::Vec& y);
-linalg::Vec project_solution(const linalg::Vec& x12);
-
-// Panel forms for the batched SDD engines: column j of the output is
-// lift_rhs / project_solution of column j of the input.
+// Panel lift and projection (a single right-hand side is a k = 1 panel):
+// column j of lift_rhs_many's output is [y_j; -y_j]; column j of
+// project_solution_many's output is x_j = (x1_j - x2_j) / 2. The SDD
+// engines solve the lifted panel on `virtual_graph` through the prepared
+// sparsified-chebyshev artifact (laplacian/prepared.h) and project back.
 linalg::DenseMatrix lift_rhs_many(const linalg::DenseMatrix& y);
 linalg::DenseMatrix project_solution_many(const linalg::DenseMatrix& x12);
 

@@ -7,48 +7,6 @@
 
 namespace bcclap::laplacian {
 
-SparsifiedLaplacianSolver::SparsifiedLaplacianSolver(
-    const common::Context& ctx, const graph::Graph& g,
-    const sparsify::SparsifyOptions& opt)
-    : ctx_(ctx), core_(prepare_sparsified_chebyshev(ctx, g, opt)) {
-  accountant_.charge("laplacian/preprocessing", core_->preprocessing_rounds());
-}
-
-linalg::Vec SparsifiedLaplacianSolver::solve(const linalg::Vec& b, double eps,
-                                             SolveStats* stats) {
-  assert(core_->usable() && "sparsifier must be factorizable");
-  EngineOptions opt;
-  opt.eps = eps;
-  core::RunStats st;
-  linalg::Vec y = core_->apply(ctx_, b, opt, &st);
-  accountant_.charge("laplacian/solve", st.rounds);
-  if (stats) {
-    stats->iterations = st.iterations;
-    stats->rounds = st.rounds;
-    stats->dense_factors = st.dense_factors;
-    stats->sparse_factors = st.sparse_factors;
-  }
-  return y;
-}
-
-linalg::DenseMatrix SparsifiedLaplacianSolver::solve_many(
-    const linalg::DenseMatrix& b, double eps, SolveStats* stats) {
-  assert(core_->usable() && "sparsifier must be factorizable");
-  EngineOptions opt;
-  opt.eps = eps;
-  core::RunStats st;
-  linalg::DenseMatrix y = core_->apply_many(ctx_, b, opt, &st);
-  accountant_.charge("laplacian/solve", st.rounds);
-  if (stats) {
-    stats->iterations = st.iterations;
-    stats->rounds = st.rounds;
-    stats->panels = st.panels;
-    stats->dense_factors = st.dense_factors;
-    stats->sparse_factors = st.sparse_factors;
-  }
-  return y;
-}
-
 ExactLaplacianSolver::ExactLaplacianSolver(const common::Context& ctx,
                                            const graph::Graph& g)
     : ctx_(ctx),

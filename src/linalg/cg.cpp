@@ -4,45 +4,6 @@
 
 namespace bcclap::linalg {
 
-CgResult conjugate_gradient(const LinearOperator& apply_a, const Vec& b,
-                            double tol, std::size_t max_iter,
-                            const LinearOperator* precond) {
-  CgResult out;
-  const std::size_t n = b.size();
-  out.x = zeros(n);
-  Vec r = b;
-  Vec z = precond ? (*precond)(r) : r;
-  Vec p = z;
-  double rz = dot(r, z);
-  const double b_norm = norm2(b);
-  const double target = tol * (b_norm > 0 ? b_norm : 1.0);
-  out.residual_norm = norm2(r);
-  if (out.residual_norm <= target) {
-    out.converged = true;
-    return out;
-  }
-  for (std::size_t it = 0; it < max_iter; ++it) {
-    const Vec ap = apply_a(p);
-    const double pap = dot(p, ap);
-    if (pap <= 0.0 || !std::isfinite(pap)) break;  // lost positive-definiteness
-    const double alpha = rz / pap;
-    axpy(out.x, alpha, p);
-    axpy(r, -alpha, ap);
-    out.iterations = it + 1;
-    out.residual_norm = norm2(r);
-    if (out.residual_norm <= target) {
-      out.converged = true;
-      break;
-    }
-    z = precond ? (*precond)(r) : r;
-    const double rz_new = dot(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  return out;
-}
-
 CgPanelResult conjugate_gradient_many(const PanelOperator& apply_a,
                                       const DenseMatrix& b, double tol,
                                       std::size_t max_iter,
@@ -56,8 +17,8 @@ CgPanelResult conjugate_gradient_many(const PanelOperator& apply_a,
   out.converged.assign(k, false);
   if (k == 0) return out;
 
-  // Per-column dot product in the same ascending-index order as dot() so
-  // each column's scalars match its sequential run bit for bit.
+  // Per-column dot product in ascending index order (dot()'s order), so a
+  // column's scalars do not depend on the panel's width.
   const auto col_dot = [n](const DenseMatrix& a, const DenseMatrix& c,
                            std::size_t j) {
     double s = 0.0;

@@ -1,32 +1,16 @@
 // Conjugate gradient solver (optionally preconditioned) against an abstract
-// linear operator. Baseline for the ablation A2 and the fallback solver for
-// sparsifier systems when the dense factorization is too large.
+// panel operator. Baseline for the ablation A2 and the "cg" engines.
+//
+// The driver runs on panels: b is n x k, one right-hand side per column,
+// and a single right-hand side is a k = 1 panel.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "linalg/dense_matrix.h"
-#include "linalg/vector_ops.h"
 
 namespace bcclap::linalg {
-
-using LinearOperator = std::function<Vec(const Vec&)>;
-
-struct CgResult {
-  Vec x;
-  std::size_t iterations = 0;
-  double residual_norm = 0.0;
-  bool converged = false;
-};
-
-// Solves A x = b for symmetric PSD `apply_a`, stopping when
-// ||A x - b||_2 <= tol * ||b||_2 or after max_iter iterations.
-// `precond` (if given) must apply an SPD approximation of A^{-1}.
-CgResult conjugate_gradient(const LinearOperator& apply_a, const Vec& b,
-                            double tol, std::size_t max_iter,
-                            const LinearOperator* precond = nullptr);
 
 struct CgPanelResult {
   DenseMatrix x;  // n x k, one solution per column
@@ -37,13 +21,17 @@ struct CgPanelResult {
   std::size_t a_multiplies = 0;
 };
 
-// Batched multi-RHS CG: the panel's columns run in lockstep sharing one
-// A-application and one preconditioner application per iteration; CG's
-// scalars (alpha, beta, residuals) are tracked per column, and a column
-// that converges (or loses positive-definiteness) is frozen — its state
-// stops updating at exactly the iteration its sequential run would have
-// stopped. With column-wise operators (dense_matrix.h) the result is
-// byte-identical per column to conjugate_gradient on that column.
+// Solves A X = B for symmetric PSD `apply_a`, stopping column j when
+// ||A x_j - b_j||_2 <= tol * ||b_j||_2 or after max_iter iterations.
+// `precond` (if given) must apply an SPD approximation of A^{-1}.
+//
+// The panel's columns run in lockstep sharing one A-application and one
+// preconditioner application per iteration; CG's scalars (alpha, beta,
+// residuals) are tracked per column, and a column that converges (or
+// loses positive-definiteness) is frozen — its state stops updating at
+// exactly the iteration its one-column run would have stopped. With
+// column-wise operators (dense_matrix.h) column j of a k-column panel is
+// byte-identical to the one-column panel of b's column j.
 CgPanelResult conjugate_gradient_many(const PanelOperator& apply_a,
                                       const DenseMatrix& b, double tol,
                                       std::size_t max_iter,

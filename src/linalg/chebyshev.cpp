@@ -1,65 +1,16 @@
 #include "linalg/chebyshev.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace bcclap::linalg {
 
 // Standard preconditioned Chebyshev semi-iteration on the pencil B^{-1}A,
-// whose spectrum lies in [1/kappa, 1] when A <= B <= kappa A.
-ChebyshevResult preconditioned_chebyshev_fixed(
-    const std::function<Vec(const Vec&)>& apply_a,
-    const std::function<Vec(const Vec&)>& solve_b, const Vec& b, double kappa,
-    std::size_t iterations) {
-  ChebyshevResult out;
-  const std::size_t n = b.size();
-  const double lmin = 1.0 / kappa;
-  const double lmax = 1.0;
-  const double theta = 0.5 * (lmax + lmin);
-  const double delta = 0.5 * (lmax - lmin);
-
-  out.x = zeros(n);
-  Vec r = b;  // r = b - A x, x = 0
-  Vec p;
-  double alpha = 0.0;
-  for (std::size_t it = 0; it < iterations; ++it) {
-    Vec z = solve_b(r);
-    ++out.b_solves;
-    if (it == 0) {
-      p = z;
-      alpha = 1.0 / theta;
-    } else {
-      double beta;
-      if (it == 1) {
-        beta = 0.5 * (delta * alpha) * (delta * alpha);
-      } else {
-        beta = (delta * alpha / 2.0) * (delta * alpha / 2.0);
-      }
-      alpha = 1.0 / (theta - beta / alpha);
-      for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-    }
-    axpy(out.x, alpha, p);
-    const Vec ap = apply_a(p);
-    ++out.a_multiplies;
-    axpy(r, -alpha, ap);
-    ++out.iterations;
-  }
-  return out;
-}
-
-ChebyshevResult preconditioned_chebyshev(
-    const std::function<Vec(const Vec&)>& apply_a,
-    const std::function<Vec(const Vec&)>& solve_b, const Vec& b, double kappa,
-    double eps) {
-  const double safe_eps = std::max(eps, 1e-16);
-  const auto iters = static_cast<std::size_t>(
-      std::ceil(std::sqrt(kappa) * std::log(2.0 / safe_eps))) + 1;
-  return preconditioned_chebyshev_fixed(apply_a, solve_b, b, kappa, iters);
-}
-
-// Panel driver: identical recurrence, every vector op widened to an n x k
-// panel. The elementwise updates touch each (row, column) slot with the
-// same multiply-add the single-vector driver applies to that column, so
-// per-column results match the single-RHS driver bit for bit.
+// whose spectrum lies in [1/kappa, 1] when A <= B <= kappa A, with every
+// vector op widened to an n x k panel. Each elementwise update touches a
+// (row, column) slot with the same multiply-add whatever k is, so column j
+// of a k-column panel matches the one-column panel of b's column j bit
+// for bit.
 ChebyshevPanelResult preconditioned_chebyshev_many_fixed(
     const PanelOperator& apply_a, const PanelOperator& solve_b,
     const DenseMatrix& b, double kappa, std::size_t iterations) {
@@ -73,7 +24,8 @@ ChebyshevPanelResult preconditioned_chebyshev_many_fixed(
   const double theta = 0.5 * (lmax + lmin);
   const double delta = 0.5 * (lmax - lmin);
 
-  DenseMatrix r = b;  // R = B - A X, X = 0
+  const std::size_t len = n * k;  // the updates below are elementwise
+  DenseMatrix r = b;               // R = B - A X, X = 0
   DenseMatrix p;
   double alpha = 0.0;
   for (std::size_t it = 0; it < iterations; ++it) {
@@ -90,24 +42,18 @@ ChebyshevPanelResult preconditioned_chebyshev_many_fixed(
         beta = (delta * alpha / 2.0) * (delta * alpha / 2.0);
       }
       alpha = 1.0 / (theta - beta / alpha);
-      for (std::size_t i = 0; i < n; ++i) {
-        double* pi = p.row_data(i);
-        const double* zi = z.row_data(i);
-        for (std::size_t j = 0; j < k; ++j) pi[j] = zi[j] + beta * pi[j];
-      }
+      double* pd = p.data();
+      const double* zd = z.data();
+      for (std::size_t i = 0; i < len; ++i) pd[i] = zd[i] + beta * pd[i];
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      double* xi = out.x.row_data(i);
-      const double* pi = p.row_data(i);
-      for (std::size_t j = 0; j < k; ++j) xi[j] += alpha * pi[j];
-    }
+    double* xd = out.x.data();
+    const double* pd = p.data();
+    for (std::size_t i = 0; i < len; ++i) xd[i] += alpha * pd[i];
     const DenseMatrix ap = apply_a(p);
     ++out.a_multiplies;
-    for (std::size_t i = 0; i < n; ++i) {
-      double* ri = r.row_data(i);
-      const double* api = ap.row_data(i);
-      for (std::size_t j = 0; j < k; ++j) ri[j] -= alpha * api[j];
-    }
+    double* rd = r.data();
+    const double* apd = ap.data();
+    for (std::size_t i = 0; i < len; ++i) rd[i] -= alpha * apd[i];
     ++out.iterations;
   }
   return out;

@@ -35,6 +35,9 @@ class DenseMatrix {
   // row r is data()[r * cols() .. r * cols() + cols()).
   double* row_data(std::size_t r) { return &data_[r * cols_]; }
   const double* row_data(std::size_t r) const { return &data_[r * cols_]; }
+  // The whole storage, rows() * cols() entries (elementwise panel updates).
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
 
   // Column extraction/insertion for the multi-RHS panel APIs (a panel is a
   // rows x k matrix whose columns are independent right-hand sides; the

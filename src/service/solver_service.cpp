@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/runtime.h"
-#include "graph/fingerprint.h"
 #include "laplacian/engine.h"
 
 namespace bcclap::service {
@@ -73,22 +72,19 @@ Submission SolverService::submit(Request req) {
   ticket.laplacian = req.type == RequestType::kSolve ||
                      req.type == RequestType::kSolveMany;
   if (ticket.laplacian) {
-    // The admission key mirrors the Runtime facade's cache key exactly:
+    // The admission key is built by the Runtime facade's own builder:
     // resolved concrete engine, canonical fingerprint, the request seed
     // and the service-wide chunking policy. resolve() throws
     // std::invalid_argument on unknown keys — fail at the boundary, not
     // on a worker.
-    auto& registry = laplacian::EngineRegistry::instance();
-    ticket.cache_key.engine = registry.resolve(
-        req.engine, req.graph.num_vertices(),
-        laplacian::EngineRegistry::laplacian_density(req.graph), req.eps);
-    ticket.cache_key.fingerprint = graph::fingerprint(req.graph);
-    ticket.cache_key.seed = req.seed;
-    ticket.cache_key.min_work_per_chunk = opts_.min_work_per_chunk;
     laplacian::EngineOptions eopt;
     eopt.eps = req.eps;
     eopt.sparsify = req.sparsify;
-    ticket.cache_key.options_hash = core::prepare_options_hash(eopt);
+    ticket.cache_key = core::make_factor_cache_key(
+        laplacian::EngineRegistry::instance().resolve(
+            req.engine, req.graph.num_vertices(),
+            laplacian::EngineRegistry::laplacian_density(req.graph), req.eps),
+        req.graph, req.seed, opts_.min_work_per_chunk, eopt);
   }
   // Residency probe outside any admission consequence for the cache: peek
   // neither counts a hit/miss nor touches the LRU order.

@@ -1,9 +1,11 @@
-// Batched multi-RHS solve stack (PR 5): solve_many on a panel must be
+// Batched multi-RHS solve stack: solve_many on a panel must be
 // byte-identical to k sequential solve() calls — per layer (LDLT factor,
-// component Laplacian factor, sparsified solver, both SDD engines, the
-// Runtime facade) and at 1 and 4 worker threads alike. Degenerate panels
-// (k = 0, k = 1, a zero column) are covered, as are the batched iterative
-// drivers and the panel Laplacian application they are built on.
+// component Laplacian factor, sparsified artifact, both SDD engines, the
+// Runtime facade) and at 1 and 4 worker threads alike. Above the factor
+// kernels a single right-hand side is a k = 1 panel, so there the check
+// is "k-column panel == k one-column panels". Degenerate panels (k = 0,
+// k = 1, a zero column) are covered, as are the iterative drivers and the
+// panel Laplacian application they are built on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include "graph/laplacian.h"
 #include "laplacian/bcc_solver.h"
 #include "laplacian/engine.h"
+#include "laplacian/prepared.h"
 #include "laplacian/solver.h"
 #include "linalg/cg.h"
 #include "linalg/chebyshev.h"
@@ -179,33 +182,35 @@ TEST(BatchedSolve, ApplyLaplacianManyMatchesPerColumnApply) {
             0u);
 }
 
-TEST(BatchedSolve, SparsifiedSolverPanelMatchesSequentialSolves) {
+TEST(BatchedSolve, SparsifiedArtifactPanelMatchesOneColumnPanels) {
   rng::Stream gstream(7);
   const auto g = graph::random_regularish(48, 6, 4, gstream);
   const auto opt = testsupport::small_sparsify_options(0.5, 2, 3);
   const auto b = gaussian_panel(48, 32, 29, /*zero_col=*/3);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
   std::vector<DenseMatrix> per_thread;
   for (const std::size_t threads : {1u, 4u}) {
     const auto ctx = runtime_for(threads).context().with_seed(99);
-    laplacian::SparsifiedLaplacianSolver batched(ctx, g, opt);
-    laplacian::SparsifiedLaplacianSolver sequential(ctx, g, opt);
-    ASSERT_TRUE(batched.usable());
-    laplacian::SolveStats many_stats;
-    const DenseMatrix x = batched.solve_many(b, 1e-8, &many_stats);
+    const auto prepared = laplacian::prepare_sparsified_chebyshev(ctx, g, opt);
+    ASSERT_TRUE(prepared->usable());
+    core::RunStats many_stats;
+    const DenseMatrix x = prepared->apply_many(ctx, b, eopt, &many_stats);
     std::vector<Vec> seq;
     std::int64_t seq_rounds = 0;
     for (std::size_t j = 0; j < b.cols(); ++j) {
-      laplacian::SolveStats st;
-      seq.push_back(sequential.solve(b.column(j), 1e-8, &st));
+      core::RunStats st;
+      seq.push_back(prepared->apply(ctx, b.column(j), eopt, &st));
+      EXPECT_EQ(st.panels, 0u);
+      EXPECT_EQ(st.iterations, many_stats.iterations);
       seq_rounds += st.rounds;
     }
     EXPECT_TRUE(PanelMatchesColumns(x, seq)) << threads << " threads";
-    // The panel charges exactly what 32 sequential solves charge (the
+    // The panel charges exactly what 32 one-column solves charge (the
     // model counts communication per right-hand side) and reports itself
     // as one panel.
     EXPECT_EQ(many_stats.rounds, seq_rounds);
     EXPECT_EQ(many_stats.panels, 1u);
-    EXPECT_EQ(batched.accountant().total(), sequential.accountant().total());
     per_thread.push_back(x);
   }
   for (std::size_t j = 0; j < b.cols(); ++j) {
@@ -299,44 +304,41 @@ TEST(BatchedSolve, FacadePanelMatchesPerColumnFacadeSolves) {
             many.preprocessing_rounds + per_column_rounds);
 }
 
-TEST(BatchedSolve, ChebyshevPanelDriverMatchesSingleRhsDriver) {
+TEST(BatchedSolve, ChebyshevPanelMatchesOneColumnPanels) {
   // Generic operators: A = diag(1..n)/n preconditioned by B = I (kappa =
   // n). Column-wise panel ops by construction.
   const std::size_t n = 12;
-  const auto apply_a_vec = [n](const Vec& v) {
-    Vec y(v);
-    for (std::size_t i = 0; i < n; ++i)
-      y[i] *= static_cast<double>(i + 1) / static_cast<double>(n);
-    return y;
-  };
-  const auto apply_a_panel = [&](const DenseMatrix& p) {
+  const linalg::PanelOperator apply_a = [n](const DenseMatrix& p) {
     DenseMatrix y = p;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < p.cols(); ++j)
         y(i, j) *= static_cast<double>(i + 1) / static_cast<double>(n);
     return y;
   };
-  const auto identity = [](const auto& r) { return r; };
+  const linalg::PanelOperator identity = [](const DenseMatrix& r) {
+    return r;
+  };
   const auto b = gaussian_panel(n, 5, 53, /*zero_col=*/4);
   const auto many = linalg::preconditioned_chebyshev_many(
-      apply_a_panel, identity, b, static_cast<double>(n), 1e-10);
+      apply_a, identity, b, static_cast<double>(n), 1e-10);
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    const auto one = linalg::preconditioned_chebyshev(
-        apply_a_vec, identity, b.column(j), static_cast<double>(n), 1e-10);
+    const auto one = linalg::preconditioned_chebyshev_many(
+        apply_a, identity, DenseMatrix::from_columns({b.column(j)}),
+        static_cast<double>(n), 1e-10);
     EXPECT_EQ(many.iterations, one.iterations);
-    EXPECT_TRUE(BitwiseEqual(many.x.column(j), one.x)) << "column " << j;
+    EXPECT_TRUE(BitwiseEqual(many.x.column(j), one.x.column(0)))
+        << "column " << j;
   }
   // One panel application per iteration, not one per column.
   EXPECT_EQ(many.a_multiplies, many.iterations);
   EXPECT_EQ(many.b_solves, many.iterations);
 }
 
-TEST(BatchedSolve, CgPanelDriverMatchesSingleRhsDriver) {
+TEST(BatchedSolve, CgPanelMatchesOneColumnPanels) {
   rng::Stream mstream(59);
   const auto a = testsupport::random_spd(16, mstream);
   const auto ctx = testsupport::test_context();
-  const auto apply_vec = [&](const Vec& v) { return a.multiply(ctx, v); };
-  const auto apply_panel = [&](const DenseMatrix& p) {
+  const linalg::PanelOperator apply = [&](const DenseMatrix& p) {
     DenseMatrix y(p.rows(), p.cols());
     for (std::size_t j = 0; j < p.cols(); ++j)
       y.set_column(j, a.multiply(ctx, p.column(j)));
@@ -344,15 +346,15 @@ TEST(BatchedSolve, CgPanelDriverMatchesSingleRhsDriver) {
   };
   // A zero column converges at iteration 0; the driver must freeze it.
   const auto b = gaussian_panel(16, 6, 61, /*zero_col=*/2);
-  const auto many =
-      linalg::conjugate_gradient_many(apply_panel, b, 1e-10, 200);
+  const auto many = linalg::conjugate_gradient_many(apply, b, 1e-10, 200);
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    const auto one =
-        linalg::conjugate_gradient(apply_vec, b.column(j), 1e-10, 200);
-    EXPECT_EQ(many.iterations[j], one.iterations) << "column " << j;
-    EXPECT_EQ(many.converged[j], one.converged) << "column " << j;
-    EXPECT_EQ(many.residual_norm[j], one.residual_norm) << "column " << j;
-    EXPECT_TRUE(BitwiseEqual(many.x.column(j), one.x)) << "column " << j;
+    const auto one = linalg::conjugate_gradient_many(
+        apply, DenseMatrix::from_columns({b.column(j)}), 1e-10, 200);
+    EXPECT_EQ(many.iterations[j], one.iterations[0]) << "column " << j;
+    EXPECT_EQ(many.converged[j], one.converged[0]) << "column " << j;
+    EXPECT_EQ(many.residual_norm[j], one.residual_norm[0]) << "column " << j;
+    EXPECT_TRUE(BitwiseEqual(many.x.column(j), one.x.column(0)))
+        << "column " << j;
   }
 }
 

@@ -16,28 +16,36 @@ namespace {
 
 using testsupport::test_context;
 
-// Diagonal SPD operator with controllable condition number.
-LinearOperator diag_op(const Vec& d) {
-  return [d](const Vec& x) {
-    Vec y(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = d[i] * x[i];
+// A single right-hand side is a k = 1 panel.
+DenseMatrix panel(const Vec& v) { return DenseMatrix::from_columns({v}); }
+
+// Diagonal SPD operator with controllable condition number (column-wise).
+PanelOperator diag_op(const Vec& d) {
+  return [d](const DenseMatrix& x) {
+    DenseMatrix y = x;
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      for (std::size_t j = 0; j < x.cols(); ++j) y(i, j) *= d[i];
     return y;
   };
 }
 
+const PanelOperator identity = [](const DenseMatrix& x) { return x; };
+
 TEST(Cg, SolvesDiagonalSystem) {
   const Vec d{1, 2, 3, 4};
   const Vec b{1, 1, 1, 1};
-  const auto res = conjugate_gradient(diag_op(d), b, 1e-10, 100);
-  EXPECT_TRUE(res.converged);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(res.x[i], 1.0 / d[i], 1e-8);
+  const auto res = conjugate_gradient_many(diag_op(d), panel(b), 1e-10, 100);
+  EXPECT_TRUE(res.converged[0]);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(res.x(i, 0), 1.0 / d[i], 1e-8);
 }
 
 TEST(Cg, ExactInNIterations) {
   const Vec d{1, 10, 100};
-  const auto res = conjugate_gradient(diag_op(d), Vec{1, 1, 1}, 1e-12, 10);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LE(res.iterations, 3u);  // CG is exact after n steps
+  const auto res =
+      conjugate_gradient_many(diag_op(d), panel(Vec{1, 1, 1}), 1e-12, 10);
+  EXPECT_TRUE(res.converged[0]);
+  EXPECT_LE(res.iterations[0], 3u);  // CG is exact after n steps
 }
 
 TEST(Cg, PreconditionedConvergesFaster) {
@@ -46,22 +54,24 @@ TEST(Cg, PreconditionedConvergesFaster) {
   Vec d(n);
   for (std::size_t i = 0; i < n; ++i)
     d[i] = 1.0 + 999.0 * static_cast<double>(i) / static_cast<double>(n - 1);
-  const auto b = testsupport::gaussian_vector(n, stream);
-  const auto plain = conjugate_gradient(diag_op(d), b, 1e-10, 1000);
-  LinearOperator precond = diag_op(cw_inv(d));  // perfect preconditioner
-  const auto pre = conjugate_gradient(diag_op(d), b, 1e-10, 1000, &precond);
-  EXPECT_TRUE(pre.converged);
-  EXPECT_LT(pre.iterations, plain.iterations);
-  EXPECT_LE(pre.iterations, 3u);
+  const auto b = panel(testsupport::gaussian_vector(n, stream));
+  const auto plain = conjugate_gradient_many(diag_op(d), b, 1e-10, 1000);
+  const PanelOperator precond = diag_op(cw_inv(d));  // perfect preconditioner
+  const auto pre =
+      conjugate_gradient_many(diag_op(d), b, 1e-10, 1000, &precond);
+  EXPECT_TRUE(pre.converged[0]);
+  EXPECT_LT(pre.iterations[0], plain.iterations[0]);
+  EXPECT_LE(pre.iterations[0], 3u);
 }
 
 TEST(Chebyshev, ExactPreconditionerConvergesImmediately) {
   const Vec d{2, 3, 5};
   const Vec b{1, 2, 3};
   // B = A: kappa = 1.
-  const auto res = preconditioned_chebyshev(diag_op(d), diag_op(cw_inv(d)),
-                                            b, 1.0, 1e-12);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(res.x[i], b[i] / d[i], 1e-9);
+  const auto res = preconditioned_chebyshev_many(
+      diag_op(d), diag_op(cw_inv(d)), panel(b), 1.0, 1e-12);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_NEAR(res.x(i, 0), b[i] / d[i], 1e-9);
 }
 
 TEST(Chebyshev, Kappa3LaplacianPair) {
@@ -72,15 +82,19 @@ TEST(Chebyshev, Kappa3LaplacianPair) {
   const auto factor = LaplacianFactor::factor(test_context(), lap);
   ASSERT_TRUE(factor);
   const auto b = testsupport::zero_sum_gaussian(24, stream);
-  const auto apply_a = [&](const Vec& x) {
-    return lap.multiply(test_context(), x);
+  const PanelOperator apply_a = [&](const DenseMatrix& x) {
+    return graph::apply_laplacian_many(test_context(), g, x);
   };
-  const auto solve_b = [&](const Vec& r) {
-    return scale(factor->solve(r), 2.0 / 3.0);
+  const PanelOperator solve_b = [&](const DenseMatrix& r) {
+    DenseMatrix z = factor->solve_many(test_context(), r);
+    for (std::size_t i = 0; i < z.rows(); ++i)
+      for (std::size_t j = 0; j < z.cols(); ++j) z(i, j) *= 2.0 / 3.0;
+    return z;
   };
-  const auto res = preconditioned_chebyshev(apply_a, solve_b, b, 3.0, 1e-10);
+  const auto res =
+      preconditioned_chebyshev_many(apply_a, solve_b, panel(b), 3.0, 1e-10);
   const Vec exact = factor->solve(b);
-  Vec diff = sub(res.x, exact);
+  Vec diff = sub(res.x.column(0), exact);
   remove_mean(diff);
   const double err = std::sqrt(
       std::max(0.0, dot(diff, lap.multiply(test_context(), diff))));
@@ -91,10 +105,11 @@ TEST(Chebyshev, Kappa3LaplacianPair) {
 
 TEST(Chebyshev, IterationCountScalesWithSqrtKappa) {
   // Theorem 2.3's O(sqrt(kappa) log(1/eps)) shape: the builtin schedule.
-  const Vec b{1.0};
-  const auto one = [](const Vec& x) { return x; };
-  const auto r1 = preconditioned_chebyshev(one, one, b, 4.0, 1e-6);
-  const auto r2 = preconditioned_chebyshev(one, one, b, 64.0, 1e-6);
+  const auto b = panel(Vec{1.0});
+  const auto r1 =
+      preconditioned_chebyshev_many(identity, identity, b, 4.0, 1e-6);
+  const auto r2 =
+      preconditioned_chebyshev_many(identity, identity, b, 64.0, 1e-6);
   const double ratio = static_cast<double>(r2.iterations) /
                        static_cast<double>(r1.iterations);
   EXPECT_NEAR(ratio, 4.0, 1.0);  // sqrt(64/4) = 4
@@ -103,13 +118,12 @@ TEST(Chebyshev, IterationCountScalesWithSqrtKappa) {
 TEST(Chebyshev, ErrorDecreasesWithIterations) {
   Vec d{1.0, 0.5, 0.34};  // spectrum within [1/3, 1]
   const Vec b{1, 1, 1};
-  const auto a_op = diag_op(d);
-  const auto id = [](const Vec& x) { return x; };
   double prev = 1e9;
   for (std::size_t iters : {2u, 6u, 12u, 24u}) {
-    const auto res = preconditioned_chebyshev_fixed(a_op, id, b, 3.0, iters);
+    const auto res = preconditioned_chebyshev_many_fixed(
+        diag_op(d), identity, panel(b), 3.0, iters);
     Vec err(3);
-    for (std::size_t i = 0; i < 3; ++i) err[i] = res.x[i] - b[i] / d[i];
+    for (std::size_t i = 0; i < 3; ++i) err[i] = res.x(i, 0) - b[i] / d[i];
     const double e = norm2(err);
     EXPECT_LT(e, prev + 1e-12);
     prev = e;
@@ -118,9 +132,8 @@ TEST(Chebyshev, ErrorDecreasesWithIterations) {
 }
 
 TEST(Chebyshev, CountsPrimitiveOperations) {
-  const Vec b{1.0, 2.0};
-  const auto id = [](const Vec& x) { return x; };
-  const auto res = preconditioned_chebyshev_fixed(id, id, b, 2.0, 7);
+  const auto res = preconditioned_chebyshev_many_fixed(
+      identity, identity, panel(Vec{1.0, 2.0}), 2.0, 7);
   EXPECT_EQ(res.iterations, 7u);
   EXPECT_EQ(res.a_multiplies, 7u);
   EXPECT_EQ(res.b_solves, 7u);

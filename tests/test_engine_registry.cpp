@@ -2,8 +2,8 @@
 // per-key prepare/apply equivalence against the exact reference, the
 // auto-tuner's thresholds, RunStats engine-name propagation through the
 // Runtime and LP facades, 1-vs-4-thread bitwise identity per engine —
-// extending the determinism contract to every backend — and SDD engines
-// that fail loudly on matrices they cannot factor.
+// extending the determinism contract to every backend — and artifacts and
+// SDD engines that fail loudly on inputs they cannot serve.
 #include "laplacian/engine.h"
 
 #include <gtest/gtest.h>
@@ -98,6 +98,93 @@ TEST(EngineRegistry, EveryKeySolvesTheReferenceLaplacian) {
     }
     EXPECT_TRUE(testsupport::EnergyNormWithin(g, col0, ref, 1e-6)) << key;
     EXPECT_TRUE(testsupport::EnergyNormWithin(g, col1, ref, 1e-6)) << key;
+  }
+}
+
+TEST(EngineRegistry, UnusableArtifactApplyThrowsNamingTheEngine) {
+  // A negative edge weight makes L_G indefinite: every factorization-backed
+  // prepare phase fails and reports usable() == false. Applying such an
+  // artifact is a caller bug that must fail loudly, in every build.
+  graph::Graph g(3);
+  g.add_edge(0, 1, -1.0);
+  g.add_edge(1, 2, 1.0);
+  const auto ctx = test_context(7);
+  const std::shared_ptr<const PreparedLaplacian> artifacts[] = {
+      prepare_exact(ctx, g, linalg::FactorMode::kForceDense, "exact-dense"),
+      prepare_exact(ctx, g, linalg::FactorMode::kForceSparse, "exact-sparse"),
+      prepare_sparsified_chebyshev(
+          ctx, g, testsupport::small_sparsify_options(0.5, 2, 2))};
+  const linalg::Vec b{1.0, 0.0, -1.0};
+  for (const auto& artifact : artifacts) {
+    const std::string key(artifact->engine_key());
+    ASSERT_FALSE(artifact->usable()) << key;
+    try {
+      artifact->apply(ctx, b, EngineOptions{}, nullptr);
+      ADD_FAILURE() << key << ": expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+      EXPECT_NE(msg.find("unusable"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(artifact->apply_many(ctx, linalg::DenseMatrix(3, 2),
+                                      EngineOptions{}, nullptr),
+                 std::logic_error)
+        << key;
+  }
+}
+
+TEST(EngineRegistry, WrongSizedRhsNamesTheEngine) {
+  rng::Stream gstream(3);
+  const auto g = graph::complete(12, 2, gstream);
+  auto& registry = EngineRegistry::instance();
+  for (const std::string key :
+       {"cg", "exact-dense", "exact-sparse", "sparsified-chebyshev"}) {
+    EngineOptions opt;
+    opt.sparsify = testsupport::small_sparsify_options(0.5, 2, 2);
+    const auto artifact = registry.prepare(key, test_context(5), g, opt);
+    ASSERT_TRUE(artifact->usable()) << key;
+    try {
+      artifact->apply(test_context(), linalg::Vec(5, 0.0), opt, nullptr);
+      ADD_FAILURE() << key << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(artifact->apply_many(test_context(), linalg::DenseMatrix(5, 2),
+                                      opt, nullptr),
+                 std::invalid_argument)
+        << key;
+  }
+}
+
+TEST(EngineRegistry, SingleRhsReportsNoPanel) {
+  // A single right-hand side runs as a k = 1 panel inside the artifact,
+  // but it is not a panel request: the facade's panels counter stays 0
+  // for solve_laplacian and is 1 for solve_laplacian_many, on every key.
+  rng::Stream gstream(11);
+  const auto g = graph::random_connected_gnp(20, 0.3, 4, gstream);
+  rng::Stream bstream(12);
+  const auto b = testsupport::zero_sum_gaussian(20, bstream);
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  ropts.seed = 21;
+  Runtime rt(ropts);
+  for (const std::string key :
+       {"cg", "exact-dense", "exact-sparse", "sparsified-chebyshev"}) {
+    LaplacianSolveOptions lopt;
+    lopt.engine = key;
+    lopt.sparsify = testsupport::small_sparsify_options(0.5, 2, 2);
+    const auto one = rt.solve_laplacian(g, b, lopt);
+    ASSERT_TRUE(one.usable) << key;
+    EXPECT_EQ(one.stats.panels, 0u) << key;
+    const auto many = rt.solve_laplacian_many(
+        g, linalg::DenseMatrix::from_columns({b}), lopt);
+    ASSERT_TRUE(many.usable) << key;
+    EXPECT_EQ(many.stats.panels, 1u) << key;
+    // Same bytes and the same per-instance counters either way.
+    EXPECT_EQ(many.x.column(0), one.x) << key;
+    EXPECT_EQ(many.stats.iterations, one.stats.iterations) << key;
+    EXPECT_EQ(many.stats.rounds, one.stats.rounds) << key;
   }
 }
 
@@ -261,17 +348,15 @@ TEST(EngineRegistry, RegistrationIsLatestWins) {
     std::string_view engine_key() const override { return "test-stub"; }
     bool usable() const override { return false; }
     std::size_t dim() const override { return 0; }
-    linalg::Vec apply(const common::Context&, const linalg::Vec&,
-                      const EngineOptions&, core::RunStats*) const override {
-      return {};
-    }
-    linalg::DenseMatrix apply_many(const common::Context&,
-                                   const linalg::DenseMatrix&,
-                                   const EngineOptions&,
-                                   core::RunStats*) const override {
+    std::size_t resident_bytes() const override { return 0; }
+
+   protected:
+    linalg::DenseMatrix apply_panel(const common::Context&,
+                                    const linalg::DenseMatrix&,
+                                    const EngineOptions&,
+                                    core::RunStats&) const override {
       return linalg::DenseMatrix(0, 0);
     }
-    std::size_t resident_bytes() const override { return 0; }
   };
   // Prepare functions that count their calls in steps of `weight`.
   int prepared = 0;

@@ -40,19 +40,16 @@ class StubArtifact final : public laplacian::PreparedLaplacian {
   std::string_view engine_key() const override { return "stub"; }
   bool usable() const override { return true; }
   std::size_t dim() const override { return 0; }
-  Vec apply(const common::Context&, const Vec&, const laplacian::EngineOptions&,
-            core::RunStats*) const override {
-    return {};
-  }
-  linalg::DenseMatrix apply_many(const common::Context&,
-                                 const linalg::DenseMatrix&,
-                                 const laplacian::EngineOptions&,
-                                 core::RunStats*) const override {
-    return {};
-  }
   std::size_t resident_bytes() const override { return bytes_; }
 
  private:
+  linalg::DenseMatrix apply_panel(const common::Context&,
+                                  const linalg::DenseMatrix&,
+                                  const laplacian::EngineOptions&,
+                                  core::RunStats&) const override {
+    return {};
+  }
+
   std::size_t bytes_;
 };
 

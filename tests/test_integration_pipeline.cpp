@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "laplacian/bcc_solver.h"
 #include "laplacian/engine.h"
+#include "laplacian/prepared.h"
 #include "laplacian/solver.h"
 #include "lp/lp_solver.h"
 #include "sparsify/verifier.h"
@@ -23,16 +24,19 @@ TEST(Pipeline, SparsifierFeedsLaplacianSolver) {
   rng::Stream gstream(1);
   const auto g = graph::complete(32, 6, gstream);
   const auto opt = testsupport::small_sparsify_options(0.5, 2, 4);
-  laplacian::SparsifiedLaplacianSolver solver(test_context(404), g, opt);
+  const auto prepared =
+      laplacian::prepare_sparsified_chebyshev(test_context(404), g, opt);
   // The preconditioner is a genuine sparsifier of G.
-  const auto check = sparsify::check_sparsifier(g, solver.sparsifier());
+  const auto check = sparsify::check_sparsifier(g, *prepared->sparsifier());
   ASSERT_TRUE(check.valid);
   EXPECT_GT(check.lambda_min, 0.0);
   // And the solver built on it reaches high precision.
   linalg::Vec b(32, 0.0);
   b[0] = 1.0;
   b[31] = -1.0;
-  const auto y = solver.solve(b, 1e-9);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-9;
+  const auto y = prepared->apply(test_context(404), b, eopt, nullptr);
   const auto x = laplacian::exact_laplacian_solve(test_context(), g, b);
   EXPECT_TRUE(testsupport::EnergyNormWithin(g, y, x, 1e-9));
 }
@@ -110,15 +114,29 @@ TEST(Pipeline, RoundAccountingAccumulatesAcrossLayers) {
   rng::Stream gstream(3);
   const auto g = graph::complete(20, 2, gstream);
   const auto opt = testsupport::small_sparsify_options(1.0, 2, 2);
-  laplacian::SparsifiedLaplacianSolver solver(test_context(55), g, opt);
-  const auto pre = solver.preprocessing_rounds();
+  const auto prepared =
+      laplacian::prepare_sparsified_chebyshev(test_context(55), g, opt);
+  const auto pre = prepared->preprocessing_rounds();
   EXPECT_GT(pre, 0);
   linalg::Vec b(20, 0.0);
   b[0] = 1.0;
   b[1] = -1.0;
-  laplacian::SolveStats st;
-  solver.solve(b, 1e-4, &st);
-  EXPECT_EQ(solver.accountant().total(), pre + st.rounds);
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-4;
+  core::RunStats st;
+  prepared->apply(test_context(55), b, eopt, &st);
+  EXPECT_GT(st.rounds, 0);
+  // A facade run with the same seed charges the sparsifier broadcasts
+  // once plus the per-instance solve.
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  ropts.seed = 55;
+  Runtime rt(ropts);
+  LaplacianSolveOptions lopt;
+  lopt.eps = 1e-4;
+  lopt.sparsify = opt;
+  lopt.engine = "sparsified-chebyshev";
+  EXPECT_EQ(rt.solve_laplacian(g, b, lopt).stats.rounds, pre + st.rounds);
 }
 
 TEST(Pipeline, RunStatsPropagateThroughFacade) {
@@ -146,11 +164,14 @@ TEST(Pipeline, RunStatsPropagateThroughFacade) {
   ASSERT_TRUE(lap.usable);
   // Facade rounds = preprocessing + per-instance solve, matching the
   // layer's own split.
-  laplacian::SparsifiedLaplacianSolver solver(rt.context(), g, sopt);
-  laplacian::SolveStats st;
-  const auto x = solver.solve(b, lopt.eps, &st);
-  EXPECT_EQ(lap.preprocessing_rounds, solver.preprocessing_rounds());
-  EXPECT_EQ(lap.stats.rounds, solver.preprocessing_rounds() + st.rounds);
+  const auto prepared =
+      laplacian::prepare_sparsified_chebyshev(rt.context(), g, sopt);
+  laplacian::EngineOptions eopt;
+  eopt.eps = lopt.eps;
+  core::RunStats st;
+  const auto x = prepared->apply(rt.context(), b, eopt, &st);
+  EXPECT_EQ(lap.preprocessing_rounds, prepared->preprocessing_rounds());
+  EXPECT_EQ(lap.stats.rounds, prepared->preprocessing_rounds() + st.rounds);
   EXPECT_EQ(lap.stats.iterations, st.iterations);
   EXPECT_EQ(lap.x, x);
 

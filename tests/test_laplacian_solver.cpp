@@ -1,10 +1,15 @@
+// The paper pipeline's solve (Corollary 2.4 / Theorem 1.3) through its
+// prepared artifact, plus the exact reference oracle it is measured
+// against.
 #include "laplacian/solver.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "graph/generators.h"
+#include "laplacian/prepared.h"
 #include "linalg/vector_ops.h"
 #include "support/comparators.h"
 #include "support/fixtures.h"
@@ -18,19 +23,33 @@ sparsify::SparsifyOptions solver_opts() {
   return testsupport::small_sparsify_options(0.5, 2, 4);
 }
 
+// The sparsified-chebyshev artifact for g, prepared under `seed`.
+std::shared_ptr<const PreparedLaplacian> prepare(
+    std::uint64_t seed, const graph::Graph& g,
+    const sparsify::SparsifyOptions& opt = solver_opts()) {
+  return prepare_sparsified_chebyshev(test_context(seed), g, opt);
+}
+
+linalg::Vec solve(const PreparedLaplacian& p, const linalg::Vec& b,
+                  double eps, core::RunStats* stats = nullptr) {
+  EngineOptions opt;
+  opt.eps = eps;
+  return p.apply(test_context(), b, opt, stats);
+}
+
 class LaplacianSolverEps : public ::testing::TestWithParam<double> {};
 
 TEST_P(LaplacianSolverEps, MeetsEnergyNormError) {
   const double eps = GetParam();
   rng::Stream gstream(17);
   const auto g = graph::complete(28, 5, gstream);
-  SparsifiedLaplacianSolver solver(test_context(1234), g, solver_opts());
+  const auto solver = prepare(1234, g);
 
   rng::Stream bstream(18);
   const auto b = testsupport::zero_sum_gaussian(g.num_vertices(), bstream);
 
-  SolveStats stats;
-  const auto y = solver.solve(b, eps, &stats);
+  core::RunStats stats;
+  const auto y = solve(*solver, b, eps, &stats);
   const auto x = exact_laplacian_solve(test_context(), g, b);
   EXPECT_TRUE(testsupport::EnergyNormWithin(g, y, x, eps)) << "eps = " << eps;
   EXPECT_GT(stats.iterations, 0u);
@@ -44,13 +63,13 @@ TEST(LaplacianSolver, IterationCountIsLogOneOverEps) {
   // Corollary 2.4: O(log(1/eps)) iterations with kappa = 3.
   rng::Stream gstream(19);
   const auto g = graph::complete(24, 3, gstream);
-  SparsifiedLaplacianSolver solver(test_context(55), g, solver_opts());
+  const auto solver = prepare(55, g);
   linalg::Vec b(g.num_vertices(), 0.0);
   b[0] = 1.0;
   b[5] = -1.0;
-  SolveStats s1, s2;
-  solver.solve(b, 1e-2, &s1);
-  solver.solve(b, 1e-8, &s2);
+  core::RunStats s1, s2;
+  solve(*solver, b, 1e-2, &s1);
+  solve(*solver, b, 1e-8, &s2);
   // 4x more digits should cost ~4x iterations (linear in log(1/eps)).
   const double ratio =
       static_cast<double>(s2.iterations) / static_cast<double>(s1.iterations);
@@ -62,15 +81,15 @@ TEST(LaplacianSolver, PreprocessingVsInstanceRounds) {
   // Theorem 1.3's split: preprocessing dominates a single solve.
   rng::Stream gstream(23);
   const auto g = graph::complete(24, 3, gstream);
-  SparsifiedLaplacianSolver solver(test_context(77), g, solver_opts());
-  EXPECT_GT(solver.preprocessing_rounds(), 0);
+  const auto solver = prepare(77, g);
+  EXPECT_GT(solver->preprocessing_rounds(), 0);
   linalg::Vec b(g.num_vertices(), 0.0);
   b[1] = 1.0;
   b[2] = -1.0;
-  SolveStats stats;
-  solver.solve(b, 1e-6, &stats);
+  core::RunStats stats;
+  solve(*solver, b, 1e-6, &stats);
   EXPECT_GT(stats.rounds, 0);
-  EXPECT_LT(stats.rounds, solver.preprocessing_rounds());
+  EXPECT_LT(stats.rounds, solver->preprocessing_rounds());
 }
 
 TEST(LaplacianSolver, SparsifierIsSparserOnDenseInput) {
@@ -78,17 +97,17 @@ TEST(LaplacianSolver, SparsifierIsSparserOnDenseInput) {
   const auto g = graph::complete(64, 2, gstream);
   auto opt = solver_opts();
   opt.t = 1;  // single-spanner bundles so K64 actually compresses
-  SparsifiedLaplacianSolver solver(test_context(91), g, opt);
-  EXPECT_LT(solver.sparsifier().num_edges(), g.num_edges());
+  const auto solver = prepare(91, g, opt);
+  EXPECT_LT(solver->sparsifier()->num_edges(), g.num_edges());
 }
 
 TEST(LaplacianSolver, WorksOnSparseGraphs) {
   rng::Stream gstream(31);
   const auto g = graph::random_connected_gnp(30, 0.15, 4, gstream);
-  SparsifiedLaplacianSolver solver(test_context(101), g, solver_opts());
+  const auto solver = prepare(101, g);
   rng::Stream bstream(32);
   const auto b = testsupport::zero_sum_gaussian(g.num_vertices(), bstream);
-  const auto y = solver.solve(b, 1e-8);
+  const auto y = solve(*solver, b, 1e-8);
   const auto x = exact_laplacian_solve(test_context(), g, b);
   EXPECT_TRUE(testsupport::EnergyNormWithin(g, y, x, 1e-8));
 }
@@ -96,10 +115,10 @@ TEST(LaplacianSolver, WorksOnSparseGraphs) {
 TEST(LaplacianSolver, NonZeroMeanRhsIsProjected) {
   rng::Stream gstream(37);
   const auto g = graph::complete(16, 1, gstream);
-  SparsifiedLaplacianSolver solver(test_context(111), g, solver_opts());
+  const auto solver = prepare(111, g);
   linalg::Vec b(16, 1.0);  // pure kernel component
   b[0] = 2.0;
-  const auto y = solver.solve(b, 1e-8);
+  const auto y = solve(*solver, b, 1e-8);
   linalg::Vec proj = b;
   linalg::remove_mean(proj);
   const auto x = exact_laplacian_solve(test_context(), g, proj);
@@ -130,28 +149,29 @@ TEST(ExactLaplacianSolver, OneAndTwoVertexGraphs) {
 TEST(LaplacianSolver, OneAndTwoVertexGraphs) {
   // The sparsifier-preconditioned path through the same degenerate sizes.
   const graph::Graph one(1);
-  SparsifiedLaplacianSolver s1(test_context(7), one, solver_opts());
-  ASSERT_TRUE(s1.usable());
-  const auto x1 = s1.solve(linalg::Vec{5.0}, 1e-8);
+  const auto s1 = prepare(7, one);
+  ASSERT_TRUE(s1->usable());
+  const auto x1 = solve(*s1, linalg::Vec{5.0}, 1e-8);
   ASSERT_EQ(x1.size(), 1u);
   EXPECT_EQ(x1[0], 0.0);
 
   graph::Graph two(2);
   two.add_edge(0, 1, 2.0);
-  SparsifiedLaplacianSolver s2(test_context(8), two, solver_opts());
-  ASSERT_TRUE(s2.usable());
-  const auto x2 = s2.solve(linalg::Vec{1.0, -1.0}, 1e-10);
+  const auto s2 = prepare(8, two);
+  ASSERT_TRUE(s2->usable());
+  const auto x2 = solve(*s2, linalg::Vec{1.0, -1.0}, 1e-10);
   EXPECT_NEAR(x2[0] - x2[1], 0.5, 1e-8);
 }
 
 TEST(LaplacianSolver, RejectsWrongSizedRhs) {
   rng::Stream gstream(43);
   const auto g = graph::complete(12, 2, gstream);
-  SparsifiedLaplacianSolver solver(test_context(9), g, solver_opts());
-  ASSERT_TRUE(solver.usable());
-  EXPECT_THROW(solver.solve(linalg::Vec(5, 0.0), 1e-6),
+  const auto solver = prepare(9, g);
+  ASSERT_TRUE(solver->usable());
+  EXPECT_THROW(solve(*solver, linalg::Vec(5, 0.0), 1e-6),
                std::invalid_argument);
-  EXPECT_THROW(solver.solve_many(linalg::DenseMatrix(5, 2), 1e-6),
+  EXPECT_THROW(solver->apply_many(test_context(), linalg::DenseMatrix(5, 2),
+                                  EngineOptions{}, nullptr),
                std::invalid_argument);
 }
 

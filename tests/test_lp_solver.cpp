@@ -125,9 +125,6 @@ class CountedSdd final : public laplacian::SddEngine {
  public:
   explicit CountedSdd(std::unique_ptr<laplacian::SddEngine> inner)
       : inner_(std::move(inner)) {}
-  linalg::Vec solve(const linalg::Vec& y, double eps) override {
-    return inner_->solve(y, eps);
-  }
   linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
                                  double eps) override {
     return inner_->solve_many(y, eps);

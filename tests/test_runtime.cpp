@@ -152,10 +152,10 @@ TEST(Runtime, FacadeSparsifyCouplesWithAprioriReference) {
   EXPECT_EQ(adhoc.result.original_edge, apriori.original_edge);
 }
 
-TEST(Runtime, DirectSolverOnProcessDefaultMatchesRuntimePath) {
-  // The historical contract: constructing SparsifiedLaplacianSolver
-  // directly on the process-default context (with a facade-matching seed)
-  // produces exactly what a Runtime with that seed produces.
+TEST(Runtime, DirectArtifactOnProcessDefaultMatchesRuntimePath) {
+  // The historical contract: preparing the sparsified artifact directly
+  // on the process-default context (with a facade-matching seed) and
+  // applying it produces exactly what a Runtime with that seed produces.
   const auto g = pipeline_graph();
   linalg::Vec b(g.num_vertices(), 0.0);
   b[0] = 1.0;
@@ -169,13 +169,15 @@ TEST(Runtime, DirectSolverOnProcessDefaultMatchesRuntimePath) {
   lopt.sparsify = pipeline_sparsify_options();
   const auto facade = rt.solve_laplacian(g, b, lopt);
 
-  laplacian::SparsifiedLaplacianSolver direct(
-      Runtime::process_default().context().with_seed(404), g,
-      pipeline_sparsify_options());
-  ASSERT_TRUE(direct.usable());
-  const auto x = direct.solve(b, 1e-8);
+  const auto ctx = Runtime::process_default().context().with_seed(404);
+  const auto direct = laplacian::prepare_sparsified_chebyshev(
+      ctx, g, pipeline_sparsify_options());
+  ASSERT_TRUE(direct->usable());
+  laplacian::EngineOptions eopt;
+  eopt.eps = 1e-8;
+  const auto x = direct->apply(ctx, b, eopt, nullptr);
   EXPECT_TRUE(bitwise_equal(facade.x, x));
-  EXPECT_EQ(facade.preprocessing_rounds, direct.preprocessing_rounds());
+  EXPECT_EQ(facade.preprocessing_rounds, direct->preprocessing_rounds());
 }
 
 TEST(Runtime, ResetProcessDefaultRebuildsWorkerCount) {

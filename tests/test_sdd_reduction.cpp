@@ -36,6 +36,17 @@ linalg::DenseMatrix random_sdd(std::size_t n, bool with_positive,
   return m;
 }
 
+// Single right-hand sides ride the panel lift and projection as k = 1
+// panels.
+linalg::Vec lift(const linalg::Vec& y) {
+  return lift_rhs_many(linalg::DenseMatrix::from_columns({y})).column(0);
+}
+
+linalg::Vec project(const linalg::Vec& x12) {
+  return project_solution_many(linalg::DenseMatrix::from_columns({x12}))
+      .column(0);
+}
+
 TEST(SddReduction, VirtualGraphIsLaplacianOfM) {
   rng::Stream stream(1);
   const auto m = random_sdd(6, false, stream);
@@ -45,7 +56,7 @@ TEST(SddReduction, VirtualGraphIsLaplacianOfM) {
   // L [x; -x] = [M x; -M x] for any x.
   const auto x = testsupport::gaussian_vector(6, stream);
   const auto lifted =
-      graph::apply_laplacian(test_context(), red.virtual_graph, lift_rhs(x));
+      graph::apply_laplacian(test_context(), red.virtual_graph, lift(x));
   const auto mx = m.multiply(test_context(), x);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_NEAR(lifted[i], mx[i], 1e-9);
@@ -64,7 +75,7 @@ TEST(SddReduction, SolveRoundTripNegativeOffdiag) {
         test_context(), graph::laplacian(red.virtual_graph));
     ASSERT_TRUE(factor);
     const auto y = testsupport::gaussian_vector(8, child);
-    const auto x = project_solution(factor->solve(lift_rhs(y)));
+    const auto x = project(factor->solve(lift(y)));
     const auto r = linalg::sub(m.multiply(test_context(), x), y);
     EXPECT_LT(linalg::norm2(r), 1e-7 * (linalg::norm2(y) + 1.0));
   }
@@ -80,7 +91,7 @@ TEST(SddReduction, SolveRoundTripMixedSigns) {
       test_context(), graph::laplacian(red.virtual_graph));
   ASSERT_TRUE(factor);
   const auto y = testsupport::gaussian_vector(10, stream);
-  const auto x = project_solution(factor->solve(lift_rhs(y)));
+  const auto x = project(factor->solve(lift(y)));
   const auto r = linalg::sub(m.multiply(test_context(), x), y);
   EXPECT_LT(linalg::norm2(r), 1e-7 * (linalg::norm2(y) + 1.0));
 }
@@ -96,9 +107,15 @@ TEST(SddReduction, RejectsNonSdd) {
 
 TEST(SddReduction, LiftProjectInverse) {
   const linalg::Vec y{1, -2, 3};
-  const auto lifted = lift_rhs(y);
+  const auto lifted = lift(y);
   EXPECT_EQ(lifted.size(), 6u);
-  EXPECT_EQ(project_solution(lifted), y);
+  EXPECT_EQ(project(lifted), y);
+  // Panels lift and project column by column.
+  const auto panel = linalg::DenseMatrix::from_columns({y, {0.5, 0, -4}});
+  const auto lifted_panel = lift_rhs_many(panel);
+  EXPECT_EQ(lifted_panel.rows(), 6u);
+  EXPECT_EQ(lifted_panel.column(0), lifted);
+  EXPECT_EQ(project_solution_many(lifted_panel).column(1), panel.column(1));
 }
 
 }  // namespace
