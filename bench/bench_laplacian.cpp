@@ -81,7 +81,9 @@ void component_factor_n(bench::State& s, std::size_t n_per_comp,
   s.counter("components", static_cast<double>(f->num_components()));
   s.counter("factor_ok", 1.0);
   s.counter("fingerprint_xnorm",
-            linalg::norm2(f->solve(bench::bench_context(), b)));
+            linalg::norm2(f->solve_many(bench::bench_context(),
+                                        linalg::DenseMatrix::from_columns({b}))
+                              .column(0)));
 }
 
 // PR 5: batched multi-RHS panels — "factor once, solve many". The body

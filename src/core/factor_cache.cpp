@@ -83,7 +83,9 @@ std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::peek(
 
 std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::insert_locked(
     const FactorCacheKey& key,
-    std::shared_ptr<const laplacian::PreparedLaplacian> artifact) {
+    std::shared_ptr<const laplacian::PreparedLaplacian> artifact,
+    std::uint64_t* evicted) {
+  *evicted = 0;
   // First-wins dedupe: a concurrent preparer may have beaten us here; the
   // entry already resident is the canonical artifact for this key.
   if (auto existing = find_locked(key)) return existing;
@@ -94,8 +96,9 @@ std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::insert_locked(
   while (resident_bytes_ > max_bytes_ && entries_.size() > 1) {
     resident_bytes_ -= entries_.back().bytes;
     entries_.pop_back();
-    ++evictions_;
+    ++*evicted;
   }
+  evictions_ += *evicted;
   return artifact;
 }
 
@@ -103,7 +106,8 @@ std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::insert(
     const FactorCacheKey& key,
     std::shared_ptr<const laplacian::PreparedLaplacian> artifact) {
   std::lock_guard<std::mutex> lock(mu_);
-  return insert_locked(key, std::move(artifact));
+  std::uint64_t evicted = 0;
+  return insert_locked(key, std::move(artifact), &evicted);
 }
 
 std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::lookup_or_join(
@@ -145,11 +149,12 @@ std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::lookup_or_join(
 
 std::shared_ptr<const laplacian::PreparedLaplacian> FactorCache::publish(
     const FactorCacheKey& key,
-    std::shared_ptr<const laplacian::PreparedLaplacian> artifact) {
+    std::shared_ptr<const laplacian::PreparedLaplacian> artifact,
+    std::uint64_t* evicted) {
   std::lock_guard<std::mutex> lock(mu_);
   // Waiters adopt the canonical artifact — identical bytes to what any
   // later lookup() of this key returns.
-  auto canonical = insert_locked(key, std::move(artifact));
+  auto canonical = insert_locked(key, std::move(artifact), evicted);
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if ((*it)->key == key) {
       (*it)->resolved = true;
@@ -184,31 +189,6 @@ FactorCache::Stats FactorCache::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   return s;
-}
-
-std::size_t FactorCache::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resident_bytes_;
-}
-
-std::size_t FactorCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-std::uint64_t FactorCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t FactorCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::uint64_t FactorCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
 }
 
 }  // namespace bcclap::core

@@ -142,10 +142,13 @@ class FactorCache {
 
   // Leader success path: inserts under the first-wins/budget rules of
   // insert(), hands the canonical artifact to every waiter (each counts a
-  // hit — they adopted work someone else did), and returns it.
+  // hit — they adopted work someone else did), and returns it. *evicted
+  // is set to the LRU evictions this insert made — exactly what the
+  // publishing run is charged, however many other publishes interleave.
   std::shared_ptr<const laplacian::PreparedLaplacian> publish(
       const FactorCacheKey& key,
-      std::shared_ptr<const laplacian::PreparedLaplacian> artifact);
+      std::shared_ptr<const laplacian::PreparedLaplacian> artifact,
+      std::uint64_t* evicted);
 
   // Leader failure path: drops the in-flight registration and wakes the
   // waiters empty-handed to re-elect. No-op if the key is not in flight.
@@ -153,11 +156,6 @@ class FactorCache {
 
   std::size_t max_bytes() const { return max_bytes_; }
   Stats stats() const;
-  std::size_t resident_bytes() const;
-  std::size_t entries() const;
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
 
  private:
   struct Entry {
@@ -175,12 +173,14 @@ class FactorCache {
     std::shared_ptr<const laplacian::PreparedLaplacian> artifact;  // publish
   };
 
-  // Both require mu_ held.
+  // Both require mu_ held. insert_locked returns the evictions its own
+  // insert made through *evicted.
   std::shared_ptr<const laplacian::PreparedLaplacian> find_locked(
       const FactorCacheKey& key);
   std::shared_ptr<const laplacian::PreparedLaplacian> insert_locked(
       const FactorCacheKey& key,
-      std::shared_ptr<const laplacian::PreparedLaplacian> artifact);
+      std::shared_ptr<const laplacian::PreparedLaplacian> artifact,
+      std::uint64_t* evicted);
 
   const std::size_t max_bytes_;
   mutable std::mutex mu_;

@@ -143,15 +143,14 @@ Artifact prepare_artifact(const Runtime& rt, const std::string& key,
     cache->withdraw(ckey);
     return out;
   }
-  const std::uint64_t evictions_before = cache->evictions();
-  auto canonical = cache->publish(ckey, out.prepared);
+  std::uint64_t evicted = 0;
+  auto canonical = cache->publish(ckey, out.prepared, &evicted);
   // A concurrent preparer may have raced us past the in-flight slot (e.g.
   // via a plain insert); its entry is canonical, so this run applies the
   // same bytes every cached run sees — and reports none of our prepare
   // work, as for any other artifact prepared elsewhere.
   if (canonical != out.prepared) out = {std::move(canonical), false};
-  stats->cache_evictions +=
-      static_cast<std::size_t>(cache->evictions() - evictions_before);
+  stats->cache_evictions += static_cast<std::size_t>(evicted);
   return out;
 }
 

@@ -1,32 +1,24 @@
 #include "laplacian/solver.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "graph/laplacian.h"
+#include "linalg/cholesky.h"
 
 namespace bcclap::laplacian {
-
-ExactLaplacianSolver::ExactLaplacianSolver(const common::Context& ctx,
-                                           const graph::Graph& g)
-    : ctx_(ctx),
-      factor_(linalg::LaplacianFactor::factor(ctx, graph::laplacian(g))) {}
-
-linalg::Vec ExactLaplacianSolver::solve(const linalg::Vec& b) const {
-  assert(factor_ && "graph must be connected");
-  return factor_->solve(b);
-}
-
-linalg::DenseMatrix ExactLaplacianSolver::solve_many(
-    const linalg::DenseMatrix& b) const {
-  assert(factor_ && "graph must be connected");
-  return factor_->solve_many(ctx_, b);
-}
 
 linalg::Vec exact_laplacian_solve(const common::Context& ctx,
                                   const graph::Graph& g,
                                   const linalg::Vec& b) {
-  return ExactLaplacianSolver(ctx, g).solve(b);
+  const auto factor =
+      linalg::ComponentLaplacianFactor::factor(ctx, graph::laplacian(g));
+  if (!factor) {
+    throw std::runtime_error(
+        "exact_laplacian_solve: graph Laplacian does not factor");
+  }
+  return factor->solve_many(ctx, linalg::DenseMatrix::from_columns({b}))
+      .column(0);
 }
 
 double laplacian_norm(const common::Context& ctx, const graph::Graph& g,

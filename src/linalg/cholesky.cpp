@@ -377,110 +377,6 @@ DenseMatrix LdltFactor::solve_many(const common::Context& ctx,
   return x;
 }
 
-// GCC 12 flags the bytes of the variant's *inactive* alternatives when the
-// LaplacianFactor temporary is moved into the optional return (visible only
-// under the sanitizer build's inlining) — a known false positive for
-// std::variant inside std::optional; every alternative is fully constructed
-// before the move.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-std::optional<LaplacianFactor> LaplacianFactor::factor(
-    const common::Context& ctx, const CsrMatrix& laplacian, FactorMode mode) {
-  require_square(laplacian);
-  const std::size_t n = laplacian.rows();
-  if (n == 0) return std::nullopt;
-  // One vertex: L = 0, every rhs projects to zero and x = 0. A valid
-  // factor with nothing to hold — previously rejected, which turned
-  // 1-node graphs into a null deref downstream (ExactLaplacianSolver).
-  if (n == 1) return LaplacianFactor(1);
-  const auto& rp = laplacian.row_ptr();
-  const auto& ci = laplacian.col_index();
-  const auto& vals = laplacian.values();
-  // Stored-entry count of the grounded matrix, for the backend dispatch.
-  std::size_t grounded_nnz = 0;
-  for (std::size_t r = 0; r + 1 < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] + 1 < n) ++grounded_nnz;
-    }
-  }
-  if (sparse_path_selected(n - 1, grounded_nnz, mode)) {
-    // Grounded upper triangle straight from the symmetric CSR — no dense
-    // detour on this path.
-    auto sf = SparseLdltFactor::factor(
-        ctx, CscSymmetricMatrix::from_symmetric_csr(laplacian, 1));
-    if (!sf) return std::nullopt;
-    return LaplacianFactor(n, Reduced{std::move(*sf)});
-  }
-  // Grounded matrix: drop last row/column. Accumulate (rather than assign)
-  // so duplicate CSR entries sum exactly as CsrMatrix::multiply applies
-  // them; assignment would silently drop all but the last duplicate.
-  DenseMatrix g(n - 1, n - 1);
-  for (std::size_t r = 0; r + 1 < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] + 1 < n) g(r, ci[k]) += vals[k];
-    }
-  }
-  auto f = LdltFactor::factor(ctx, g);
-  if (!f) return std::nullopt;
-  return LaplacianFactor(n, Reduced{std::move(*f)});
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-FactorKind LaplacianFactor::path() const {
-  if (std::holds_alternative<LdltFactor>(reduced_)) return FactorKind::kDense;
-  if (std::holds_alternative<SparseLdltFactor>(reduced_))
-    return FactorKind::kSparse;
-  return FactorKind::kNone;
-}
-
-Vec LaplacianFactor::solve(const Vec& b) const {
-  if (b.size() != n_) throw_dim_mismatch("LaplacianFactor::solve", b.size(), n_);
-  if (n_ == 1) return Vec{0.0};  // L = 0: projected rhs is 0, x = 0
-  Vec rhs(b);
-  remove_mean(rhs);
-  Vec reduced(rhs.begin(), rhs.end() - 1);
-  Vec xr = std::holds_alternative<LdltFactor>(reduced_)
-               ? std::get<LdltFactor>(reduced_).solve(reduced)
-               : std::get<SparseLdltFactor>(reduced_).solve(reduced);
-  Vec x(n_, 0.0);
-  for (std::size_t i = 0; i + 1 < n_; ++i) x[i] = xr[i];
-  remove_mean(x);
-  return x;
-}
-
-DenseMatrix LaplacianFactor::solve_many(const common::Context& ctx,
-                                        const DenseMatrix& b) const {
-  if (b.rows() != n_)
-    throw_dim_mismatch("LaplacianFactor::solve_many", b.rows(), n_);
-  const std::size_t k = b.cols();
-  DenseMatrix x(n_, k);
-  if (n_ == 1) return x;  // L = 0: every column solves to 0
-  // solve()'s projection per column, one grounded panel solve through the
-  // backend's solve_many, then solve()'s re-projection per column.
-  DenseMatrix reduced(n_ - 1, k);
-  for (std::size_t j = 0; j < k; ++j) {
-    Vec rhs = b.column(j);
-    remove_mean(rhs);
-    for (std::size_t i = 0; i + 1 < n_; ++i) reduced(i, j) = rhs[i];
-  }
-  const DenseMatrix xr = std::holds_alternative<LdltFactor>(reduced_)
-                             ? std::get<LdltFactor>(reduced_).solve_many(
-                                   ctx, reduced)
-                             : std::get<SparseLdltFactor>(reduced_).solve_many(
-                                   ctx, reduced);
-  for (std::size_t j = 0; j < k; ++j) {
-    Vec col(n_, 0.0);
-    for (std::size_t i = 0; i + 1 < n_; ++i) col[i] = xr(i, j);
-    remove_mean(col);
-    x.set_column(j, col);
-  }
-  return x;
-}
-
 std::optional<ComponentLaplacianFactor> ComponentLaplacianFactor::factor(
     const common::Context& ctx, const CsrMatrix& laplacian, FactorMode mode) {
   require_square(laplacian);
@@ -594,46 +490,17 @@ std::size_t ComponentLaplacianFactor::sparse_factor_count() const {
   return count;
 }
 
-Vec ComponentLaplacianFactor::solve(const common::Context& ctx,
-                                    const Vec& b) const {
-  if (b.size() != n_)
-    throw_dim_mismatch("ComponentLaplacianFactor::solve", b.size(), n_);
-  Vec x(n_, 0.0);
-  // Per-component solves touch disjoint slots of x, so they fan out over
-  // the caller's pool.
-  ctx.parallel_for(0, component_vertices_.size(), [&](std::size_t c) {
-    const auto& verts = component_vertices_[c];
-    if (verts.size() < 2) return;  // singleton: L row is zero, x = 0
-    // Project rhs onto the component's zero-sum subspace.
-    double mean = 0.0;
-    for (std::size_t v : verts) mean += b[v];
-    mean /= static_cast<double>(verts.size());
-    Vec local(verts.size() - 1);
-    for (std::size_t i = 0; i + 1 < verts.size(); ++i)
-      local[i] = b[verts[i]] - mean;
-    const Vec sol = std::visit(
-        [&](const auto& fac) { return fac.solve(local); }, *factors_[c]);
-    double xmean = 0.0;
-    for (double v : sol) xmean += v;
-    xmean /= static_cast<double>(verts.size());
-    for (std::size_t i = 0; i + 1 < verts.size(); ++i)
-      x[verts[i]] = sol[i] - xmean;
-    x[verts.back()] = -xmean;
-  });
-  return x;
-}
-
 DenseMatrix ComponentLaplacianFactor::solve_many(const common::Context& ctx,
                                                  const DenseMatrix& b) const {
   if (b.rows() != n_)
     throw_dim_mismatch("ComponentLaplacianFactor::solve_many", b.rows(), n_);
   const std::size_t k = b.cols();
   DenseMatrix x(n_, k);
-  // Per component: solve()'s projection on every column, one panel solve
-  // through the component factor's solve_many (which fans out over ctx's
-  // pool), then solve()'s re-projection. Each column sees exactly the
-  // arithmetic of solve(), so the panel is byte-identical to k sequential
-  // solves.
+  // Per component: project every column onto the component's zero-sum
+  // subspace, one panel solve through the component factor's solve_many
+  // (which fans out over ctx's pool), then re-project the grounded
+  // solution to zero component mean. No step mixes columns, so the panel
+  // is byte-identical to k one-column panels.
   for (std::size_t c = 0; c < component_vertices_.size(); ++c) {
     const auto& verts = component_vertices_[c];
     if (verts.size() < 2) continue;  // singleton: L row is zero, x = 0

@@ -3,9 +3,9 @@
 // The sparsified Laplacians this library factors have O(n / eps^2) edges,
 // so the dense LdltFactor's O(n^2) storage and O(n^3) arithmetic are the
 // scaling wall (ROADMAP: "break the dense O(n^2) wall"). This factor is
-// the sparse-first path behind LaplacianFactor / ComponentLaplacianFactor
-// (linalg/cholesky.h), which select it by a size/density rule unless the
-// caller pins a backend — see `sparse_path_selected` below.
+// the sparse-first path behind ComponentLaplacianFactor (linalg/cholesky.h),
+// which selects it per component by a size/density rule unless the caller
+// pins a backend — see `sparse_path_selected` below.
 //
 // Pipeline, the classic sparse-direct recipe:
 //  1. Fill-reducing ordering: approximate minimum degree on the quotient
@@ -50,14 +50,7 @@
 
 namespace bcclap::linalg {
 
-// Which factorization backend a LaplacianFactor / component ended up on.
-enum class FactorKind {
-  kNone,    // nothing to factor (n <= 1 after grounding)
-  kDense,   // blocked dense LdltFactor
-  kSparse,  // SparseLdltFactor
-};
-
-// Backend of the dense/sparse dispatch inside the Laplacian factors.
+// Backend of the dense/sparse dispatch inside ComponentLaplacianFactor.
 // kAuto applies the size/density rule below; the force modes pin one
 // backend. Callers pass it explicitly: the engine registry's
 // "exact-dense" / "exact-sparse" keys pin their backend this way, and no

@@ -81,4 +81,10 @@ linalg::DenseMatrix random_spd(std::size_t n, rng::Stream& stream) {
   return a;
 }
 
+linalg::Vec solve_one(const linalg::ComponentLaplacianFactor& f,
+                      const linalg::Vec& b) {
+  return f.solve_many(test_context(), linalg::DenseMatrix::from_columns({b}))
+      .column(0);
+}
+
 }  // namespace bcclap::testsupport

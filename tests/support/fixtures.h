@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "linalg/cholesky.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/vector_ops.h"
 #include "lp/lp_solver.h"
@@ -73,6 +74,11 @@ linalg::DenseMatrix gaussian_matrix(std::size_t rows, std::size_t cols,
 
 // Random symmetric positive-definite matrix: B^T B + n I.
 linalg::DenseMatrix random_spd(std::size_t n, rng::Stream& stream);
+
+// One right-hand side through the Laplacian factor's one solve body: b as
+// an n x 1 panel on test_context(), returning column 0.
+linalg::Vec solve_one(const linalg::ComponentLaplacianFactor& f,
+                      const linalg::Vec& b);
 
 // Test fixture owning a root RNG stream. Suites derive labelled child
 // streams so each random quantity has its own independent, reproducible

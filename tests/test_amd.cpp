@@ -143,10 +143,10 @@ TEST(AmdOrder, SupernodeBlockedFactorIsThreadCountInvariant) {
     opts.threads = threads;
     opts.seed = 5;
     Runtime rt(opts);
-    const auto f =
-        LaplacianFactor::factor(rt.context(), lap, FactorMode::kForceSparse);
+    const auto f = ComponentLaplacianFactor::factor(rt.context(), lap,
+                                                    FactorMode::kForceSparse);
     EXPECT_TRUE(f);
-    EXPECT_EQ(f->path(), FactorKind::kSparse);
+    EXPECT_EQ(f->sparse_factor_count(), 1u);
     // The factor actually went through the supernode machinery.
     const SparseFactorPhases phases = f->factor_phases();
     EXPECT_GT(phases.supernodes, 0u);
@@ -170,18 +170,19 @@ TEST(AmdOrder, DenseDispatchBelowThresholdIsByteIdentical) {
   const auto g = graph::random_connected_gnp(256, 0.05, 6, gstream);
   const auto lap = graph::laplacian(g);
   const auto fa =
-      LaplacianFactor::factor(test_context(), lap, FactorMode::kAuto);
-  const auto fd =
-      LaplacianFactor::factor(test_context(), lap, FactorMode::kForceDense);
+      ComponentLaplacianFactor::factor(test_context(), lap, FactorMode::kAuto);
+  const auto fd = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                   FactorMode::kForceDense);
   ASSERT_TRUE(fa);
   ASSERT_TRUE(fd);
-  EXPECT_EQ(fa->path(), FactorKind::kDense);
+  EXPECT_EQ(fa->dense_factor_count(), 1u);
+  EXPECT_EQ(fa->sparse_factor_count(), 0u);
   Vec b(256);
   rng::Stream bstream(29);
   for (auto& v : b) v = bstream.next_gaussian();
   remove_mean(b);
-  const Vec xa = fa->solve(b);
-  const Vec xd = fd->solve(b);
+  const Vec xa = testsupport::solve_one(*fa, b);
+  const Vec xd = testsupport::solve_one(*fd, b);
   ASSERT_EQ(xa.size(), xd.size());
   for (std::size_t i = 0; i < xa.size(); ++i) EXPECT_EQ(xa[i], xd[i]);
 }

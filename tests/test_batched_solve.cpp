@@ -129,7 +129,7 @@ TEST(BatchedSolve, LdltDegeneratePanels) {
                            f->solve(b1.column(0))));
 }
 
-TEST(BatchedSolve, ComponentFactorPanelMatchesSequentialSolves) {
+TEST(BatchedSolve, ComponentFactorPanelMatchesOneColumnPanels) {
   // Disconnected input: a singleton, a pair, and two larger components —
   // the Gremban-reduction workload shape.
   graph::Graph g(40);
@@ -150,7 +150,9 @@ TEST(BatchedSolve, ComponentFactorPanelMatchesSequentialSolves) {
     const DenseMatrix x = f->solve_many(ctx, b);
     std::vector<Vec> seq;
     for (std::size_t j = 0; j < b.cols(); ++j)
-      seq.push_back(f->solve(ctx, b.column(j)));
+      seq.push_back(
+          f->solve_many(ctx, DenseMatrix::from_columns({b.column(j)}))
+              .column(0));
     EXPECT_TRUE(PanelMatchesColumns(x, seq)) << threads << " threads";
     EXPECT_EQ(f->solve_many(ctx, DenseMatrix(40, 0)).cols(), 0u);
     per_thread.push_back(x);
@@ -358,17 +360,23 @@ TEST(BatchedSolve, CgPanelMatchesOneColumnPanels) {
   }
 }
 
-TEST(BatchedSolve, ExactLaplacianSolverReusesFactorAcrossPanels) {
+TEST(BatchedSolve, ExactOraclePanelMatchesOneColumnPanels) {
+  // Factor L_G once and solve a k-column panel: it equals k one-column
+  // panels on the same factor, and the one-shot oracle (which factors per
+  // call and solves a k = 1 panel) is the same arithmetic.
   rng::Stream gstream(67);
   const auto g = graph::random_connected_gnp(24, 0.3, 4, gstream);
   const auto ctx = testsupport::test_context();
-  const laplacian::ExactLaplacianSolver oracle(ctx, g);
-  ASSERT_TRUE(oracle.usable());
+  const auto f =
+      linalg::ComponentLaplacianFactor::factor(ctx, graph::laplacian(g));
+  ASSERT_TRUE(f);
   const auto b = gaussian_panel(24, 4, 71);
-  const DenseMatrix x = oracle.solve_many(b);
+  const DenseMatrix x = f->solve_many(ctx, b);
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    EXPECT_TRUE(BitwiseEqual(x.column(j), oracle.solve(b.column(j))));
-    // The one-shot convenience is the same arithmetic.
+    EXPECT_TRUE(BitwiseEqual(
+        x.column(j),
+        f->solve_many(ctx, DenseMatrix::from_columns({b.column(j)}))
+            .column(0)));
     EXPECT_TRUE(BitwiseEqual(
         x.column(j), laplacian::exact_laplacian_solve(ctx, g, b.column(j))));
   }

@@ -13,6 +13,7 @@
 namespace bcclap::linalg {
 namespace {
 
+using testsupport::solve_one;
 using testsupport::test_context;
 
 TEST(Ldlt, SolvesKnownSystem) {
@@ -51,95 +52,97 @@ TEST(Ldlt, RejectsIndefinite) {
   EXPECT_FALSE(LdltFactor::factor(test_context(), a));
 }
 
-TEST(LaplacianFactor, SolvesOnPathGraph) {
+constexpr FactorMode kBothBackends[] = {FactorMode::kForceDense,
+                                        FactorMode::kForceSparse};
+
+TEST(ComponentLaplacianFactor, SolvesOnPathGraph) {
   const auto g = graph::path(5);
   const auto lap = graph::laplacian(g);
-  const auto f = LaplacianFactor::factor(test_context(), lap);
+  const auto f = ComponentLaplacianFactor::factor(test_context(), lap);
   ASSERT_TRUE(f);
+  EXPECT_EQ(f->num_components(), 1u);
   Vec b{1, 0, 0, 0, -1};
-  const Vec x = f->solve(b);
+  const Vec x = solve_one(*f, b);
   const Vec lx = lap.multiply(test_context(), x);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(lx[i], b[i], 1e-9);
   EXPECT_NEAR(mean(x), 0.0, 1e-12);
 }
 
-TEST(LaplacianFactor, ProjectsRhs) {
+TEST(ComponentLaplacianFactor, ProjectsRhs) {
   const auto g = graph::cycle(6);
   const auto lap = graph::laplacian(g);
-  const auto f = LaplacianFactor::factor(test_context(), lap);
+  const auto f = ComponentLaplacianFactor::factor(test_context(), lap);
   ASSERT_TRUE(f);
   // b with nonzero mean: solver projects; solution satisfies L x = proj(b).
   Vec b{2, 0, 0, 0, 0, 0};
-  const Vec x = f->solve(b);
+  const Vec x = solve_one(*f, b);
   Vec proj = b;
   remove_mean(proj);
   const Vec lx = lap.multiply(test_context(), x);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(lx[i], proj[i], 1e-9);
 }
 
-TEST(LaplacianFactor, RandomConnectedGraphs) {
+TEST(ComponentLaplacianFactor, RandomConnectedGraphs) {
   rng::Stream stream(11);
   for (std::uint64_t trial = 0; trial < 5; ++trial) {
     auto child = stream.child(trial);
     const auto g = graph::random_connected_gnp(20, 0.2, 10, child);
     const auto lap = graph::laplacian(g);
-    const auto f = LaplacianFactor::factor(test_context(), lap);
+    const auto f = ComponentLaplacianFactor::factor(test_context(), lap);
     ASSERT_TRUE(f);
     const auto b = testsupport::zero_sum_gaussian(20, child);
-    const Vec x = f->solve(b);
+    const Vec x = solve_one(*f, b);
     const Vec r = sub(lap.multiply(test_context(), x), b);
     EXPECT_LT(norm2(r), 1e-8);
   }
 }
 
-TEST(LaplacianFactor, OneAndTwoVertexGraphs) {
-  // n = 1: L = 0 is a valid (trivial) system — every rhs projects to zero
-  // and the solution is zero. Used to be rejected, turning 1-node graphs
-  // into a Release-mode null deref in ExactLaplacianSolver.
-  const auto f1 =
-      LaplacianFactor::factor(test_context(), graph::laplacian(graph::Graph(1)));
-  ASSERT_TRUE(f1);
-  EXPECT_EQ(f1->dim(), 1u);
-  EXPECT_EQ(f1->path(), FactorKind::kNone);
-  const Vec x1 = f1->solve(Vec{7.0});
-  ASSERT_EQ(x1.size(), 1u);
-  EXPECT_EQ(x1[0], 0.0);
-  const DenseMatrix p1 = f1->solve_many(test_context(), DenseMatrix(1, 3));
-  EXPECT_EQ(p1.rows(), 1u);
-  EXPECT_EQ(p1.cols(), 3u);
+TEST(ComponentLaplacianFactor, OneAndTwoVertexGraphsOnBothBackends) {
+  for (const FactorMode mode : kBothBackends) {
+    // n = 1: L = 0 is a valid (trivial) system — every rhs projects to
+    // zero and the solution is zero. A singleton factors nothing, so
+    // neither backend is counted.
+    const auto f1 = ComponentLaplacianFactor::factor(
+        test_context(), graph::laplacian(graph::Graph(1)), mode);
+    ASSERT_TRUE(f1);
+    EXPECT_EQ(f1->dim(), 1u);
+    EXPECT_EQ(f1->dense_factor_count(), 0u);
+    EXPECT_EQ(f1->sparse_factor_count(), 0u);
+    const Vec x1 = solve_one(*f1, Vec{7.0});
+    ASSERT_EQ(x1.size(), 1u);
+    EXPECT_EQ(x1[0], 0.0);
+    const DenseMatrix p1 = f1->solve_many(test_context(), DenseMatrix(1, 3));
+    EXPECT_EQ(p1.rows(), 1u);
+    EXPECT_EQ(p1.cols(), 3u);
 
-  // n = 2: the smallest graph with an actual grounded system.
-  graph::Graph two(2);
-  two.add_edge(0, 1, 2.0);
-  const auto f2 =
-      LaplacianFactor::factor(test_context(), graph::laplacian(two));
-  ASSERT_TRUE(f2);
-  const Vec x2 = f2->solve(Vec{1.0, -1.0});
-  EXPECT_NEAR(x2[0] - x2[1], 0.5, 1e-12);  // L x = b with weight 2
-  EXPECT_NEAR(x2[0] + x2[1], 0.0, 1e-12);  // mean-zero representative
+    // n = 2: the smallest graph with an actual grounded system, factored
+    // on the pinned backend.
+    graph::Graph two(2);
+    two.add_edge(0, 1, 2.0);
+    const auto f2 = ComponentLaplacianFactor::factor(
+        test_context(), graph::laplacian(two), mode);
+    ASSERT_TRUE(f2);
+    const bool sparse = mode == FactorMode::kForceSparse;
+    EXPECT_EQ(f2->dense_factor_count(), sparse ? 0u : 1u);
+    EXPECT_EQ(f2->sparse_factor_count(), sparse ? 1u : 0u);
+    const Vec x2 = solve_one(*f2, Vec{1.0, -1.0});
+    EXPECT_NEAR(x2[0] - x2[1], 0.5, 1e-12);  // L x = b with weight 2
+    EXPECT_NEAR(x2[0] + x2[1], 0.0, 1e-12);  // mean-zero representative
+  }
 }
 
-TEST(LaplacianFactor, RejectsWrongSizedRhs) {
+TEST(ComponentLaplacianFactor, RejectsWrongSizedRhsOnBothBackends) {
   // Public solve surface validates dimensions even in Release builds.
-  const auto f = LaplacianFactor::factor(test_context(),
-                                         graph::laplacian(graph::path(4)));
-  ASSERT_TRUE(f);
-  EXPECT_THROW(f->solve(Vec{1.0, -1.0}), std::invalid_argument);
-  EXPECT_THROW(f->solve_many(test_context(), DenseMatrix(5, 2)),
-               std::invalid_argument);
-  const auto cf = ComponentLaplacianFactor::factor(
-      test_context(), graph::laplacian(graph::path(4)));
-  ASSERT_TRUE(cf);
-  EXPECT_THROW(cf->solve(test_context(), Vec(3, 0.0)), std::invalid_argument);
-  EXPECT_THROW(cf->solve_many(test_context(), DenseMatrix(3, 1)),
-               std::invalid_argument);
-}
-
-TEST(LaplacianFactor, FailsOnDisconnected) {
-  graph::Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, 1.0);
-  EXPECT_FALSE(LaplacianFactor::factor(test_context(), graph::laplacian(g)));
+  for (const FactorMode mode : kBothBackends) {
+    const auto f = ComponentLaplacianFactor::factor(
+        test_context(), graph::laplacian(graph::path(4)), mode);
+    ASSERT_TRUE(f);
+    EXPECT_THROW(solve_one(*f, Vec{1.0, -1.0}), std::invalid_argument);
+    EXPECT_THROW(f->solve_many(test_context(), DenseMatrix(5, 2)),
+                 std::invalid_argument);
+    EXPECT_THROW(f->solve_many(test_context(), DenseMatrix(3, 1)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Ldlt, RejectsDegenerateInputs) {
@@ -169,25 +172,30 @@ TEST(Ldlt, BlockedFactorizationSpansBlockBoundaries) {
   }
 }
 
-TEST(LaplacianFactor, DuplicateCsrEntriesAccumulate) {
+TEST(ComponentLaplacianFactor, DuplicateCsrEntriesAccumulateOnBothBackends) {
   // Path-graph Laplacian with every entry split into two duplicate halves,
-  // as external CSR ingest may deliver. The grounded-matrix scatter must
-  // accumulate the duplicates; the old assignment kept only the last one.
+  // as external CSR ingest may deliver. The grounded-matrix scatter (dense
+  // accumulation, sparse triplet coalescing) must sum the duplicates; an
+  // assignment would keep only the last one.
   const auto split = CsrMatrix::from_raw(
       3, 3, {0, 4, 10, 14},
       {0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1, 2, 2},
       {0.5, 0.5, -0.5, -0.5, -0.5, -0.5, 1.0, 1.0, -0.5, -0.5, -0.5, -0.5,
        0.5, 0.5});
-  const auto f = LaplacianFactor::factor(test_context(), split);
-  ASSERT_TRUE(f);
-  const auto ref = LaplacianFactor::factor(
-      test_context(), graph::laplacian(graph::path(3)));
-  ASSERT_TRUE(ref);
-  const Vec b{1.0, 0.0, -1.0};
-  const Vec x = f->solve(b);
-  const Vec xr = ref->solve(b);
-  ASSERT_EQ(x.size(), xr.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xr[i], 1e-12);
+  for (const FactorMode mode : kBothBackends) {
+    const auto f = ComponentLaplacianFactor::factor(test_context(), split,
+                                                    mode);
+    ASSERT_TRUE(f);
+    const auto ref = ComponentLaplacianFactor::factor(
+        test_context(), graph::laplacian(graph::path(3)), mode);
+    ASSERT_TRUE(ref);
+    const Vec b{1.0, 0.0, -1.0};
+    const Vec x = solve_one(*f, b);
+    const Vec xr = solve_one(*ref, b);
+    ASSERT_EQ(x.size(), xr.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      EXPECT_NEAR(x[i], xr[i], 1e-12);
+  }
 }
 
 // Disconnected graph with a singleton, a 2-vertex component and a larger
@@ -205,7 +213,7 @@ TEST(ComponentLaplacianFactor, DisconnectedWithSingletonAndPairComponents) {
 
   rng::Stream stream(23);
   const auto b = testsupport::gaussian_vector(7, stream);
-  const Vec x = f->solve(test_context(), b);
+  const Vec x = solve_one(*f, b);
 
   // Solve-then-apply round trip: L x equals b with the per-component mean
   // removed (the projection of b onto range(L)).
@@ -233,7 +241,7 @@ TEST(ComponentLaplacianFactor, DisconnectedWithSingletonAndPairComponents) {
   y[4] = -2.0;
   y[5] = 0.5;
   y[6] = 0.5;
-  const Vec back = f->solve(test_context(), lap.multiply(test_context(), y));
+  const Vec back = solve_one(*f, lap.multiply(test_context(), y));
   for (std::size_t v = 0; v < 7; ++v) EXPECT_NEAR(back[v], y[v], 1e-9) << v;
 }
 
@@ -245,7 +253,7 @@ TEST(ComponentLaplacianFactor, AllSingletons) {
                                        graph::laplacian(graph::Graph(4)));
   ASSERT_TRUE(f);
   EXPECT_EQ(f->num_components(), 4u);
-  const Vec x = f->solve(test_context(), Vec{1.0, -2.0, 3.0, 0.5});
+  const Vec x = solve_one(*f, Vec{1.0, -2.0, 3.0, 0.5});
   for (double v : x) EXPECT_EQ(v, 0.0);
 }
 
@@ -257,16 +265,15 @@ TEST(Ldlt, ThrowsOnNonSquareMatrix) {
                std::invalid_argument);
 }
 
-TEST(LaplacianFactor, ThrowsOnNonSquareMatrix) {
-  const CsrMatrix rect(3, 2, {{0, 0, 1.0}, {2, 1, 1.0}});
-  EXPECT_THROW(LaplacianFactor::factor(test_context(), rect),
-               std::invalid_argument);
-}
-
-TEST(ComponentLaplacianFactor, ThrowsOnNonSquareMatrix) {
-  const CsrMatrix rect(2, 3, {{0, 0, 1.0}, {1, 2, 1.0}});
-  EXPECT_THROW(ComponentLaplacianFactor::factor(test_context(), rect),
-               std::invalid_argument);
+TEST(ComponentLaplacianFactor, ThrowsOnNonSquareMatrixOnBothBackends) {
+  const CsrMatrix tall(3, 2, {{0, 0, 1.0}, {2, 1, 1.0}});
+  const CsrMatrix wide(2, 3, {{0, 0, 1.0}, {1, 2, 1.0}});
+  for (const FactorMode mode : kBothBackends) {
+    EXPECT_THROW(ComponentLaplacianFactor::factor(test_context(), tall, mode),
+                 std::invalid_argument);
+    EXPECT_THROW(ComponentLaplacianFactor::factor(test_context(), wide, mode),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

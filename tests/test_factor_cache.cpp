@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -67,20 +69,20 @@ std::shared_ptr<const laplacian::PreparedLaplacian> stub(std::size_t bytes) {
 TEST(FactorCache, CountsMissesAndHits) {
   FactorCache cache(1024);
   EXPECT_EQ(cache.lookup(key_for(1)), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 
   auto artifact = stub(100);
   EXPECT_EQ(cache.insert(key_for(1), artifact), artifact);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.resident_bytes(), 100u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().resident_bytes, 100u);
 
   EXPECT_EQ(cache.lookup(key_for(1)), artifact);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   // A different key is a miss, not a near-hit.
   EXPECT_EQ(cache.lookup(key_for(2)), nullptr);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(FactorCache, EvictsLeastRecentlyUsedToHoldTheByteBound) {
@@ -91,9 +93,9 @@ TEST(FactorCache, EvictsLeastRecentlyUsedToHoldTheByteBound) {
   EXPECT_NE(cache.lookup(key_for(1)), nullptr);
   cache.insert(key_for(3), stub(40));
 
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_LE(cache.stats().resident_bytes, cache.max_bytes());
   EXPECT_EQ(cache.lookup(key_for(2)), nullptr);  // the LRU victim
   EXPECT_NE(cache.lookup(key_for(1)), nullptr);
   EXPECT_NE(cache.lookup(key_for(3)), nullptr);
@@ -103,9 +105,9 @@ TEST(FactorCache, OversizedArtifactIsReturnedButNotCached) {
   FactorCache cache(64);
   auto big = stub(1000);
   EXPECT_EQ(cache.insert(key_for(1), big), big);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(FactorCache, FirstInsertWinsOnDuplicateKeys) {
@@ -116,8 +118,8 @@ TEST(FactorCache, FirstInsertWinsOnDuplicateKeys) {
   // The racing inserter gets the canonical (existing) artifact back and
   // must apply that one, so every cached run sees the same bytes.
   EXPECT_EQ(cache.insert(key_for(1), second), first);
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.resident_bytes(), 10u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().resident_bytes, 10u);
 }
 
 TEST(FactorCache, KeyDistinguishesEveryField) {
@@ -356,9 +358,71 @@ TEST(FactorCacheRuntime, SharedCacheAcrossRuntimesAndConcurrentLookups) {
   // Every solve either hit or missed; first-wins dedupe means at most one
   // miss for g1 and two for g2 (both loops can race cold) — at least 7 of
   // the 10 solves were served from the cache.
-  EXPECT_EQ(shared->hits() + shared->misses(), 10u);
-  EXPECT_GE(shared->hits(), 7u);
-  EXPECT_EQ(shared->evictions(), 0u);
+  const FactorCache::Stats totals = shared->stats();
+  EXPECT_EQ(totals.hits + totals.misses, 10u);
+  EXPECT_GE(totals.hits, 7u);
+  EXPECT_EQ(totals.evictions, 0u);
+}
+
+TEST(FactorCacheRuntime, ConcurrentEvictionsAreChargedToTheRunThatMadeThem) {
+  // The tiny-budget variant of the shared-cache test: the budget holds one
+  // artifact, so nearly every publish evicts the resident entry, and two
+  // Runtimes publish concurrently. Each run is charged exactly the
+  // evictions its own publish made, so the per-run counters sum to the
+  // cache's total. Reading the cache-wide counter before and after the
+  // publish charged a concurrent eviction to both runs.
+  constexpr std::size_t kGraphs = 4;
+  std::vector<graph::Graph> graphs;
+  for (std::size_t i = 0; i < kGraphs; ++i)
+    graphs.push_back(cache_test_graph(31 + i));
+  std::size_t largest = 0;
+  std::size_t smallest = static_cast<std::size_t>(-1);
+  for (const auto& g : graphs) {
+    const std::size_t bytes =
+        laplacian::prepare_exact(testsupport::test_context(), g,
+                                 linalg::FactorMode::kForceDense,
+                                 "exact-dense")
+            ->resident_bytes();
+    largest = std::max(largest, bytes);
+    smallest = std::min(smallest, bytes);
+  }
+  ASSERT_LT(largest, 2 * smallest);  // one entry fits, two never do
+  auto shared = std::make_shared<FactorCache>(largest);
+
+  RuntimeOptions o1;
+  o1.threads = 1;
+  o1.seed = 19;
+  o1.factor_cache = shared;
+  RuntimeOptions o2 = o1;
+  o2.threads = 2;
+  Runtime rt1(o1), rt2(o2);
+  LaplacianSolveOptions opt;
+  opt.engine = "exact-dense";
+  const Vec b = gaussian_rhs(graphs[0].num_vertices(), 3);
+
+  const auto cycle = [&](Runtime& rt, std::size_t offset,
+                         std::size_t* charged) {
+    for (std::size_t round = 0; round < 3; ++round) {
+      for (std::size_t i = 0; i < kGraphs; ++i) {
+        const auto run =
+            rt.solve_laplacian(graphs[(i + offset) % kGraphs], b, opt);
+        EXPECT_TRUE(run.usable);
+        *charged += run.stats.cache_evictions;
+      }
+    }
+  };
+  std::size_t charged1 = 0;
+  std::size_t charged2 = 0;
+  std::thread t1(cycle, std::ref(rt1), 0, &charged1);
+  std::thread t2(cycle, std::ref(rt2), 2, &charged2);
+  t1.join();
+  t2.join();
+
+  const FactorCache::Stats totals = shared->stats();
+  EXPECT_GT(totals.evictions, 0u);
+  EXPECT_EQ(charged1 + charged2, totals.evictions);
+  EXPECT_LE(totals.resident_bytes, largest);
+  EXPECT_EQ(totals.entries, 1u);
 }
 
 }  // namespace

@@ -93,7 +93,9 @@ TEST(FactorDeterminism, ComponentFactorIsThreadCountInvariant) {
       if (!f) return linalg::Vec{};  // EXPECT above reports; avoid bad deref
       EXPECT_EQ(f->num_components(), 4u);
       rng::Stream rhs(5);
-      return f->solve(ctx, testsupport::gaussian_vector(91, rhs));
+      const auto b = linalg::DenseMatrix::from_columns(
+          {testsupport::gaussian_vector(91, rhs)});
+      return f->solve_many(ctx, b).column(0);
     });
   };
   const auto one = run(1);

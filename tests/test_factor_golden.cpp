@@ -183,8 +183,14 @@ TEST_P(FactorGolden, ComponentsMixedPaths) {
   EXPECT_EQ(f->num_components(), 3u);
   EXPECT_EQ(f->dense_factor_count(), 1u);
   EXPECT_EQ(f->sparse_factor_count(), 1u);
+  // The factor's one solve body takes a single right-hand side as an
+  // n x 1 panel.
   expect_pin(hash_outputs(
-                 f->dim(), [&](const Vec& b) { return f->solve(ctx, b); },
+                 f->dim(),
+                 [&](const Vec& b) {
+                   return f->solve_many(ctx, DenseMatrix::from_columns({b}))
+                       .column(0);
+                 },
                  [&](const DenseMatrix& b) { return f->solve_many(ctx, b); }),
              {12708681356434074049ull, 8349658982597543130ull});
 }

@@ -9,7 +9,9 @@
 #include <stdexcept>
 
 #include "graph/generators.h"
+#include "graph/laplacian.h"
 #include "laplacian/prepared.h"
+#include "linalg/cholesky.h"
 #include "linalg/vector_ops.h"
 #include "support/comparators.h"
 #include "support/fixtures.h"
@@ -126,24 +128,78 @@ TEST(LaplacianSolver, NonZeroMeanRhsIsProjected) {
             1e-7 * (laplacian_norm(test_context(), g, x) + 1.0));
 }
 
-TEST(ExactLaplacianSolver, OneAndTwoVertexGraphs) {
-  // PR 6 bugfix sweep: a 1-node graph must be usable (L = 0, x = 0), not
-  // a null deref behind a failed factorization.
-  const ExactLaplacianSolver one(test_context(), graph::Graph(1));
-  ASSERT_TRUE(one.usable());
-  EXPECT_EQ(one.factor_path(), linalg::FactorKind::kNone);
-  const auto x1 = one.solve(linalg::Vec{3.0});
+TEST(ExactLaplacianSolve, OneAndTwoVertexGraphs) {
+  // A 1-node graph is a valid input (L = 0, x = 0), not a failed
+  // factorization: its one component is a singleton and factors nothing.
+  const graph::Graph one(1);
+  const auto f1 =
+      linalg::ComponentLaplacianFactor::factor(test_context(),
+                                               graph::laplacian(one));
+  ASSERT_TRUE(f1);
+  EXPECT_EQ(f1->dense_factor_count(), 0u);
+  EXPECT_EQ(f1->sparse_factor_count(), 0u);
+  const auto x1 = exact_laplacian_solve(test_context(), one, linalg::Vec{3.0});
   ASSERT_EQ(x1.size(), 1u);
   EXPECT_EQ(x1[0], 0.0);
-  EXPECT_EQ(one.solve_many(linalg::DenseMatrix(1, 2)).cols(), 2u);
+  EXPECT_EQ(f1->solve_many(test_context(), linalg::DenseMatrix(1, 2)).cols(),
+            2u);
 
   graph::Graph g2(2);
   g2.add_edge(0, 1, 4.0);
-  const ExactLaplacianSolver two(test_context(), g2);
-  ASSERT_TRUE(two.usable());
-  EXPECT_EQ(two.factor_path(), linalg::FactorKind::kDense);
-  const auto x2 = two.solve(linalg::Vec{1.0, -1.0});
+  const auto f2 = linalg::ComponentLaplacianFactor::factor(
+      test_context(), graph::laplacian(g2));
+  ASSERT_TRUE(f2);
+  EXPECT_EQ(f2->dense_factor_count(), 1u);  // kAuto: tiny systems stay dense
+  EXPECT_EQ(f2->sparse_factor_count(), 0u);
+  const auto x2 =
+      exact_laplacian_solve(test_context(), g2, linalg::Vec{1.0, -1.0});
   EXPECT_NEAR(x2[0] - x2[1], 0.25, 1e-12);
+}
+
+TEST(ExactLaplacianSolve, ThrowsWhenTheLaplacianDoesNotFactor) {
+  // A negative edge weight makes L_G indefinite, so the grounded factor
+  // fails. The oracle must say so in every build type rather than solve
+  // through a missing factor.
+  graph::Graph g(3);
+  g.add_edge(0, 1, -1.0);
+  g.add_edge(1, 2, 1.0);
+  EXPECT_THROW(exact_laplacian_solve(test_context(), g,
+                                     linalg::Vec{1.0, 0.0, -1.0}),
+               std::runtime_error);
+}
+
+TEST(ExactLaplacianSolve, RejectsWrongSizedRhs) {
+  EXPECT_THROW(exact_laplacian_solve(test_context(), graph::path(4),
+                                     linalg::Vec{1.0, -1.0}),
+               std::invalid_argument);
+}
+
+TEST(ExactLaplacianSolve, SolvesDisconnectedGraphsPerComponent) {
+  // Components {0}, {1, 2, 3} (a path) and {4, 5}: the oracle returns the
+  // per-component mean-zero x with L x equal to the per-component
+  // projection of b.
+  graph::Graph g(6);
+  g.add_edge(1, 2, 1.0);
+  g.add_edge(2, 3, 2.0);
+  g.add_edge(4, 5, 3.0);
+  rng::Stream bstream(47);
+  const auto b = testsupport::gaussian_vector(6, bstream);
+  const auto x = exact_laplacian_solve(test_context(), g, b);
+  ASSERT_EQ(x.size(), 6u);
+
+  linalg::Vec proj = b;
+  proj[0] = 0.0;  // isolated vertex: L's row is zero
+  const double m123 = (b[1] + b[2] + b[3]) / 3.0;
+  for (std::size_t v = 1; v <= 3; ++v) proj[v] -= m123;
+  const double m45 = (b[4] + b[5]) / 2.0;
+  proj[4] -= m45;
+  proj[5] -= m45;
+  const auto lx = graph::apply_laplacian(test_context(), g, x);
+  for (std::size_t v = 0; v < 6; ++v) EXPECT_NEAR(lx[v], proj[v], 1e-12) << v;
+
+  EXPECT_EQ(x[0], 0.0);
+  EXPECT_NEAR(x[1] + x[2] + x[3], 0.0, 1e-12);
+  EXPECT_NEAR(x[4] + x[5], 0.0, 1e-12);
 }
 
 TEST(LaplacianSolver, OneAndTwoVertexGraphs) {

@@ -114,7 +114,7 @@ TEST(PreparedBytes, LruByteBoundHoldsWithRealArtifacts) {
     key.engine = engine_variants()[i];
     key.seed = ++seed;
     cache.insert(key, artifacts[i]);
-    EXPECT_LE(cache.resident_bytes(), cache.max_bytes());
+    EXPECT_LE(cache.stats().resident_bytes, cache.max_bytes());
   }
   const auto stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);

@@ -205,13 +205,18 @@ TEST(Runtime, FactoredObjectsSurviveProcessDefaultReset) {
   linalg::Vec b(g.num_vertices(), 0.0);
   b[0] = 1.0;
   b[g.num_vertices() - 1] = -1.0;
-  const auto before = factor->solve(Runtime::process_default().context(), b);
+  const auto panel = linalg::DenseMatrix::from_columns({b});
+  const auto before =
+      factor->solve_many(Runtime::process_default().context(), panel)
+          .column(0);
 
   const std::size_t prev = Runtime::process_default().num_threads();
   Runtime::reset_process_default(prev + 1);
   // The post-reset default context targets the NEW pool; the factor no
   // longer pins the retired one.
-  const auto after = factor->solve(Runtime::process_default().context(), b);
+  const auto after =
+      factor->solve_many(Runtime::process_default().context(), panel)
+          .column(0);
   Runtime::reset_process_default(prev);
   EXPECT_TRUE(bitwise_equal(before, after));
 }
@@ -314,19 +319,20 @@ TEST(Runtime, ComponentFactorOutlivesFactoringRuntime) {
   opts.threads = 2;
   opts.seed = 9;
   Runtime rt(opts);
-  const auto x = factor->solve(rt.context(), b);
+  const auto panel = linalg::DenseMatrix::from_columns({b});
+  const auto x = factor->solve_many(rt.context(), panel).column(0);
   // The factor is byte-deterministic, so it matches one built on the
   // solving Runtime itself.
   const auto fresh = linalg::ComponentLaplacianFactor::factor(rt.context(),
                                                               lap);
   ASSERT_TRUE(fresh.has_value());
-  EXPECT_TRUE(bitwise_equal(x, fresh->solve(rt.context(), b)));
+  EXPECT_TRUE(
+      bitwise_equal(x, fresh->solve_many(rt.context(), panel).column(0)));
 }
 
 TEST(Runtime, FacadeHandlesOneAndTwoVertexGraphs) {
-  // Regression (PR 6 bugfix sweep): a 1-node graph used to make
-  // LaplacianFactor::factor return nullopt, which Release builds turned
-  // into a null deref inside ExactLaplacianSolver. L = 0 solves to x = 0.
+  // Regression: a 1-node graph must factor (L = 0 solves to x = 0), not
+  // turn into a null deref in Release builds.
   RuntimeOptions opts;
   opts.threads = 2;
   opts.seed = 31;

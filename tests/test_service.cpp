@@ -437,8 +437,8 @@ TEST(FactorCacheDedup, ConcurrentColdPreparesRunOnePrepare) {
   EXPECT_EQ(total_misses, 1u);
   EXPECT_EQ(total_hits, kThreads - 1);
   EXPECT_EQ(total_sparsifies, 1u);
-  EXPECT_EQ(shared->misses(), 1u);
-  EXPECT_EQ(shared->entries(), 1u);
+  EXPECT_EQ(shared->stats().misses, 1u);
+  EXPECT_EQ(shared->stats().entries, 1u);
 }
 
 TEST(FactorCacheDedup, FourWorkerColdBurstPreparesOnce) {

@@ -1,6 +1,6 @@
 // PR 6 sparse-first factorization stack: CSC symmetric storage, the
 // sparse LDL^T factor with its dense Schur tail, the dense/sparse
-// dispatch inside LaplacianFactor / ComponentLaplacianFactor, and the
+// dispatch inside ComponentLaplacianFactor, and the
 // determinism contract (byte-identical at any thread count) extended to
 // the sparse path. Runs under the `runtime` ctest label so CI's TSan
 // rerun covers the Schur-band and panel fan-outs.
@@ -22,6 +22,7 @@
 namespace bcclap::linalg {
 namespace {
 
+using testsupport::solve_one;
 using testsupport::test_context;
 
 Vec gaussian(std::size_t n, std::uint64_t seed) {
@@ -147,21 +148,23 @@ TEST(CscSymmetricMatrix, LaplacianCscMatchesCsrLaplacian) {
 TEST(SparseLdlt, MatchesDenseOnEquivalenceGraphs) {
   for (auto& [name, g] : equivalence_graphs()) {
     const auto lap = graph::laplacian(g);
-    const auto fs =
-        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceSparse);
-    const auto fd =
-        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceDense);
+    const auto fs = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                     FactorMode::kForceSparse);
+    const auto fd = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                     FactorMode::kForceDense);
     ASSERT_TRUE(fs) << name;
     ASSERT_TRUE(fd) << name;
-    EXPECT_EQ(fs->path(), FactorKind::kSparse) << name;
-    EXPECT_EQ(fd->path(), FactorKind::kDense) << name;
+    EXPECT_EQ(fs->sparse_factor_count(), 1u) << name;
+    EXPECT_EQ(fs->dense_factor_count(), 0u) << name;
+    EXPECT_EQ(fd->dense_factor_count(), 1u) << name;
+    EXPECT_EQ(fd->sparse_factor_count(), 0u) << name;
     const Vec b = [&] {
       Vec v = gaussian(g.num_vertices(), 101);
       remove_mean(v);
       return v;
     }();
-    const Vec xs = fs->solve(b);
-    const Vec xd = fd->solve(b);
+    const Vec xs = solve_one(*fs, b);
+    const Vec xd = solve_one(*fd, b);
     ASSERT_EQ(xs.size(), xd.size());
     const double scale = norm2(xd) + 1.0;
     for (std::size_t i = 0; i < xs.size(); ++i)
@@ -197,8 +200,8 @@ TEST(SparseLdlt, ComponentFactorMatchesDenseOnDisconnectedInput) {
   EXPECT_EQ(fd->sparse_factor_count(), 0u);
 
   const Vec b = gaussian(451, 17);
-  const Vec xs = fs->solve(test_context(), b);
-  const Vec xd = fd->solve(test_context(), b);
+  const Vec xs = solve_one(*fs, b);
+  const Vec xd = solve_one(*fd, b);
   const double scale = norm2(xd) + 1.0;
   for (std::size_t i = 0; i < xs.size(); ++i)
     EXPECT_NEAR(xs[i], xd[i], 1e-8 * scale) << i;
@@ -213,29 +216,30 @@ TEST(SparseLdlt, DuplicateCsrEntriesAccumulate) {
       {0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1, 2, 2},
       {0.5, 0.5, -0.5, -0.5, -0.5, -0.5, 1.0, 1.0, -0.5, -0.5, -0.5, -0.5,
        0.5, 0.5});
-  const auto f =
-      LaplacianFactor::factor(test_context(), split, FactorMode::kForceSparse);
-  const auto ref = LaplacianFactor::factor(test_context(),
-                                           graph::laplacian(graph::path(3)));
+  const auto f = ComponentLaplacianFactor::factor(test_context(), split,
+                                                  FactorMode::kForceSparse);
+  const auto ref = ComponentLaplacianFactor::factor(
+      test_context(), graph::laplacian(graph::path(3)));
   ASSERT_TRUE(f);
   ASSERT_TRUE(ref);
+  EXPECT_EQ(f->sparse_factor_count(), 1u);
   const Vec b{1.0, 0.0, -1.0};
-  const Vec x = f->solve(b);
-  const Vec xr = ref->solve(b);
+  const Vec x = solve_one(*f, b);
+  const Vec xr = solve_one(*ref, b);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], xr[i], 1e-12);
 }
 
-TEST(SparseLdlt, SolveManyIsBitwiseEqualToColumnSolves) {
+TEST(SparseLdlt, PanelIsBitwiseEqualToOneColumnPanels) {
   for (auto& [name, g] : equivalence_graphs()) {
     const auto lap = graph::laplacian(g);
-    const auto f =
-        LaplacianFactor::factor(test_context(), lap, FactorMode::kForceSparse);
+    const auto f = ComponentLaplacianFactor::factor(test_context(), lap,
+                                                    FactorMode::kForceSparse);
     ASSERT_TRUE(f) << name;
     const auto b = gaussian_panel(g.num_vertices(), 7, 211);
     const auto x = f->solve_many(test_context(), b);
     ASSERT_EQ(x.cols(), 7u);
     for (std::size_t j = 0; j < b.cols(); ++j) {
-      const Vec xj = f->solve(b.column(j));
+      const Vec xj = solve_one(*f, b.column(j));
       const Vec pj = x.column(j);
       ASSERT_EQ(xj.size(), pj.size());
       for (std::size_t i = 0; i < xj.size(); ++i)
@@ -261,11 +265,11 @@ TEST(SparseLdlt, FactorAndSolveAreThreadCountInvariant) {
     opts.threads = threads;
     opts.seed = 3;
     Runtime rt(opts);
-    const auto f =
-        LaplacianFactor::factor(rt.context(), lap, FactorMode::kForceSparse);
+    const auto f = ComponentLaplacianFactor::factor(rt.context(), lap,
+                                                    FactorMode::kForceSparse);
     EXPECT_TRUE(f);
     if (!f) return DenseMatrix(0, 0);
-    EXPECT_EQ(f->path(), FactorKind::kSparse);
+    EXPECT_EQ(f->sparse_factor_count(), 1u);
     return f->solve_many(rt.context(), b);
   };
   const auto one = run(1);
@@ -321,14 +325,16 @@ TEST(SparseLdlt, AutoPathSelectsSparseForLargeSparseLaplacian) {
   rng::Stream gstream(53);
   const auto g = graph::random_regularish(600, 8, 4, gstream);
   const auto f =
-      LaplacianFactor::factor(test_context(), graph::laplacian(g));
+      ComponentLaplacianFactor::factor(test_context(), graph::laplacian(g));
   ASSERT_TRUE(f);
-  EXPECT_EQ(f->path(), FactorKind::kSparse);
+  EXPECT_EQ(f->sparse_factor_count(), 1u);
+  EXPECT_EQ(f->dense_factor_count(), 0u);
   // Small graphs keep the dense kernel under kAuto.
-  const auto fsmall = LaplacianFactor::factor(
+  const auto fsmall = ComponentLaplacianFactor::factor(
       test_context(), graph::laplacian(graph::path(100)));
   ASSERT_TRUE(fsmall);
-  EXPECT_EQ(fsmall->path(), FactorKind::kDense);
+  EXPECT_EQ(fsmall->dense_factor_count(), 1u);
+  EXPECT_EQ(fsmall->sparse_factor_count(), 0u);
 }
 
 TEST(SparseLdlt, RunStatsReportFactorBackend) {
@@ -365,15 +371,17 @@ TEST(SparseLdlt, PublicSolveSurfaceValidatesDimensions) {
                std::invalid_argument);
 
   const auto lap = graph::laplacian(graph::path(6));
-  const auto lf = LaplacianFactor::factor(ctx, lap);
-  ASSERT_TRUE(lf);
-  EXPECT_THROW(lf->solve(Vec(5, 0.0)), std::invalid_argument);
-  EXPECT_THROW(lf->solve_many(ctx, DenseMatrix(7, 1)), std::invalid_argument);
-
-  const auto cf = ComponentLaplacianFactor::factor(ctx, lap);
-  ASSERT_TRUE(cf);
-  EXPECT_THROW(cf->solve(ctx, Vec(5, 0.0)), std::invalid_argument);
-  EXPECT_THROW(cf->solve_many(ctx, DenseMatrix(5, 3)), std::invalid_argument);
+  for (const FactorMode mode :
+       {FactorMode::kForceDense, FactorMode::kForceSparse}) {
+    const auto cf = ComponentLaplacianFactor::factor(ctx, lap, mode);
+    ASSERT_TRUE(cf);
+    EXPECT_THROW(cf->solve_many(ctx, DenseMatrix(5, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(cf->solve_many(ctx, DenseMatrix(7, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(cf->solve_many(ctx, DenseMatrix(5, 3)),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
