@@ -91,6 +91,14 @@ StageLp build_stage(const graph::Digraph& g, std::size_t s, std::size_t t,
   return out;
 }
 
+// Copies the stage LPs' folded counters into the result's duplicate
+// fields (mcmf_solver.h).
+void mirror_stats(McmfIpmResult& out) {
+  out.path_steps = out.stats.iterations;
+  out.newton_steps = out.stats.steps;
+  out.rounds = out.stats.rounds;
+}
+
 }  // namespace
 
 McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
@@ -106,13 +114,9 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
   StageLp stage_a = build_stage(g, s, t, /*with_f=*/true, 0.0, {},
                                 /*slack_penalty=*/2.0, /*f_cost=*/-1.0);
   const auto res_a = lp::lp_solve(ctx, stage_a.problem, stage_a.x0, lp_a);
-  out.path_steps += res_a.stats.iterations;
-  out.newton_steps += res_a.stats.steps;
-  out.rounds += res_a.stats.rounds;
+  out.stats += res_a.stats;
   if (!res_a.converged) {
-    out.stats.rounds = out.rounds;
-    out.stats.iterations = out.path_steps;
-    out.stats.steps = out.newton_steps;
+    mirror_stats(out);
     return out;
   }
   std::int64_t f_star =
@@ -149,9 +153,7 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
                                     static_cast<double>(f_target), q_tilde,
                                     lambda, 0.0);
       const auto res_b = lp::lp_solve(ctx, stage_b.problem, stage_b.x0, lp_b);
-      out.path_steps += res_b.stats.iterations;
-      out.newton_steps += res_b.stats.steps;
-      out.rounds += res_b.stats.rounds;
+      out.stats += res_b.stats;
       // Centering can stall at extreme path parameters in double precision
       // while the iterate is already rounding-grade; the feasibility and
       // value checks below are the authoritative validation, so attempt
@@ -187,9 +189,7 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
     out.exact = true;
     out.max_flow_value = out.flow.value;
   }
-  out.stats.rounds = out.rounds;
-  out.stats.iterations = out.path_steps;
-  out.stats.steps = out.newton_steps;
+  mirror_stats(out);
   return out;
 }
 

@@ -37,8 +37,10 @@ struct McmfIpmResult {
   std::size_t newton_steps = 0;
   std::int64_t rounds = 0;     // accounted BCC rounds
   std::int64_t max_flow_value = 0;
-  // Unified shape (core/stats.h): iterations = path_steps, steps =
-  // newton_steps, rounds as above. path_steps, newton_steps and rounds
+  // Unified shape (core/stats.h): every stage LP's RunStats folded in
+  // with +=, so iterations = path_steps, steps = newton_steps, rounds as
+  // above, panels = the Gram panels of all stages and engine = their
+  // registry key. path_steps, newton_steps and rounds
   // duplicate stats because the benchmark harness
   // (perfbench/flow_exact.cpp) reads them; they go when it reads stats.
   core::RunStats stats;

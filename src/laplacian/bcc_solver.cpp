@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/context.h"
@@ -15,6 +16,8 @@ namespace bcclap::laplacian {
 linalg::Vec SddEngine::solve(const linalg::Vec& y, double eps) {
   return solve_many(linalg::DenseMatrix::from_columns({y}), eps).column(0);
 }
+
+bool SddEngine::refactor(const linalg::DenseMatrix&) { return false; }
 
 std::int64_t sdd_broadcast_rounds(std::size_t network_n, double eps) {
   const double safe = std::max(eps, 1e-12);
@@ -40,42 +43,61 @@ void add_sdd_ridge(linalg::DenseMatrix& m) {
   for (std::size_t i = 0; i < n; ++i) m(i, i) += 1e-12 * (scale + 1.0);
 }
 
+namespace {
+
+// The one ridge policy of the dense SDD factor: factor m; if that fails,
+// retry once on m + add_sdd_ridge staged in `ridged` (whose storage a
+// caller may keep across calls). False only if both attempts fail.
+bool refactor_with_ridge(const common::Context& ctx,
+                         const linalg::DenseMatrix& m,
+                         linalg::DenseMatrix& ridged,
+                         linalg::LdltFactor& factor) {
+  if (factor.refactor(ctx, m)) return true;
+  ridged = m;
+  add_sdd_ridge(ridged);
+  return factor.refactor(ctx, ridged);
+}
+
+}  // namespace
+
 std::shared_ptr<const linalg::LdltFactor> prepare_sdd_dense_factor(
-    const common::Context& ctx, linalg::DenseMatrix m) {
-  auto factor = linalg::LdltFactor::factor(ctx, m);
-  if (!factor) {
-    add_sdd_ridge(m);
-    factor = linalg::LdltFactor::factor(ctx, m);
-  }
-  if (!factor) return nullptr;
-  return std::make_shared<const linalg::LdltFactor>(std::move(*factor));
+    const common::Context& ctx, const linalg::DenseMatrix& m) {
+  auto factor = std::make_shared<linalg::LdltFactor>();
+  linalg::DenseMatrix ridged;
+  if (!refactor_with_ridge(ctx, m, ridged, *factor)) return nullptr;
+  return factor;
 }
 
 namespace {
 
 class ExactSddEngine final : public SddEngine {
  public:
-  ExactSddEngine(const common::Context& ctx, linalg::DenseMatrix m,
+  ExactSddEngine(const common::Context& ctx, const linalg::DenseMatrix& m,
                  std::size_t network_n)
-      : ctx_(ctx),
-        network_n_(std::max<std::size_t>(network_n, 2)),
-        factor_(prepare_sdd_dense_factor(ctx, std::move(m))) {
-    if (!factor_) {
+      : ctx_(ctx), network_n_(std::max<std::size_t>(network_n, 2)) {
+    if (!refactor_with_ridge(ctx_, m, ridged_, factor_)) {
       throw std::runtime_error(
           "exact-dense SDD engine: matrix does not factor, even with a ridge");
     }
   }
 
+  bool refactor(const linalg::DenseMatrix& m) override {
+    return refactor_with_ridge(ctx_, m, ridged_, factor_);
+  }
+
   linalg::DenseMatrix solve_many(const linalg::DenseMatrix& y,
                                  double eps) override {
-    // The factorization is shared; the panel fans the k substitutions out
-    // over the pool. Analytical round model (Lemma 5.1 / Theorem 1.3): one
-    // sparsification (preprocessing) has already been charged per
-    // path-following phase by the caller; each right-hand side costs
-    // O(log(1/eps) log(n/eps)) rounds.
-    rounds_ += static_cast<std::int64_t>(y.cols()) *
-               exact_sdd_solve_rounds(network_n_, eps);
-    return factor_->solve_many(ctx_, y);
+    // The panel fans the k substitutions out over the pool. Analytical
+    // round model (Lemma 5.1 / Theorem 1.3): one sparsification
+    // (preprocessing) has already been charged per path-following phase
+    // by the caller; each right-hand side costs O(log(1/eps) log(n/eps))
+    // rounds, computed once per distinct eps.
+    if (eps != rounds_eps_) {
+      rounds_eps_ = eps;
+      rounds_per_rhs_ = exact_sdd_solve_rounds(network_n_, eps);
+    }
+    rounds_ += static_cast<std::int64_t>(y.cols()) * rounds_per_rhs_;
+    return factor_.solve_many(ctx_, y);
   }
 
   std::int64_t rounds_charged() const override { return rounds_; }
@@ -85,8 +107,11 @@ class ExactSddEngine final : public SddEngine {
  private:
   common::Context ctx_;
   std::size_t network_n_;
-  std::shared_ptr<const linalg::LdltFactor> factor_;
+  linalg::LdltFactor factor_;
+  linalg::DenseMatrix ridged_;  // refactor's ridge-retry scratch
   std::int64_t rounds_ = 0;
+  double rounds_eps_ = std::numeric_limits<double>::quiet_NaN();
+  std::int64_t rounds_per_rhs_ = 0;
 };
 
 class SparsifiedSddEngine final : public SddEngine {
@@ -191,7 +216,7 @@ class SparsifiedSddEngine final : public SddEngine {
 std::unique_ptr<SddEngine> make_exact_sdd_engine(const common::Context& ctx,
                                                  linalg::DenseMatrix m,
                                                  std::size_t network_n) {
-  return std::make_unique<ExactSddEngine>(ctx, std::move(m), network_n);
+  return std::make_unique<ExactSddEngine>(ctx, m, network_n);
 }
 
 std::unique_ptr<SddEngine> make_sparsified_sdd_engine(

@@ -44,7 +44,19 @@ class SddEngine {
   // returning column 0. Virtual only so forwarding wrappers can time it.
   virtual linalg::Vec solve(const linalg::Vec& y, double eps);
 
+  // Total rounds of every solve since construction, across refactors;
+  // callers that keep an engine charge the difference around a solve.
   virtual std::int64_t rounds_charged() const = 0;
+
+  // Re-prepares the engine in place for a new matrix m, reusing what it
+  // allocated for the old one. On true the engine is interchangeable with
+  // the one its factory would build for m: every later solve returns the
+  // same bytes and adds the same rounds to rounds_charged(). On false the
+  // engine must not be solved with again; the caller builds a fresh one
+  // (whose construction reports the failure). The default declines
+  // without touching the engine, so a forwarding wrapper that does not
+  // override it keeps its callers at one engine per matrix.
+  virtual bool refactor(const linalg::DenseMatrix& m);
 
   // Registry key of the engine (laplacian/engine.h), e.g. "exact-dense";
   // empty for engines constructed outside the registry's vocabulary
@@ -77,14 +89,16 @@ void add_sdd_ridge(linalg::DenseMatrix& m);
 // Returns an immutable, shareable factor (the shareability contract of
 // linalg/cholesky.h); null only if even the ridged matrix fails.
 std::shared_ptr<const linalg::LdltFactor> prepare_sdd_dense_factor(
-    const common::Context& ctx, linalg::DenseMatrix m);
+    const common::Context& ctx, const linalg::DenseMatrix& m);
 
 // Builds an engine for a concrete SDD matrix M (n x n dense), executing on
 // ctx's pool; the sparsified engine draws its sparsifier randomness from
 // ctx.seed(). The exact engine throws std::runtime_error when M does not
 // factor even after the ridge retry; the sparsified engine throws
 // std::invalid_argument when M is not SDD, and std::runtime_error from a
-// solve whose dense fallback does not factor.
+// solve whose dense fallback does not factor. The exact engine implements
+// refactor with the same ridge policy in its own storage, returning false
+// where its construction would throw; the sparsified engine declines.
 std::unique_ptr<SddEngine> make_exact_sdd_engine(const common::Context& ctx,
                                                  linalg::DenseMatrix m,
                                                  std::size_t network_n);

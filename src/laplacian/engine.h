@@ -114,7 +114,7 @@ class EngineRegistry {
   // The SDD factory create_sdd(key, ctx, m, opt) calls, with "auto"
   // resolved the same way from m and eps_hint. A caller that builds many
   // engines for systems whose tuner inputs cannot change (the LP layer's
-  // Gram systems) resolves once and calls the factory per system. Throws
+  // Gram systems) resolves once and calls the factory per engine. Throws
   // as create_sdd does.
   SddFactory sdd_factory(const std::string& key, const linalg::DenseMatrix& m,
                          double eps_hint) const;

@@ -71,6 +71,14 @@ void require_square(const CsrMatrix& laplacian) {
 std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
                                              const DenseMatrix& a,
                                              double pivot_tol) {
+  LdltFactor f;
+  if (!f.refactor(ctx, a, pivot_tol)) return std::nullopt;
+  return f;
+}
+
+bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
+                          double pivot_tol) {
+  n_ = 0;
   if (a.rows() != a.cols()) {
     throw std::invalid_argument(
         "LdltFactor::factor: matrix is " + std::to_string(a.rows()) + " x " +
@@ -87,15 +95,15 @@ std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
   // factor, and an all-zero diagonal admits no positive pivot — without
   // this guard the zero matrix would race `0 <= pivot_tol * 1e-300`
   // against double underflow instead of being rejected by design.
-  if (n == 0 || diag_scale == 0.0) return std::nullopt;
+  if (n == 0 || diag_scale == 0.0) return false;
   const double threshold = pivot_tol * diag_scale;
 
-  LdltFactor f;
-  f.n_ = n;
-  f.l_ = DenseMatrix(n, n);
-  f.d_.assign(n, 0.0);
-  DenseMatrix& l = f.l_;
-  Vec& d = f.d_;
+  // Every entry of L and D is written below before it is read, so storage
+  // kept from an earlier factorization of the same size needs no reset.
+  if (l_.rows() != n) l_ = DenseMatrix(n, n);
+  d_.resize(n);
+  DenseMatrix& l = l_;
+  Vec& d = d_;
 
   // Working storage: the lower triangle of `l` starts as the lower
   // triangle of `a` and is transformed block column by block column into
@@ -138,7 +146,7 @@ std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
       double* lj = l.row_data(j);
       double dj = lj[j];
       for (std::size_t k = kb; k < j; ++k) dj -= lj[k] * lj[k] * d[k];
-      if (dj <= threshold) return std::nullopt;
+      if (dj <= threshold) return false;
       d[j] = dj;
       for (std::size_t i = j + 1; i < ke; ++i) {
         double* li = l.row_data(i);
@@ -248,7 +256,8 @@ std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
   }
 
   for (std::size_t j = 0; j < n; ++j) l(j, j) = 1.0;
-  return f;
+  n_ = n;
+  return true;
 }
 
 void LdltFactor::solve_in_place(double* y) const {
@@ -351,6 +360,12 @@ DenseMatrix LdltFactor::solve_many(const common::Context& ctx,
   if (b.rows() != n_)
     throw_dim_mismatch("LdltFactor::solve_many", b.rows(), n_);
   const std::size_t k = b.cols();
+  if (k == 1) {
+    // An n x 1 panel is one contiguous vector.
+    DenseMatrix x(b);
+    solve_in_place(x.data());
+    return x;
+  }
   DenseMatrix x(n_, k);
   // Columns go through the panel kernel kLanes at a time (a lone trailing
   // column through the single-RHS sweeps, unpadded). Column grouping never

@@ -26,16 +26,31 @@ namespace bcclap::linalg {
 
 class LdltFactor {
  public:
+  // An empty factor (dim() == 0): every solve throws the dimension error
+  // until a refactor() succeeds.
+  LdltFactor() = default;
+
   // Factors a symmetric positive definite matrix on ctx's pool (only the
   // lower triangle of `a` is read; a non-square `a` throws
   // std::invalid_argument). Returns nullopt if a pivot falls
   // below `pivot_tol` relative to the largest diagonal magnitude (matrix
   // not PD to working precision). Degenerate inputs — a 0x0 matrix or an
   // all-zero diagonal — are rejected explicitly rather than left to
-  // threshold underflow.
+  // threshold underflow. A fresh factor's refactor(ctx, a, pivot_tol).
   static std::optional<LdltFactor> factor(const common::Context& ctx,
                                           const DenseMatrix& a,
                                           double pivot_tol = 1e-12);
+
+  // factor() in place: the one dense kernel. Reuses this factor's L and D
+  // storage (reallocating only when the dimension changes), so a caller
+  // that factors a stream of same-sized matrices — the IPM's Gram system
+  // at every Newton step — allocates once. On success the factor holds
+  // exactly the bytes factor(ctx, a, pivot_tol) would; on failure
+  // (factor() would return nullopt) it is left empty, dim() == 0, and
+  // returns false. Throws like factor() on a non-square `a`, leaving the
+  // factor empty.
+  bool refactor(const common::Context& ctx, const DenseMatrix& a,
+                double pivot_tol = 1e-12);
 
   // Throws std::invalid_argument on a wrong-sized right-hand side: this
   // is public solve surface, and an assert-only check would turn a bad
@@ -48,6 +63,7 @@ class LdltFactor {
   // lane), and the groups fan out over ctx's pool with disjoint column
   // writes. Column grouping never changes the arithmetic, so the result
   // is byte-identical to k sequential solve() calls at any thread count.
+  // A k = 1 panel is solve() run in the output, off the pool.
   DenseMatrix solve_many(const common::Context& ctx,
                          const DenseMatrix& b) const;
 
@@ -74,8 +90,6 @@ class LdltFactor {
 
   // solve_in_place on an n x 4 row-major panel, one column per lane.
   void solve_panel_in_place(double* p) const;
-
-  LdltFactor() = default;
 };
 
 }  // namespace bcclap::linalg

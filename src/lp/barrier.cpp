@@ -10,6 +10,14 @@ namespace {
 bool finite(double v) { return std::isfinite(v); }
 }  // namespace
 
+CoordinateBarrier::CoordinateBarrier(double lower, double upper)
+    : l(lower), u(upper) {
+  if (finite(l) && finite(u)) {
+    a = M_PI / (u - l);
+    b = -M_PI_2 * (u + l) / (u - l);
+  }
+}
+
 bool CoordinateBarrier::in_domain(double x) const {
   return x > l && x < u;
 }
@@ -18,8 +26,6 @@ double CoordinateBarrier::value(double x) const {
   assert(in_domain(x));
   if (finite(l) && !finite(u)) return -std::log(x - l);
   if (!finite(l) && finite(u)) return -std::log(u - x);
-  const double a = M_PI / (u - l);
-  const double b = -M_PI_2 * (u + l) / (u - l);
   return -std::log(std::cos(a * x + b));
 }
 
@@ -27,8 +33,6 @@ double CoordinateBarrier::d1(double x) const {
   assert(in_domain(x));
   if (finite(l) && !finite(u)) return -1.0 / (x - l);
   if (!finite(l) && finite(u)) return 1.0 / (u - x);
-  const double a = M_PI / (u - l);
-  const double b = -M_PI_2 * (u + l) / (u - l);
   return a * std::tan(a * x + b);
 }
 
@@ -36,19 +40,17 @@ double CoordinateBarrier::d2(double x) const {
   assert(in_domain(x));
   if (finite(l) && !finite(u)) return 1.0 / ((x - l) * (x - l));
   if (!finite(l) && finite(u)) return 1.0 / ((u - x) * (u - x));
-  const double a = M_PI / (u - l);
-  const double b = -M_PI_2 * (u + l) / (u - l);
   const double c = std::cos(a * x + b);
   return a * a / (c * c);
 }
 
 BarrierSet::BarrierSet(linalg::Vec lower, linalg::Vec upper) {
   assert(lower.size() == upper.size());
-  coords_.resize(lower.size());
+  coords_.reserve(lower.size());
   for (std::size_t i = 0; i < lower.size(); ++i) {
     assert((finite(lower[i]) || finite(upper[i])) &&
            "dom(x_i) must not be the whole line (Section 4 assumption)");
-    coords_[i] = {lower[i], upper[i]};
+    coords_.emplace_back(lower[i], upper[i]);
   }
 }
 

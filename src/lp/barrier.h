@@ -20,8 +20,14 @@ inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 inline constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
 struct CoordinateBarrier {
-  double l = kNegInf;
-  double u = kPosInf;
+  CoordinateBarrier(double lower, double upper);
+
+  double l;
+  double u;
+  // The trigonometric barrier's a = pi/(u-l) and b = -(pi/2)(u+l)/(u-l),
+  // computed once; 0 unless both bounds are finite.
+  double a = 0.0;
+  double b = 0.0;
 
   bool in_domain(double x) const;
   double value(double x) const;
@@ -50,19 +56,16 @@ class BarrierSet {
   void for_each_derivative(const linalg::Vec& x, F&& f) const {
     assert(x.size() == coords_.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
-      const double l = coords_[i].l;
-      const double u = coords_[i].u;
-      assert(coords_[i].in_domain(x[i]));
-      if (std::isfinite(l) && !std::isfinite(u)) {
-        f(i, -1.0 / (x[i] - l), 1.0 / ((x[i] - l) * (x[i] - l)));
-      } else if (!std::isfinite(l) && std::isfinite(u)) {
-        f(i, 1.0 / (u - x[i]), 1.0 / ((u - x[i]) * (u - x[i])));
+      const CoordinateBarrier& cb = coords_[i];
+      assert(cb.in_domain(x[i]));
+      if (std::isfinite(cb.l) && !std::isfinite(cb.u)) {
+        f(i, -1.0 / (x[i] - cb.l), 1.0 / ((x[i] - cb.l) * (x[i] - cb.l)));
+      } else if (!std::isfinite(cb.l) && std::isfinite(cb.u)) {
+        f(i, 1.0 / (cb.u - x[i]), 1.0 / ((cb.u - x[i]) * (cb.u - x[i])));
       } else {
-        const double a = M_PI / (u - l);
-        const double b = -M_PI_2 * (u + l) / (u - l);
-        const double arg = a * x[i] + b;
+        const double arg = cb.a * x[i] + cb.b;
         const double c = std::cos(arg);
-        f(i, a * std::tan(arg), a * a / (c * c));
+        f(i, cb.a * std::tan(arg), cb.a * cb.a / (c * c));
       }
     }
   }

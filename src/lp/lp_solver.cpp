@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/encoding.h"
 #include "laplacian/engine.h"
@@ -24,17 +26,19 @@ void assemble_gram_into(const linalg::CsrMatrix& a, const linalg::Vec& d,
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_index();
   const auto& vals = a.values();
+  // Each entry adds (d_r a_ri) a_rj in ascending r; the factor d_r a_ri
+  // is formed once per (r, i), the same product in the same order.
   for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t i = rp[r]; i < rp[r + 1]; ++i) {
-      for (std::size_t j = rp[r]; j < rp[r + 1]; ++j) {
-        gram(ci[i], ci[j]) += d[r] * vals[i] * vals[j];
-      }
+      double* gi = gram.row_data(ci[i]);
+      const double dv = d[r] * vals[i];
+      for (std::size_t j = rp[r]; j < rp[r + 1]; ++j) gi[ci[j]] += dv * vals[j];
     }
   }
 }
 
 // The Gram-system engine factory of one lp_solve. A caller's
-// opt.gram_factory is used as is, once per system. Otherwise opt.engine is
+// opt.gram_factory is used as is. Otherwise opt.engine is
 // resolved on the first system and that registry entry's SDD factory
 // builds every system: the tuner's inputs cannot change within a solve
 // (the dimension, eps_hint = 1e-12, and the stored density, which is A's
@@ -56,6 +60,51 @@ GramSolverFactory gram_engines(const common::Context& ctx,
     return factory(ctx, gram, eopt);
   };
 }
+
+// The Gram-system solver of one lp_solve: a single engine serves both
+// path-following phases and the final restoration, refactored in place at
+// every system. The factory builds a new engine only when none is held or
+// the held one declines refactor (custom hooks that want one engine per
+// system return engines that decline).
+class GramSolver {
+ public:
+  explicit GramSolver(GramSolverFactory factory)
+      : factory_(std::move(factory)) {}
+
+  // Solves gram * X = rhs to relative residual eps as one counted panel,
+  // adding the system's rounds to rounds(): the engine's rounds_charged()
+  // delta across refactor and solve, or all of a fresh engine's.
+  linalg::DenseMatrix solve(const linalg::DenseMatrix& gram,
+                            const linalg::DenseMatrix& rhs, double eps) {
+    std::int64_t before = engine_ ? engine_->rounds_charged() : 0;
+    if (!engine_ || !engine_->refactor(gram)) {
+      engine_ = factory_(gram);
+      before = 0;
+    }
+    linalg::DenseMatrix x = engine_->solve_many(rhs, eps);
+    ++panels_;
+    rounds_ += engine_->rounds_charged() - before;
+    return x;
+  }
+
+  // Gram panels solved so far (RunStats::panels bookkeeping).
+  std::size_t panels() const { return panels_; }
+
+  // Rounds of the systems solved so far.
+  std::int64_t rounds() const { return rounds_; }
+
+  // Registry key of the held engine (RunStats::engine); empty before the
+  // first system.
+  std::string key() const {
+    return engine_ ? std::string(engine_->key()) : std::string();
+  }
+
+ private:
+  GramSolverFactory factory_;
+  std::unique_ptr<laplacian::SddEngine> engine_;
+  std::size_t panels_ = 0;
+  std::int64_t rounds_ = 0;
+};
 
 // Initial weights (Algorithm 9 line 1).
 linalg::Vec initial_weights(const common::Context& ctx, const LpProblem& prob,
@@ -79,19 +128,21 @@ class PathFollower {
  public:
   PathFollower(const common::Context& ctx, const LpProblem& prob,
                const LpOptions& opt, const BarrierSet& barrier,
-               const GramSolverFactory& engines, const linalg::Vec& cost,
+               GramSolver& grams, const linalg::Vec& cost,
                bcc::RoundAccountant& acct)
       : ctx_(ctx),
         prob_(prob),
         opt_(opt),
         barrier_(barrier),
-        engines_(engines),
+        grams_(grams),
         cost_(cost),
         acct_(acct),
         m_(prob.a.rows()),
         n_(prob.a.cols()),
         grad_(m_),
         d_(m_),
+        phi1_(m_),
+        phi2_(m_),
         dx_(m_),
         ax_(n_),
         rhs_(n_, 1),
@@ -144,10 +195,6 @@ class PathFollower {
     return t == t_end;
   }
 
-  // Gram panels this follower routed through SddEngine::solve_many
-  // (RunStats::panels bookkeeping).
-  std::size_t panels_solved() const { return panels_solved_; }
-
  private:
   double base_alpha() const {
     const double scale = opt_.weights == WeightMode::kLewis
@@ -178,11 +225,23 @@ class PathFollower {
       // H = diag(w phi''(x)) and D = H^{-1}:
       //   solve (A^T D A) lam = A^T D grad + (b - A^T x),
       //   dx = D (A lam - grad), so A^T dx = b - A^T x.
-      barrier_.for_each_derivative(
-          x, [&](std::size_t i, double phi1, double phi2) {
-            grad_[i] = t * cost_[i] + w[i] * phi1;
-            d_[i] = 1.0 / (w[i] * phi2);
-          });
+      // The barrier derivatives depend on x alone. A centering that
+      // converged returns without moving x, so the next one (at a new t)
+      // starts where the last pass ran; the pass reruns only when x is
+      // not bitwise the x it last saw.
+      if (phi_x_.size() != m_ ||
+          std::memcmp(phi_x_.data(), x.data(), m_ * sizeof(double)) != 0) {
+        barrier_.for_each_derivative(
+            x, [&](std::size_t i, double phi1, double phi2) {
+              phi1_[i] = phi1;
+              phi2_[i] = phi2;
+            });
+        phi_x_ = x;
+      }
+      for (std::size_t i = 0; i < m_; ++i) {
+        grad_[i] = t * cost_[i] + w[i] * phi1_[i];
+        d_[i] = 1.0 / (w[i] * phi2_[i]);
+      }
       // A^T (D grad) and A^T x in one pass over A's rows, each output
       // summed in ascending row order with CsrMatrix::multiply_transpose's
       // zero skip.
@@ -202,14 +261,11 @@ class PathFollower {
       }
       for (std::size_t j = 0; j < n_; ++j) rhs[j] += prob_.b[j] - ax_[j];
       assemble_gram_into(prob_.a, d_, gram_);
-      auto engine = engines_(gram_);
       // Newton systems route through the batched interface (one k = 1
       // panel per centering step) so every Gram solve in the pipeline is
       // a counted panel; per-column the engines are byte-identical to
       // their single-RHS path.
-      const linalg::DenseMatrix lam = engine->solve_many(rhs_, 1e-12);
-      ++panels_solved_;
-      acct_.charge("lp/gram-solve", engine->rounds_charged());
+      const linalg::DenseMatrix lam = grams_.solve(gram_, rhs_, 1e-12);
       // dx = D (A lam - grad), row-parallel like CsrMatrix::multiply.
       const double* lam_data = lam.row_data(0);
       ctx_.parallel_for_chunks(
@@ -306,25 +362,25 @@ class PathFollower {
   const LpProblem& prob_;
   const LpOptions& opt_;
   const BarrierSet& barrier_;
-  const GramSolverFactory& engines_;
+  GramSolver& grams_;
   const linalg::Vec& cost_;
   bcc::RoundAccountant& acct_;
   std::size_t m_;
   std::size_t n_;
   double p_lewis_ = 1.0;
   double c0_ = 0.0;
-  std::size_t panels_solved_ = 0;
   // The (t, tol) of the last vanilla centering that converged, while x
   // and w are still where it left them.
   bool centered_ = false;
   double centered_t_ = 0.0;
   double centered_tol_ = 0.0;
-  // Newton workspace: m-vectors grad, D and dx; n-vector A^T x; the n x 1
-  // right-hand-side panel; the n x n Gram; the adaptive probe's saved
-  // iterate.
-  linalg::Vec grad_, d_, dx_, ax_;
+  // Newton workspace: m-vectors grad, D, phi'(x), phi''(x) and dx;
+  // n-vector A^T x; the n x 1 right-hand-side panel; the n x n Gram; the
+  // x the barrier derivatives were evaluated at; the adaptive probe's
+  // saved iterate.
+  linalg::Vec grad_, d_, phi1_, phi2_, dx_, ax_;
   linalg::DenseMatrix rhs_, gram_;
-  linalg::Vec x_save_, w_save_;
+  linalg::Vec phi_x_, x_save_, w_save_;
 };
 
 }  // namespace
@@ -353,7 +409,7 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   }
 
   const BarrierSet barrier(prob.lower, prob.upper);
-  const GramSolverFactory engines = gram_engines(ctx, prob, opt);
+  GramSolver grams(gram_engines(ctx, prob, opt));
   linalg::Vec w = initial_weights(ctx, prob, opt);
 
   // Phase 1: recenter x0. With d = -w .* phi'(x0), x0 is the exact t = 1
@@ -366,11 +422,13 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   linalg::Vec d_cost(m);
   for (std::size_t i = 0; i < m; ++i) d_cost[i] = -w[i] * phi1_x0[i];
 
-  PathFollower phase1(ctx, prob, opt, barrier, engines, d_cost, acct);
+  PathFollower phase1(ctx, prob, opt, barrier, grams, d_cost, acct);
   if (!phase1.follow(out.x, w, 1.0, t1, opt.centering_tol,
                      &out.stats.iterations, &out.stats.steps)) {
+    acct.charge("lp/gram-solve", grams.rounds());
     out.stats.rounds = acct.total();
-    out.stats.panels = phase1.panels_solved();
+    out.stats.panels = grams.panels();
+    out.stats.engine = grams.key();
     return out;
   }
 
@@ -378,9 +436,12 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   double w_sum = 0.0;
   for (double v : w) w_sum += v;
   const double t2 = 4.0 * std::max(w_sum, 1.0) / opt.epsilon;
-  PathFollower phase2(ctx, prob, opt, barrier, engines, prob.c, acct);
+  PathFollower phase2(ctx, prob, opt, barrier, grams, prob.c, acct);
   const bool ok = phase2.follow(out.x, w, t1, t2, opt.centering_tol / 4.0,
                                 &out.stats.iterations, &out.stats.steps);
+  // The Newton systems' rounds, charged in one sum; the restoration
+  // solve's below are not added to the account.
+  acct.charge("lp/gram-solve", grams.rounds());
 
   // Final feasibility restoration: centering can stop with a residual
   // A^T x - b of the order of the last Newton decrement; one weighted
@@ -389,16 +450,13 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
     const linalg::Vec phi2 = barrier.hessian_diag(out.x);
     linalg::Vec d(m);
     for (std::size_t i = 0; i < m; ++i) d[i] = 1.0 / (w[i] * phi2[i]);
-    const auto engine = engines(assemble_gram(prob.a, d));
-    // The concrete key that served the Gram systems (every system of the
-    // run is built by the same factory).
-    out.stats.engine = std::string(engine->key());
     linalg::Vec resid = prob.b;
     const auto ax = prob.a.multiply_transpose(out.x);
     for (std::size_t j = 0; j < resid.size(); ++j) resid[j] -= ax[j];
-    const auto lam =
-        engine->solve_many(linalg::DenseMatrix::from_columns({resid}), 1e-12)
-            .column(0);
+    const auto lam = grams.solve(assemble_gram(prob.a, d),
+                                 linalg::DenseMatrix::from_columns({resid}),
+                                 1e-12)
+                         .column(0);
     const auto a_lam = prob.a.multiply(ctx, lam);
     linalg::Vec dx(m);
     for (std::size_t i = 0; i < m; ++i) dx[i] = d[i] * a_lam[i];
@@ -411,7 +469,10 @@ LpResult lp_solve(const common::Context& ctx, const LpProblem& prob,
   out.stats.rounds = acct.total();
   // Every Gram system went through the batched interface: phase panels
   // plus the final feasibility-restoration panel.
-  out.stats.panels = phase1.panels_solved() + phase2.panels_solved() + 1;
+  out.stats.panels = grams.panels();
+  // The concrete key that served the Gram systems (every system of the
+  // run is built by the same factory).
+  out.stats.engine = grams.key();
   return out;
 }
 

@@ -51,9 +51,12 @@ enum class WeightMode { kVanilla, kLewis };
 enum class StepMode { kShortStep, kAdaptive };
 
 // Hook for callers that need full control over the (A^T D A)-system
-// solver (custom contexts, instrumented engines); lp_solve calls it once
-// per Gram system (one per Newton step plus the final feasibility
-// restoration). When empty, engines are built by LpOptions::engine
+// solver (custom contexts, instrumented engines). lp_solve holds one
+// engine across its Gram systems (one per Newton step plus the final
+// feasibility restoration) and calls the hook when no engine is held or
+// the held engine declines SddEngine::refactor for the next system; a
+// hook that wants one engine per system returns a wrapper that does not
+// forward refactor. When empty, engines are built by LpOptions::engine
 // through the registry (laplacian/engine.h).
 using GramSolverFactory =
     std::function<std::unique_ptr<laplacian::SddEngine>(

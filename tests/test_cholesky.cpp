@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -263,6 +266,69 @@ TEST(ComponentLaplacianFactor, AllSingletons) {
 TEST(Ldlt, ThrowsOnNonSquareMatrix) {
   EXPECT_THROW(LdltFactor::factor(test_context(), DenseMatrix(3, 2)),
                std::invalid_argument);
+}
+
+bool same_bytes(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+// refactor() reuses the factor's storage; whatever it held before, the
+// result carries factor()'s bytes. Sizes cross the 64-wide block edge in
+// both directions, and the same-size case reuses the storage as is.
+TEST(Ldlt, RefactorMatchesFreshFactorAfterAnotherMatrix) {
+  rng::Stream stream(23);
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {11, 11}, {70, 70}, {11, 70}, {70, 11}};
+  for (const auto& [first, second] : cases) {
+    SCOPED_TRACE(std::to_string(first) + " -> " + std::to_string(second));
+    const DenseMatrix a = testsupport::random_spd(first, stream);
+    const DenseMatrix b = testsupport::random_spd(second, stream);
+    DenseMatrix rhs(second, 5);
+    for (std::size_t c = 0; c < 5; ++c)
+      rhs.set_column(c, testsupport::gaussian_vector(second, stream));
+    LdltFactor f;
+    ASSERT_TRUE(f.refactor(test_context(), a));
+    ASSERT_TRUE(f.refactor(test_context(), b));
+    const auto fresh = LdltFactor::factor(test_context(), b);
+    ASSERT_TRUE(fresh);
+    EXPECT_EQ(f.dim(), second);
+    EXPECT_EQ(f.resident_bytes(), fresh->resident_bytes());
+    EXPECT_TRUE(same_bytes(f.solve_many(test_context(), rhs),
+                           fresh->solve_many(test_context(), rhs)));
+    const DenseMatrix one = DenseMatrix::from_columns({rhs.column(0)});
+    EXPECT_TRUE(same_bytes(f.solve_many(test_context(), one),
+                           fresh->solve_many(test_context(), one)));
+  }
+}
+
+// A failed refactor leaves the factor empty, whatever it held, so a solve
+// throws the dimension error instead of using a half-built factor; a
+// later refactor succeeds.
+TEST(Ldlt, FailedRefactorLeavesFactorEmpty) {
+  rng::Stream stream(29);
+  const DenseMatrix a = testsupport::random_spd(6, stream);
+  LdltFactor f;
+  ASSERT_TRUE(f.refactor(test_context(), a));
+  DenseMatrix indefinite = a;
+  indefinite(5, 5) = -1.0;  // fails at the last pivot
+  EXPECT_FALSE(f.refactor(test_context(), indefinite));
+  EXPECT_EQ(f.dim(), 0u);
+  EXPECT_THROW(f.solve(Vec(6, 1.0)), std::invalid_argument);
+  EXPECT_THROW(f.solve_many(test_context(), DenseMatrix(6, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(f.refactor(test_context(), DenseMatrix(3, 2)),
+               std::invalid_argument);
+  EXPECT_EQ(f.dim(), 0u);
+
+  ASSERT_TRUE(f.refactor(test_context(), a));
+  const auto fresh = LdltFactor::factor(test_context(), a);
+  ASSERT_TRUE(fresh);
+  const Vec b = testsupport::gaussian_vector(6, stream);
+  const Vec x = f.solve(b);
+  const Vec want = fresh->solve(b);
+  EXPECT_EQ(std::memcmp(x.data(), want.data(), 6 * sizeof(double)), 0);
 }
 
 TEST(ComponentLaplacianFactor, ThrowsOnNonSquareMatrixOnBothBackends) {

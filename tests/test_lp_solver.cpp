@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "laplacian/bcc_solver.h"
 #include "laplacian/engine.h"
+#include "linalg/ldlt.h"
 #include "support/fixtures.h"
 
 namespace bcclap::lp {
@@ -143,9 +144,12 @@ bool bitwise_equal(const linalg::Vec& a, const linalg::Vec& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// lp_solve builds one engine per Gram system (one per Newton step plus the
-// final feasibility restoration), whether the registry entry behind
-// LpOptions::engine builds it or the caller's gram_factory does.
+// lp_solve holds one engine across its Gram systems (one per Newton step
+// plus the final feasibility restoration) and refactors it in place; a
+// factory, the registry entry behind LpOptions::engine or the caller's
+// gram_factory, is called again only when the held engine declines
+// refactor. An engine that declines (the counting wrapper below) gets one
+// engine per system, with the same bytes and counters as the default path.
 TEST(LpSolver, GramEnginePerSystem) {
   const auto p = testsupport::diamond_lp();
   const linalg::Vec x0 = {0.5, 0.5, 0.5, 0.5};
@@ -183,7 +187,9 @@ TEST(LpSolver, GramEnginePerSystem) {
   };
   const auto by_hook = lp_solve(test_context(hooked.seed), p, x0, hooked);
   ASSERT_TRUE(by_hook.converged);
-  EXPECT_EQ(called, by_hook.stats.steps + 1);
+  // The bare exact engine refactors, so the hook builds one per lp_solve.
+  EXPECT_EQ(called, 1u);
+  EXPECT_EQ(by_hook.stats.engine, "exact-dense");
 
   // Under "auto" the run names the key the tuner resolved; every path
   // builds the same exact-dense arithmetic.
@@ -192,9 +198,67 @@ TEST(LpSolver, GramEnginePerSystem) {
   const auto by_auto = lp_solve(test_context(tuned.seed), p, x0, tuned);
   ASSERT_TRUE(by_auto.converged);
   EXPECT_EQ(by_auto.stats.engine, "exact-dense");
-  EXPECT_EQ(by_auto.stats.steps, by_key.stats.steps);
+  // The refactoring default path and the engine-per-system path agree.
   EXPECT_TRUE(bitwise_equal(by_auto.x, by_key.x));
+  EXPECT_EQ(by_auto.stats.rounds, by_key.stats.rounds);
+  EXPECT_EQ(by_auto.stats.panels, by_key.stats.panels);
+  EXPECT_EQ(by_auto.stats.steps, by_key.stats.steps);
+  EXPECT_EQ(by_auto.stats.panels, by_auto.stats.steps + 1);
   EXPECT_TRUE(bitwise_equal(by_auto.x, by_hook.x));
+  EXPECT_EQ(by_auto.stats.rounds, by_hook.stats.rounds);
+}
+
+// A phase 1 that stalls returns early; the run still names the engine
+// that served its Gram systems.
+TEST(LpSolver, StalledPhaseOneReportsEngine) {
+  const auto p = testsupport::diamond_lp();
+  LpOptions opt;
+  opt.epsilon = 1e-4;
+  opt.max_path_steps = 1;
+  const auto res =
+      lp_solve(test_context(opt.seed), p, {0.5, 0.5, 0.5, 0.5}, opt);
+  ASSERT_FALSE(res.converged);
+  EXPECT_GT(res.stats.panels, 0u);
+  EXPECT_EQ(res.stats.panels, res.stats.steps);
+  EXPECT_EQ(res.stats.engine, "exact-dense");
+}
+
+// A Gram that only factors with the ridge: [[1, 1], [1, 1]] is singular.
+// The refactored engine gives the bytes and rounds of a fresh engine,
+// whether it was fresh itself or had already solved another system.
+TEST(LpSolver, ExactEngineRefactorMatchesFreshEngine) {
+  linalg::DenseMatrix singular(2, 2);
+  singular(0, 0) = singular(0, 1) = singular(1, 0) = singular(1, 1) = 1.0;
+  linalg::DenseMatrix other(2, 2);
+  other(0, 0) = 4.0;
+  other(0, 1) = other(1, 0) = 1.0;
+  other(1, 1) = 3.0;
+  ASSERT_FALSE(linalg::LdltFactor::factor(test_context(), singular));
+  const linalg::DenseMatrix y = linalg::DenseMatrix::from_columns({{1.0, 2.0}});
+  const auto fresh =
+      laplacian::make_exact_sdd_engine(test_context(), singular, 3);
+  const linalg::DenseMatrix want = fresh->solve_many(y, 1e-12);
+
+  const auto unused =
+      laplacian::make_exact_sdd_engine(test_context(), other, 3);
+  ASSERT_TRUE(unused->refactor(singular));
+  EXPECT_TRUE(bitwise_equal(unused->solve_many(y, 1e-12).column(0),
+                            want.column(0)));
+  EXPECT_EQ(unused->rounds_charged(), fresh->rounds_charged());
+
+  const auto used = laplacian::make_exact_sdd_engine(test_context(), other, 3);
+  used->solve_many(y, 1e-6);
+  const std::int64_t before = used->rounds_charged();
+  ASSERT_TRUE(used->refactor(singular));
+  EXPECT_TRUE(bitwise_equal(used->solve_many(y, 1e-12).column(0),
+                            want.column(0)));
+  EXPECT_EQ(used->rounds_charged() - before, fresh->rounds_charged());
+
+  // A matrix that fails even with the ridge is declined.
+  linalg::DenseMatrix indefinite(2, 2);
+  indefinite(0, 0) = indefinite(1, 1) = 1.0;
+  indefinite(0, 1) = indefinite(1, 0) = 2.0;
+  EXPECT_FALSE(used->refactor(indefinite));
 }
 
 // Lewis weights on these flow LPs come from leverage-score oracles whose

@@ -83,6 +83,22 @@ TEST(McmfIpm, ReportsComplexityCounters) {
   EXPECT_GT(res.rounds, 0);
 }
 
+// The flow run folds every stage LP's RunStats in: the Gram engine's key
+// and panel count survive, next to the duplicated step and round fields.
+TEST(McmfIpm, StatsCarryEveryStageLp) {
+  rng::Stream stream(3);
+  const auto g = graph::random_flow_network(12, 16, 3, 3, stream);
+  McmfOptions opt;
+  const auto res = min_cost_max_flow_ipm(test_context(opt.seed), g, 0, 11, opt);
+  ASSERT_TRUE(res.exact);
+  EXPECT_EQ(res.stats.engine, "exact-dense");
+  EXPECT_GT(res.stats.steps, 0u);
+  EXPECT_GE(res.stats.panels, res.stats.steps);
+  EXPECT_EQ(res.stats.iterations, res.path_steps);
+  EXPECT_EQ(res.stats.steps, res.newton_steps);
+  EXPECT_EQ(res.stats.rounds, res.rounds);
+}
+
 TEST(McmfLpFormulation, InteriorPointIsStrictlyFeasible) {
   rng::Stream stream(5);
   const auto g = graph::random_flow_network(8, 12, 5, 3, stream);

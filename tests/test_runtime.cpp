@@ -284,6 +284,8 @@ TEST(Runtime, FacadeMinCostMaxFlowMatchesBaseline) {
   EXPECT_EQ(run.stats.rounds, run.result.rounds);
   EXPECT_EQ(run.stats.iterations, run.result.path_steps);
   EXPECT_EQ(run.stats.steps, run.result.newton_steps);
+  EXPECT_EQ(run.stats.engine, "exact-dense");
+  EXPECT_GE(run.stats.panels, run.stats.steps);
   EXPECT_GT(run.stats.rounds, 0);
   EXPECT_GE(run.stats.wall_seconds, 0.0);
 
