@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <tuple>
-#include <vector>
 
 namespace bcclap::graph {
 
 namespace {
+
+constexpr std::uint64_t kHiSeed = 0x8c511cb4d3f8e502ULL;
+constexpr std::uint64_t kLoSeed = 0x2545f4914f6cdd1dULL;
 
 // splitmix64 finalizer: the standard 64-bit avalanche permutation.
 std::uint64_t splitmix(std::uint64_t z) {
@@ -34,33 +35,23 @@ std::uint64_t weight_bits(double w) {
 }  // namespace
 
 Fingerprint fingerprint(const Graph& g) {
-  struct Token {
-    std::uint64_t u, v, w;
-  };
-  std::vector<Token> tokens;
-  tokens.reserve(g.num_edges());
+  // Each lane sums (mod 2^64) one digest per edge, so the result does not
+  // depend on edge order and a repeated parallel edge adds twice.
+  std::uint64_t hi_sum = 0;
+  std::uint64_t lo_sum = 0;
   for (const Edge& e : g.edges()) {
     const std::uint64_t a = std::min<std::uint64_t>(e.u, e.v);
     const std::uint64_t b = std::max<std::uint64_t>(e.u, e.v);
-    tokens.push_back({a, b, weight_bits(e.weight)});
+    const std::uint64_t w = weight_bits(e.weight);
+    hi_sum += mix(mix(mix(kHiSeed, a), b), w);
+    lo_sum += mix(mix(mix(kLoSeed, a), b), w);
   }
-  std::sort(tokens.begin(), tokens.end(), [](const Token& a, const Token& b) {
-    return std::tie(a.u, a.v, a.w) < std::tie(b.u, b.v, b.w);
-  });
 
   Fingerprint fp;
   fp.vertices = g.num_vertices();
   fp.edges = g.num_edges();
-  std::uint64_t hi = mix(0x8c511cb4d3f8e502ULL, fp.vertices);
-  std::uint64_t lo = mix(0x2545f4914f6cdd1dULL, fp.vertices);
-  hi = mix(hi, fp.edges);
-  lo = mix(lo, fp.edges);
-  for (const Token& t : tokens) {
-    hi = mix(mix(mix(hi, t.u), t.v), t.w);
-    lo = mix(mix(mix(lo, t.u), t.v), t.w);
-  }
-  fp.hi = hi;
-  fp.lo = lo;
+  fp.hi = mix(mix(mix(kHiSeed, fp.vertices), fp.edges), hi_sum);
+  fp.lo = mix(mix(mix(kLoSeed, fp.vertices), fp.edges), lo_sum);
   return fp;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace bcclap::linalg {
 
@@ -15,16 +17,32 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
+namespace {
+
+void check_column(std::size_t c, std::size_t cols, const char* where) {
+  if (c >= cols) {
+    throw std::invalid_argument(std::string(where) + ": column " +
+                                std::to_string(c) + " of a matrix with " +
+                                std::to_string(cols) + " columns");
+  }
+}
+
+}  // namespace
+
 Vec DenseMatrix::column(std::size_t c) const {
-  assert(c < cols_);
+  check_column(c, cols_, "DenseMatrix::column");
   Vec v(rows_);
   for (std::size_t r = 0; r < rows_; ++r) v[r] = data_[r * cols_ + c];
   return v;
 }
 
 void DenseMatrix::set_column(std::size_t c, const Vec& v) {
-  assert(c < cols_);
-  assert(v.size() == rows_);
+  check_column(c, cols_, "DenseMatrix::set_column");
+  if (v.size() != rows_) {
+    throw std::invalid_argument(
+        "DenseMatrix::set_column: vector has " + std::to_string(v.size()) +
+        " entries, matrix has " + std::to_string(rows_) + " rows");
+  }
   for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] = v[r];
 }
 

@@ -42,7 +42,9 @@ class DenseMatrix {
   // Column extraction/insertion for the multi-RHS panel APIs (a panel is a
   // rows x k matrix whose columns are independent right-hand sides; the
   // storage is row-major, so the triangular solves gather a column into a
-  // contiguous vector, solve, and scatter it back).
+  // contiguous vector, solve, and scatter it back). Both throw
+  // std::invalid_argument in every build when c >= cols(), and
+  // set_column when v.size() != rows().
   Vec column(std::size_t c) const;
   void set_column(std::size_t c, const Vec& v);
   static DenseMatrix from_columns(const std::vector<Vec>& cols);

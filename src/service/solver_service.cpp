@@ -209,15 +209,20 @@ bool coalesce_compatible(const sparsify::SparsifyOptions& a,
          a.iterations == b.iterations && a.growing_t == b.growing_t;
 }
 
+// A single joins a panel only when its right-hand side fills exactly one
+// panel column; any other single is served alone, where the facade
+// rejects it with its own message.
+bool fits_panel(const Request& req) {
+  return req.type == RequestType::kSolve &&
+         req.b.size() == req.graph.num_vertices();
+}
+
 }  // namespace
 
 void SolverService::take_batch_locked(std::vector<Ticket>* batch) {
   batch->push_back(std::move(queue_.front()));
   queue_.pop_front();
-  if (batch->front().req.type != RequestType::kSolve ||
-      opts_.max_coalesce <= 1) {
-    return;
-  }
+  if (!fits_panel(batch->front().req) || opts_.max_coalesce <= 1) return;
   // The push_back below may reallocate *batch, so the head's matching
   // fields are taken by value — a reference into the vector would dangle.
   const core::FactorCacheKey head_key = batch->front().cache_key;
@@ -225,7 +230,7 @@ void SolverService::take_batch_locked(std::vector<Ticket>* batch) {
   const sparsify::SparsifyOptions head_sparsify = batch->front().req.sparsify;
   for (auto it = queue_.begin();
        it != queue_.end() && batch->size() < opts_.max_coalesce;) {
-    if (it->req.type == RequestType::kSolve && it->cache_key == head_key &&
+    if (fits_panel(it->req) && it->cache_key == head_key &&
         same_bits(it->req.eps, head_eps) &&
         coalesce_compatible(it->req.sparsify, head_sparsify)) {
       batch->push_back(std::move(*it));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "linalg/csr_matrix.h"
 #include "linalg/dense_matrix.h"
@@ -56,6 +58,21 @@ TEST(DenseMatrix, SymmetryCheck) {
   EXPECT_TRUE(a.is_symmetric());
   a(1, 0) = 2.0;
   EXPECT_FALSE(a.is_symmetric());
+}
+
+TEST(DenseMatrix, ColumnOutOfRangeThrows) {
+  const DenseMatrix a(3, 2);
+  EXPECT_EQ(a.column(1).size(), 3u);
+  EXPECT_THROW(a.column(2), std::invalid_argument);
+}
+
+TEST(DenseMatrix, SetColumnRejectsBadIndexOrLength) {
+  DenseMatrix a(3, 2);
+  EXPECT_THROW(a.set_column(2, Vec{1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(a.set_column(0, Vec{1, 2}), std::invalid_argument);
+  EXPECT_THROW(a.set_column(0, Vec{1, 2, 3, 4}), std::invalid_argument);
+  a.set_column(1, Vec{1, 2, 3});
+  EXPECT_EQ(a.column(1), (Vec{1, 2, 3}));
 }
 
 TEST(CsrMatrix, DuplicateTripletsSum) {

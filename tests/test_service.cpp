@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -250,6 +251,63 @@ TEST(SolverService, MaxCoalesceOneDisablesBatching) {
   service.drain();
   EXPECT_FALSE(a.reply->wait().coalesced);
   EXPECT_EQ(service.stats().coalesced_panels, 0u);
+}
+
+TEST(SolverService, MisSizedSingleIsServedAloneAndFails) {
+  // A single whose b does not have the graph's vertex count must never
+  // ride a panel: it fails alone with the facade's message, and the
+  // well-sized single sharing its cache key keeps its solo bytes. Both
+  // queue orders are checked, so the mis-sized request is once the
+  // panel head and once a candidate.
+  rng::Stream stream(5);
+  const graph::Graph g = graph::random_regularish(64, 4, 8, stream);
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  ropts.seed = 19;
+  Runtime rt(ropts);
+  const auto direct =
+      rt.solve_laplacian(g, gaussian_rhs(64, 1), facade_options());
+  ASSERT_TRUE(direct.usable);
+
+  for (const std::size_t rows : {std::size_t{63}, std::size_t{65}}) {
+    std::string facade_error;
+    try {
+      rt.solve_laplacian(g, gaussian_rhs(rows, 2), facade_options());
+    } catch (const std::invalid_argument& e) {
+      facade_error = e.what();
+    }
+    ASSERT_FALSE(facade_error.empty()) << "rows " << rows;
+
+    for (const bool bad_first : {true, false}) {
+      SolverService service(caller_driven());
+      Request bad_req = solve_request(g, 2);
+      bad_req.b = gaussian_rhs(rows, 2);
+      Submission bad, good;
+      if (bad_first) {
+        bad = service.submit(std::move(bad_req));
+        good = service.submit(solve_request(g, 1));
+      } else {
+        good = service.submit(solve_request(g, 1));
+        bad = service.submit(std::move(bad_req));
+      }
+      ASSERT_TRUE(bad.accepted());
+      ASSERT_TRUE(good.accepted());
+      EXPECT_EQ(service.drain(), 2u);
+
+      const auto& bad_reply = bad.reply->wait();
+      EXPECT_EQ(bad_reply.status, ReplyStatus::kFailed) << "rows " << rows;
+      EXPECT_EQ(bad_reply.error, facade_error);
+      EXPECT_FALSE(bad_reply.coalesced);
+      const auto& good_reply = good.reply->wait();
+      ASSERT_EQ(good_reply.status, ReplyStatus::kOk);
+      EXPECT_FALSE(good_reply.coalesced);
+      EXPECT_TRUE(BitwiseEqual(good_reply.x, direct.x)) << "rows " << rows;
+
+      const auto stats = service.stats();
+      EXPECT_EQ(stats.coalesced_panels, 0u);
+      EXPECT_EQ(stats.failed, 1u);
+    }
+  }
 }
 
 TEST(SolverService, UnknownEngineKeyThrowsAtTheSubmitBoundary) {
