@@ -5,24 +5,18 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "core/runtime.h"
 #include "graph/generators.h"
 #include "graph/laplacian.h"
 #include "laplacian/prepared.h"
 #include "linalg/cg.h"
 #include "sparsify/spectral_sparsify.h"
 #include "sparsify/verifier.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 void BM_AblationBundleGrowth(benchmark::State& state) {
   const bool growing = state.range(0) != 0;
@@ -33,7 +27,7 @@ void BM_AblationBundleGrowth(benchmark::State& state) {
   std::size_t runs = 0;
   for (auto _ : state) {
     bcc::Network net(bcc::Model::kBroadcastCongest, g,
-                     bcc::Network::default_bandwidth(n), gb_context());
+                     bcc::Network::default_bandwidth(n), bench_context());
     sparsify::SparsifyOptions opt;
     opt.epsilon = 0.5;
     opt.k = 2;
@@ -72,7 +66,7 @@ void BM_AblationPreconditioning(benchmark::State& state) {
   opt.k = 2;
   opt.t = 3;
   const auto solver =
-      laplacian::prepare_sparsified_chebyshev(gb_context(11), g, opt);
+      laplacian::prepare_sparsified_chebyshev(bench_context(11), g, opt);
   laplacian::EngineOptions eopt;
   eopt.eps = 1e-8;
   const auto b_panel = linalg::DenseMatrix::from_columns({b});
@@ -81,9 +75,9 @@ void BM_AblationPreconditioning(benchmark::State& state) {
   std::size_t runs = 0;
   for (auto _ : state) {
     core::RunStats stats;
-    benchmark::DoNotOptimize(solver->apply(gb_context(11), b, eopt, &stats));
+    benchmark::DoNotOptimize(solver->apply(bench_context(11), b, eopt, &stats));
     cheb_iters += static_cast<double>(stats.iterations);
-    const auto ctx = gb_context();
+    const auto ctx = bench_context();
     const auto cg = linalg::conjugate_gradient_many(
         [&lap, ctx](const linalg::DenseMatrix& x) {
           linalg::DenseMatrix y(x.rows(), x.cols());
@@ -118,11 +112,11 @@ void BM_AblationCouplingMatchRate(benchmark::State& state) {
     opt.k = 2;
     opt.t = 2;
     bcc::Network net(bcc::Model::kBroadcastCongest, g,
-                     bcc::Network::default_bandwidth(n), gb_context());
+                     bcc::Network::default_bandwidth(n), bench_context());
     const auto adhoc = sparsify::spectral_sparsify(
         net.context().with_seed(runs + 1), g, opt, net);
     const auto apriori = sparsify::spectral_sparsify_apriori(
-        gb_context(runs + 1), g, opt);
+        bench_context(runs + 1), g, opt);
     match += (adhoc.original_edge == apriori.original_edge) ? 1 : 0;
     ++runs;
   }

@@ -6,22 +6,16 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "core/runtime.h"
 #include "graph/generators.h"
 #include "graph/laplacian.h"
 #include "linalg/jl_transform.h"
 #include "lp/leverage_scores.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 linalg::DenseMatrix incidence_grounded(const graph::Graph& g) {
   const auto b = graph::incidence(g).to_dense();
@@ -36,7 +30,7 @@ void BM_LeverageAccuracy(benchmark::State& state) {
   rng::Stream gstream(11);
   const auto g = graph::random_connected_gnp(40, 0.2, 5, gstream);
   const auto m = incidence_grounded(g);
-  const auto exact = lp::leverage_scores_exact(gb_context(), m);
+  const auto exact = lp::leverage_scores_exact(bench_context(), m);
 
   double worst = 0, median_err = 0, rounds = 0, kdim = 0;
   std::size_t runs = 0;
@@ -45,7 +39,7 @@ void BM_LeverageAccuracy(benchmark::State& state) {
     lp::LeverageOptions opt;
     opt.eta = eta;
     opt.seed = runs * 131 + 7;
-    const auto ctx = gb_context();
+    const auto ctx = bench_context();
     const auto approx =
         lp::leverage_scores_jl(ctx, lp::dense_oracle(ctx, m), opt, &acct);
     std::vector<double> errs(exact.size());
@@ -79,14 +73,14 @@ void BM_LeverageHeight(benchmark::State& state) {
   linalg::DenseMatrix a(rows, 8);
   for (std::size_t i = 0; i < rows; ++i)
     for (std::size_t j = 0; j < 8; ++j) a(i, j) = stream.next_gaussian();
-  const auto exact = lp::leverage_scores_exact(gb_context(), a);
+  const auto exact = lp::leverage_scores_exact(bench_context(), a);
   double worst = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
     lp::LeverageOptions opt;
     opt.eta = 0.5;
     opt.seed = runs * 17 + 3;
-    const auto ctx = gb_context();
+    const auto ctx = bench_context();
     const auto approx = lp::leverage_scores_jl(ctx, lp::dense_oracle(ctx, a),
                                                opt);
     double w = 0;

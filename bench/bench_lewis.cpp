@@ -3,19 +3,13 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "core/runtime.h"
 #include "lp/lewis_weights.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 linalg::DenseMatrix random_tall(std::size_t m, std::size_t n,
                                 std::uint64_t seed) {
@@ -33,8 +27,8 @@ void BM_LewisFixedPointConvergence(benchmark::State& state) {
   double err = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
-    const auto w = lp::lewis_fixed_point(gb_context(), a, p, iters);
-    err += lp::lewis_relative_error(gb_context(), a, p, w);
+    const auto w = lp::lewis_fixed_point(bench_context(), a, p, iters);
+    err += lp::lewis_relative_error(bench_context(), a, p, w);
     ++runs;
   }
   state.counters["iterations"] = static_cast<double>(iters);
@@ -50,7 +44,7 @@ void BM_LewisApxWarmStart(benchmark::State& state) {
   const double perturb = static_cast<double>(state.range(0)) / 100.0;
   const auto a = random_tall(50, 6, 5);
   const double p = lp::lewis_p_for(50);
-  const auto truth = lp::lewis_fixed_point(gb_context(), a, p, 200);
+  const auto truth = lp::lewis_fixed_point(bench_context(), a, p, 200);
   double err = 0;
   std::size_t runs = 0;
   for (auto _ : state) {
@@ -60,7 +54,7 @@ void BM_LewisApxWarmStart(benchmark::State& state) {
     lp::LewisOptions opt;
     opt.max_iterations = 24;
     const auto w =
-        lp::compute_apx_weights(gb_context(), a, p, warm, 0.05, opt);
+        lp::compute_apx_weights(bench_context(), a, p, warm, 0.05, opt);
     double e = 0;
     for (std::size_t i = 0; i < truth.size(); ++i)
       e = std::max(e, std::abs(w[i] - truth[i]) / std::max(truth[i], 1e-12));
@@ -84,8 +78,9 @@ void BM_LewisHomotopy(benchmark::State& state) {
   std::size_t runs = 0;
   for (auto _ : state) {
     lp::LewisOptions opt;
-    const auto w = lp::compute_initial_weights(gb_context(), a, p, 0.05, opt);
-    err += lp::lewis_relative_error(gb_context(), a, p, w);
+    const auto w =
+        lp::compute_initial_weights(bench_context(), a, p, 0.05, opt);
+    err += lp::lewis_relative_error(bench_context(), a, p, w);
     ++runs;
   }
   state.counters["m"] = static_cast<double>(rows);

@@ -5,24 +5,17 @@
 // short-step schedule takes measurably fewer path steps.
 #include <benchmark/benchmark.h>
 
-#include "core/runtime.h"
-
 #include <cmath>
 
 #include "flow/mcmf_lp.h"
 #include "graph/generators.h"
 #include "lp/lp_solver.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 // Simple structured LP with m >> n: x in R^m, n block-sum constraints.
 lp::LpProblem block_lp(std::size_t blocks, std::size_t per_block,
@@ -57,7 +50,7 @@ void BM_LpShortStepModes(benchmark::State& state) {
     opt.steps = lp::StepMode::kShortStep;
     opt.alpha_constant = 2.0;
     opt.epsilon = 1e-3;
-    const auto res = lp::lp_solve(gb_context(opt.seed), prob, x0,
+    const auto res = lp::lp_solve(bench_context(opt.seed), prob, x0,
                                   opt);
     steps += static_cast<double>(res.stats.iterations);
     newton += static_cast<double>(res.stats.steps);
@@ -91,7 +84,7 @@ void BM_LpFlowAdaptive(benchmark::State& state) {
   for (auto _ : state) {
     lp::LpOptions opt;
     opt.epsilon = 1e-2;
-    const auto res = lp::lp_solve(gb_context(opt.seed), mlp.problem,
+    const auto res = lp::lp_solve(bench_context(opt.seed), mlp.problem,
                                   mlp.interior_point, opt);
     steps += static_cast<double>(res.stats.iterations);
     newton += static_cast<double>(res.stats.steps);

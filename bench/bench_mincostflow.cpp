@@ -3,24 +3,17 @@
 // n and vs the magnitude bound M.
 #include <benchmark/benchmark.h>
 
-#include "core/runtime.h"
-
 #include <cmath>
 
 #include "flow/mcmf_solver.h"
 #include "flow/ssp.h"
 #include "graph/generators.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 void BM_McmfVsN(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -33,7 +26,7 @@ void BM_McmfVsN(benchmark::State& state) {
     flow::McmfOptions opt;
     opt.seed = runs * 31 + 5;
     const auto ipm = flow::min_cost_max_flow_ipm(
-        gb_context(opt.seed), g, 0, n - 1, opt);
+        bench_context(opt.seed), g, 0, n - 1, opt);
     exact += ipm.exact ? 1 : 0;
     value_match += (ipm.exact && ipm.flow.value == baseline.value) ? 1 : 0;
     cost_match += (ipm.exact && ipm.flow.cost == baseline.cost) ? 1 : 0;
@@ -69,7 +62,7 @@ void BM_McmfVsM(benchmark::State& state) {
     flow::McmfOptions opt;
     opt.seed = runs * 13 + 1;
     const auto ipm = flow::min_cost_max_flow_ipm(
-        gb_context(opt.seed), g, 0, n - 1, opt);
+        bench_context(opt.seed), g, 0, n - 1, opt);
     cost_match += (ipm.exact && ipm.flow.cost == baseline.cost &&
                    ipm.flow.value == baseline.value)
                       ? 1

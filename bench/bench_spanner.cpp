@@ -8,24 +8,17 @@
 //   rounds      BC rounds charged by the simulator
 #include <benchmark/benchmark.h>
 
-#include "core/runtime.h"
-
 #include <cmath>
 
 #include "graph/generators.h"
 #include "spanner/cluster.h"
 #include "spanner/probabilistic_spanner.h"
+#include "support/harness.h"
 
 namespace {
 
 using namespace bcclap;
-
-// Execution context for the micro-benches: the process-default Runtime's
-// context (BCCLAP_THREADS-sized) with the given seed — what the retired
-// context-less wrappers resolved to.
-common::Context gb_context(std::uint64_t seed = 0) {
-  return Runtime::process_default().context().with_seed(seed);
-}
+using bench::bench_context;
 
 void BM_SpannerSweep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -38,7 +31,7 @@ void BM_SpannerSweep(benchmark::State& state) {
   std::size_t runs = 0;
   for (auto _ : state) {
     bcc::Network net(bcc::Model::kBroadcastCongest, g,
-                     bcc::Network::default_bandwidth(n), gb_context());
+                     bcc::Network::default_bandwidth(n), bench_context());
     rng::Stream marks(runs + 17);
     rng::Stream coin(runs + 29);
     spanner::ProbabilisticSpannerOptions opt;
@@ -85,7 +78,7 @@ void BM_SpannerWeightBits(benchmark::State& state) {
   std::size_t runs = 0;
   for (auto _ : state) {
     bcc::Network net(bcc::Model::kBroadcastCongest, g,
-                     bcc::Network::default_bandwidth(n), gb_context());
+                     bcc::Network::default_bandwidth(n), bench_context());
     rng::Stream marks(runs + 3);
     spanner::ProbabilisticSpannerOptions opt;
     opt.k = 3;

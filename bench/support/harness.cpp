@@ -13,11 +13,14 @@
 
 namespace bcclap::bench {
 
-common::Context bench_context(std::uint64_t seed) {
-  return Runtime::process_default().context().with_seed(seed);
-}
-
 namespace {
+
+// The one Runtime every bench body runs on, built on first use with
+// RuntimeOptions{} so BCCLAP_THREADS sizes it.
+Runtime& bench_runtime() {
+  static Runtime rt;
+  return rt;
+}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -38,6 +41,10 @@ std::string fmt_double(double v) {
 }
 
 }  // namespace
+
+common::Context bench_context(std::uint64_t seed) {
+  return bench_runtime().context().with_seed(seed);
+}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -113,9 +120,9 @@ int Harness::run(int argc, char** argv) {
     }
   }
 
-  const std::size_t threads = Runtime::process_default().num_threads();
-  // (bench_context resolves through the same process-default Runtime, so
-  // this is also the thread count every case ran with.)
+  // bench_context runs on the same Runtime, so this is also the thread
+  // count every case ran with.
+  const std::size_t threads = bench_runtime().num_threads();
   std::vector<CaseResult> results;
   std::printf("%-44s %10s %10s %10s  (threads=%zu)\n", "case", "mean_ms",
               "min_ms", "max_ms", threads);

@@ -31,11 +31,9 @@
 
 namespace bcclap::bench {
 
-// Execution context bench bodies hand to the layer APIs: the
-// process-default Runtime's context (sized by BCCLAP_THREADS — the knob
-// scripts/bench.sh varies) with the given seed. Byte-identical to what
-// the retired context-less wrappers resolved to, so counters stay
-// comparable across the recorded trajectory.
+// Execution context bench bodies hand to the layer APIs: the context of
+// one harness-owned, defaulted Runtime (sized by BCCLAP_THREADS — the knob
+// scripts/bench.sh varies) with the given seed.
 common::Context bench_context(std::uint64_t seed = 0);
 
 // Passed to the case body once per repetition (warmup and measured).

@@ -14,9 +14,7 @@
 // Lifetime: a Context borrows its pool from a Runtime; everything built
 // from a Context (Networks, solvers, factors) must not outlive that
 // Runtime — except the immutable prepared artifacts (laplacian/prepared.h)
-// and factors whose solve takes the context per call. Default Runtimes —
-// current and retired (Runtime::reset_process_default drains the old pool
-// but keeps the instance alive) — live for the whole process.
+// and factors whose solve takes the context per call.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +39,7 @@ class Context {
   std::uint64_t seed() const { return seed_; }
   std::size_t min_work_per_chunk() const { return min_work_; }
 
-  // Same pool and chunking policy, different seed. Used by the
-  // deprecated-path wrappers, whose callers still pass bare seeds.
+  // Same pool and chunking policy, different seed.
   Context with_seed(std::uint64_t seed) const {
     Context c(*this);
     c.seed_ = seed;

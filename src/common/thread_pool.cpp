@@ -60,21 +60,6 @@ struct Job {
   }
 };
 
-// Decrements the pool's in-flight count even when the kernel throws.
-class InFlightGuard {
- public:
-  explicit InFlightGuard(std::atomic<std::size_t>& counter)
-      : counter_(counter) {
-    counter_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  ~InFlightGuard() { counter_.fetch_sub(1, std::memory_order_acq_rel); }
-  InFlightGuard(const InFlightGuard&) = delete;
-  InFlightGuard& operator=(const InFlightGuard&) = delete;
-
- private:
-  std::atomic<std::size_t>& counter_;
-};
-
 }  // namespace
 
 std::size_t default_thread_count() {
@@ -148,11 +133,6 @@ ThreadPool::ThreadPool(std::size_t threads)
 }
 
 ThreadPool::~ThreadPool() {
-  drain();
-  delete impl_;
-}
-
-void ThreadPool::drain() {
   if (!impl_) return;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
@@ -160,13 +140,7 @@ void ThreadPool::drain() {
   }
   impl_->work_cv.notify_all();
   for (auto& t : impl_->workers) t.join();
-  impl_->workers.clear();
-  // impl_ stays allocated: a dispatch that raced the drain (or arrives
-  // later through a retained pool pointer) publishes its job and then runs
-  // every chunk on the calling thread — the pool is work-conserving, so
-  // execution degrades to inline, never to use-after-free. The reported
-  // thread count drops to 1 to match what actually executes.
-  threads_ = 1;
+  delete impl_;
 }
 
 void ThreadPool::parallel_for_chunks(
@@ -174,7 +148,6 @@ void ThreadPool::parallel_for_chunks(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (end <= begin) return;
   if (grain == 0) grain = 1;
-  const InFlightGuard in_flight(in_flight_);
   // Inline paths: single-threaded pool, a range that is one chunk anyway,
   // or a nested call from a worker thread.
   if (!impl_ || end - begin <= grain || t_inside_worker) {

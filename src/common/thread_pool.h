@@ -18,10 +18,8 @@
 // sequential version — but never between two runs of itself, whatever the
 // worker count.
 //
-// Ownership: pools are owned by bcclap::Runtime instances (core/runtime.h)
-// — the process-global accessor family that used to live here was removed
-// once its last callers migrated (Runtime::process_default() is the
-// supported process-wide instance). Code takes a common::Context
+// Ownership: pools are owned by bcclap::Runtime instances (core/runtime.h);
+// there is no process-wide pool. Code takes a common::Context
 // (common/context.h) and runs on the pool it carries.
 //
 // Wakeup cost: workers spin briefly (yielding) for the next job before
@@ -32,7 +30,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -92,29 +89,10 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
-  // True while any parallel_for (from any thread) is executing on this
-  // pool. Used by Runtime::process_default's reset path to make the
-  // "no parallel_for in flight" precondition violation detectable.
-  bool busy() const {
-    return in_flight_.load(std::memory_order_acquire) != 0;
-  }
-
-  // Stops and joins the worker threads; the pool object stays valid and
-  // every later parallel_for runs all of its chunks on the calling thread
-  // (identical chunk boundaries, so results are unchanged byte for byte).
-  // Used when the process-default Runtime is retired: objects built on
-  // the deprecated path keep their pool pointer working — it just stops
-  // being parallel. Precondition: no parallel_for in flight.
-  void drain();
-
  private:
   struct Impl;
   Impl* impl_;  // null when threads_ == 1 (pure inline execution)
-  std::size_t threads_;
-  // Nesting-aware count of parallel_for invocations currently on this
-  // pool (incremented even on the inline paths: destroying the pool under
-  // any running call is what the precondition forbids).
-  std::atomic<std::size_t> in_flight_{0};
+  const std::size_t threads_;
 };
 
 // Deterministic chunked reduction, the one blessed way to parallelize an

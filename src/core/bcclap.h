@@ -16,8 +16,7 @@
 //   auto res = rt.solve_laplacian(g, b);
 //   // res.x, res.stats.rounds / .iterations / .wall_seconds
 // Layer APIs remain available for fine-grained control; pass them
-// rt.context(). The pre-Runtime signatures (bare seeds, no context) are
-// deprecated shims over Runtime::process_default().
+// rt.context().
 #pragma once
 
 #include "bcc/message.h"          // IWYU pragma: export

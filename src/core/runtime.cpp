@@ -1,15 +1,11 @@
 #include "core/runtime.h"
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "bcc/network.h"
 #include "core/factor_cache.h"
@@ -24,83 +20,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-// Process-default Runtime storage. The atomic pointer is the lock-free
-// fast path; creation and reset serialize on the mutex, and the pointer
-// is published only under it.
-std::mutex g_default_mu;
-std::unique_ptr<Runtime> g_default;
-std::atomic<Runtime*> g_default_ptr{nullptr};
-// Past default Runtimes, retired (pool drained) but never destroyed:
-// objects built against the old default before a reset — Networks,
-// solvers, factors — hold pointers into the old Runtime's pool, so
-// destroying the old instance would introduce a use-after-free.
-// Retirement is bounded by the number of reset_process_default calls (a
-// test/bench escape hatch), and a drained pool executes inline, so a
-// retired pool costs memory only, not threads.
-std::vector<std::unique_ptr<Runtime>> g_retired;  // under g_default_mu
-
-}  // namespace
-
-Runtime::Runtime(const RuntimeOptions& opts)
-    : opts_(opts),
-      pool_(std::make_unique<common::ThreadPool>(
-          opts.threads == 0 ? common::default_thread_count() : opts.threads)),
-      root_(opts.seed) {
-  if (opts.factor_cache) {
-    cache_ = opts.factor_cache;
-  } else if (opts.factor_cache_bytes > 0) {
-    cache_ = std::make_shared<core::FactorCache>(opts.factor_cache_bytes);
-  }
-}
-
-Runtime::~Runtime() = default;
-
-Runtime& Runtime::process_default() {
-  if (Runtime* rt = g_default_ptr.load(std::memory_order_acquire)) {
-    return *rt;
-  }
-  std::lock_guard<std::mutex> lock(g_default_mu);
-  if (!g_default) {
-    g_default = std::make_unique<Runtime>(RuntimeOptions{});
-    g_default_ptr.store(g_default.get(), std::memory_order_release);
-  }
-  return *g_default;
-}
-
-void Runtime::reset_process_default(std::size_t threads) {
-  std::lock_guard<std::mutex> lock(g_default_mu);
-  RuntimeOptions opts;
-  opts.threads = threads;
-  if (g_default) {
-    // The precondition ("no parallel_for in flight on the default pool")
-    // used to be unenforced: a racing kernel would dispatch onto a pool
-    // being destroyed. Make the violation detectable instead of UB.
-    if (g_default->pool().busy()) {
-      std::fprintf(stderr,
-                   "bcclap: Runtime::reset_process_default called while a "
-                   "parallel_for is in flight on the default pool\n");
-      std::abort();
-    }
-    opts.seed = g_default->opts_.seed;
-    opts.min_work_per_chunk = g_default->opts_.min_work_per_chunk;
-  }
-  // Publish the replacement first so a concurrent process_default()
-  // fast-path load never observes a pointer to a dead instance, then
-  // retire the old Runtime: drain its workers (a dispatch that slipped
-  // past the busy() check falls back to inline execution — byte-identical
-  // results, no use-after-free) and keep the instance alive for the
-  // deprecated-path objects that still point into it.
-  auto next = std::make_unique<Runtime>(opts);
-  g_default_ptr.store(next.get(), std::memory_order_release);
-  std::swap(g_default, next);
-  if (next) {
-    next->pool().drain();
-    g_retired.push_back(std::move(next));
-  }
-}
-
-namespace {
 
 // The artifact a facade run applies, and whether this run prepared it.
 struct Artifact {
@@ -205,29 +124,63 @@ Run solve_on(const Runtime& rt, const graph::Graph& g, const Rhs& b,
   return out;
 }
 
+// Rejects a facade solve's input up front: a right-hand side whose row
+// count is not the graph's vertex count, or a non-finite edge weight or
+// right-hand-side entry (which some engines would otherwise turn into a
+// NaN or zero x flagged usable). b is the row-major rows x cols panel.
+void check_input(const char* where, const graph::Graph& g, std::size_t rows,
+                 std::size_t cols, const double* b) {
+  const auto reject = [where](const std::string& what) {
+    throw std::invalid_argument(std::string(where) + ": " + what);
+  };
+  if (rows != g.num_vertices()) {
+    reject("right-hand side has " + std::to_string(rows) +
+           " rows, graph has " + std::to_string(g.num_vertices()) +
+           " vertices");
+  }
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    if (!std::isfinite(g.edge(e).weight)) {
+      reject("edge " + std::to_string(e) + " has a non-finite weight");
+    }
+  }
+  for (std::size_t i = 0; i < rows * cols; ++i) {
+    if (std::isfinite(b[i])) continue;
+    reject("right-hand side entry " +
+           (cols == 1 ? std::to_string(i)
+                      : "(" + std::to_string(i / cols) + ", " +
+                            std::to_string(i % cols) + ")") +
+           " is not finite");
+  }
+}
+
 }  // namespace
+
+Runtime::Runtime(const RuntimeOptions& opts)
+    : opts_(opts),
+      pool_(std::make_unique<common::ThreadPool>(
+          opts.threads == 0 ? common::default_thread_count() : opts.threads)),
+      root_(opts.seed) {
+  if (opts.factor_cache) {
+    cache_ = opts.factor_cache;
+  } else if (opts.factor_cache_bytes > 0) {
+    cache_ = std::make_shared<core::FactorCache>(opts.factor_cache_bytes);
+  }
+}
+
+Runtime::~Runtime() = default;
 
 LaplacianRun Runtime::solve_laplacian(const graph::Graph& g,
                                       const linalg::Vec& b,
                                       const LaplacianSolveOptions& opt) {
-  if (b.size() != g.num_vertices()) {
-    throw std::invalid_argument(
-        "Runtime::solve_laplacian: right-hand side has " +
-        std::to_string(b.size()) + " rows, graph has " +
-        std::to_string(g.num_vertices()) + " vertices");
-  }
+  check_input("Runtime::solve_laplacian", g, b.size(), 1, b.data());
   return solve_on<LaplacianRun>(*this, g, b, opt);
 }
 
 LaplacianManyRun Runtime::solve_laplacian_many(
     const graph::Graph& g, const linalg::DenseMatrix& b,
     const LaplacianSolveOptions& opt) {
-  if (b.rows() != g.num_vertices()) {
-    throw std::invalid_argument(
-        "Runtime::solve_laplacian_many: right-hand side has " +
-        std::to_string(b.rows()) + " rows, graph has " +
-        std::to_string(g.num_vertices()) + " vertices");
-  }
+  check_input("Runtime::solve_laplacian_many", g, b.rows(), b.cols(),
+              b.data());
   return solve_on<LaplacianManyRun>(*this, g, b, opt);
 }
 

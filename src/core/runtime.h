@@ -16,10 +16,9 @@
 //   auto res = rt.solve_laplacian(g, b);
 //   // res.x, res.stats.rounds / .iterations / .wall_seconds
 //
-// Runtime::process_default() is the lazily-created Runtime for callers
-// that want a shared, process-wide configuration (tests of the historical
-// single-configuration contract, quick scripts); it resolves its worker
-// count from BCCLAP_THREADS / hardware_concurrency.
+// A caller that wants one shared configuration owns a defaulted Runtime
+// (RuntimeOptions{}), whose worker count resolves from BCCLAP_THREADS /
+// hardware_concurrency.
 //
 // Optional factorization cache: set RuntimeOptions::factor_cache_bytes
 // (or share a core::FactorCache across Runtimes via ::factor_cache) and
@@ -191,21 +190,6 @@ class Runtime {
   const std::shared_ptr<core::FactorCache>& factor_cache() const {
     return cache_;
   }
-
-  // The process-default Runtime: created on first use with RuntimeOptions{}
-  // (env-resolved thread count) and shared by callers that want one
-  // process-wide configuration. Lives for the whole process unless reset
-  // via reset_process_default.
-  static Runtime& process_default();
-
-  // Rebuilds the process-default Runtime with `threads` workers (0 =
-  // env-resolved), preserving seed and chunking policy. The old Runtime
-  // is *retired*, not destroyed: its pool is drained (workers joined;
-  // later dispatches run inline with identical results) and the instance
-  // kept alive, so objects created against the old default never dangle.
-  // Precondition: no parallel_for in flight on the default pool —
-  // violations abort with a diagnostic.
-  static void reset_process_default(std::size_t threads);
 
  private:
   RuntimeOptions opts_;

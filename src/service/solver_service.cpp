@@ -1,5 +1,7 @@
 #include "service/solver_service.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -210,11 +212,14 @@ bool coalesce_compatible(const sparsify::SparsifyOptions& a,
 }
 
 // A single joins a panel only when its right-hand side fills exactly one
-// panel column; any other single is served alone, where the facade
-// rejects it with its own message.
+// panel column with finite entries; any other single is served alone,
+// where the facade rejects it with its own message (in a panel, its throw
+// would fail every coalesced request).
 bool fits_panel(const Request& req) {
   return req.type == RequestType::kSolve &&
-         req.b.size() == req.graph.num_vertices();
+         req.b.size() == req.graph.num_vertices() &&
+         std::all_of(req.b.begin(), req.b.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 }  // namespace
@@ -230,7 +235,7 @@ void SolverService::take_batch_locked(std::vector<Ticket>* batch) {
   const sparsify::SparsifyOptions head_sparsify = batch->front().req.sparsify;
   for (auto it = queue_.begin();
        it != queue_.end() && batch->size() < opts_.max_coalesce;) {
-    if (fits_panel(it->req) && it->cache_key == head_key &&
+    if (it->cache_key == head_key && fits_panel(it->req) &&
         same_bits(it->req.eps, head_eps) &&
         coalesce_compatible(it->req.sparsify, head_sparsify)) {
       batch->push_back(std::move(*it));

@@ -5,7 +5,8 @@
 namespace bcclap::testsupport {
 
 common::Context test_context(std::uint64_t seed) {
-  return Runtime::process_default().context().with_seed(seed);
+  static Runtime rt;
+  return rt.context().with_seed(seed);
 }
 
 bcc::Network bc_net(const graph::Graph& g) { return bc_net(test_context(), g); }

@@ -23,10 +23,9 @@
 
 namespace bcclap::testsupport {
 
-// Execution context the suites hand to the layer APIs: the process-default
-// Runtime's context (BCCLAP_THREADS-sized, so CI's 4-thread reruns
-// exercise the multi-worker paths) with the given seed. Byte-identical to
-// what the retired context-less wrappers resolved to.
+// Execution context the suites hand to the layer APIs: the context of one
+// fixture-owned, defaulted Runtime (BCCLAP_THREADS-sized, so CI's 4-thread
+// reruns exercise the multi-worker paths) with the given seed.
 common::Context test_context(std::uint64_t seed = 0);
 
 // Broadcast CONGEST network over the topology of g with the model-default
@@ -37,8 +36,8 @@ bcc::Network bc_net(const graph::Graph& g);
 bcc::Network bcc_net(std::size_t n);
 
 // Overloads on an explicit context, for suites that construct their own
-// Runtime (the 1-vs-N-thread determinism experiments) instead of riding
-// the process default.
+// Runtime (the 1-vs-N-thread determinism experiments) instead of using
+// test_context().
 bcc::Network bc_net(const common::Context& ctx, const graph::Graph& g);
 bcc::Network bcc_net(const common::Context& ctx, std::size_t n);
 

@@ -21,8 +21,7 @@
 namespace bcclap {
 namespace {
 
-// Runs fn with a context drawn from a dedicated `threads`-worker Runtime —
-// the scoped replacement for the retired process-wide thread override.
+// Runs fn with a context drawn from a dedicated `threads`-worker Runtime.
 // The pool dies with the Runtime, so suite order does not matter.
 template <typename Fn>
 auto with_threads(std::size_t threads, Fn&& fn) {

@@ -5,14 +5,15 @@
 // N-worker runs; this suite extends the contract to Runtimes: two
 // Runtimes with different thread counts, running the n = 56 pipeline
 // concurrently from two std::threads, each produce results byte-identical
-// to their own single-threaded run. It also pins the historical
-// single-configuration contract (one shared process-wide pool, layer
-// objects surviving a reset) to Runtime::process_default().
+// to their own single-threaded run.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,17 @@
 
 namespace bcclap {
 namespace {
+
+// True when solve throws std::invalid_argument whose message contains
+// `message`.
+bool rejects(const std::function<void()>& solve, const std::string& message) {
+  try {
+    solve();
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find(message) != std::string::npos;
+  }
+  return false;
+}
 
 bool bitwise_equal(const linalg::Vec& a, const linalg::Vec& b) {
   if (a.size() != b.size()) return false;
@@ -145,17 +157,15 @@ TEST(Runtime, FacadeSparsifyCouplesWithAprioriReference) {
   opts.seed = 99;
   Runtime rt(opts);
   const auto adhoc = rt.sparsify(g, pipeline_sparsify_options());
-  const auto apriori =
-      sparsify::spectral_sparsify_apriori(
-          Runtime::process_default().context().with_seed(99), g,
-          pipeline_sparsify_options());
+  const auto apriori = sparsify::spectral_sparsify_apriori(
+      testsupport::test_context(99), g, pipeline_sparsify_options());
   EXPECT_EQ(adhoc.result.original_edge, apriori.original_edge);
 }
 
-TEST(Runtime, DirectArtifactOnProcessDefaultMatchesRuntimePath) {
-  // The historical contract: preparing the sparsified artifact directly
-  // on the process-default context (with a facade-matching seed) and
-  // applying it produces exactly what a Runtime with that seed produces.
+TEST(Runtime, DirectArtifactMatchesRuntimePath) {
+  // Preparing the sparsified artifact directly on another Runtime's
+  // context (with a facade-matching seed) and applying it produces exactly
+  // what a Runtime with that seed produces.
   const auto g = pipeline_graph();
   linalg::Vec b(g.num_vertices(), 0.0);
   b[0] = 1.0;
@@ -169,7 +179,7 @@ TEST(Runtime, DirectArtifactOnProcessDefaultMatchesRuntimePath) {
   lopt.sparsify = pipeline_sparsify_options();
   const auto facade = rt.solve_laplacian(g, b, lopt);
 
-  const auto ctx = Runtime::process_default().context().with_seed(404);
+  const auto ctx = testsupport::test_context(404);
   const auto direct = laplacian::prepare_sparsified_chebyshev(
       ctx, g, pipeline_sparsify_options());
   ASSERT_TRUE(direct->usable());
@@ -178,47 +188,6 @@ TEST(Runtime, DirectArtifactOnProcessDefaultMatchesRuntimePath) {
   const auto x = direct->apply(ctx, b, eopt, nullptr);
   EXPECT_TRUE(bitwise_equal(facade.x, x));
   EXPECT_EQ(facade.preprocessing_rounds, direct->preprocessing_rounds());
-}
-
-TEST(Runtime, ResetProcessDefaultRebuildsWorkerCount) {
-  const std::size_t before = Runtime::process_default().num_threads();
-  Runtime::reset_process_default(3);
-  EXPECT_EQ(Runtime::process_default().num_threads(), 3u);
-  // 0 = env-resolved, the same resolution a fresh RuntimeOptions{} gets.
-  Runtime::reset_process_default(0);
-  EXPECT_EQ(Runtime::process_default().num_threads(),
-            common::default_thread_count());
-  Runtime::reset_process_default(before);
-  EXPECT_EQ(Runtime::process_default().num_threads(), before);
-}
-
-TEST(Runtime, FactoredObjectsSurviveProcessDefaultReset) {
-  // reset_process_default retires (drains) the old default Runtime
-  // instead of destroying it: an object factored against the old default
-  // keeps a valid pool and keeps producing identical results (inline
-  // execution on a drained pool has the same chunk boundaries).
-  const auto g = pipeline_graph();
-  const auto lap = graph::laplacian(g);
-  const auto factor = linalg::ComponentLaplacianFactor::factor(
-      Runtime::process_default().context(), lap);
-  ASSERT_TRUE(factor.has_value());
-  linalg::Vec b(g.num_vertices(), 0.0);
-  b[0] = 1.0;
-  b[g.num_vertices() - 1] = -1.0;
-  const auto panel = linalg::DenseMatrix::from_columns({b});
-  const auto before =
-      factor->solve_many(Runtime::process_default().context(), panel)
-          .column(0);
-
-  const std::size_t prev = Runtime::process_default().num_threads();
-  Runtime::reset_process_default(prev + 1);
-  // The post-reset default context targets the NEW pool; the factor no
-  // longer pins the retired one.
-  const auto after =
-      factor->solve_many(Runtime::process_default().context(), panel)
-          .column(0);
-  Runtime::reset_process_default(prev);
-  EXPECT_TRUE(bitwise_equal(before, after));
 }
 
 TEST(Runtime, MinWorkPerChunkIsPerRuntime) {
@@ -377,6 +346,48 @@ TEST(Runtime, FacadeRejectsWrongSizedRhs) {
   EXPECT_THROW(
       rt.solve_laplacian_many(g, linalg::DenseMatrix(3, 2), lopt),
       std::invalid_argument);
+}
+
+TEST(Runtime, FacadeRejectsNonFiniteInput) {
+  // Some engines would return a NaN (or zero) x flagged usable for a NaN
+  // right-hand-side entry or an inf edge weight, so the facade rejects
+  // both for every concrete engine, naming the first bad index.
+  RuntimeOptions opts;
+  opts.threads = 1;
+  opts.seed = 13;
+  Runtime rt(opts);
+  rng::Stream stream(4);
+  const graph::Graph g = graph::random_regularish(64, 8, 4, stream);
+  graph::Graph inf_weight = g;
+  inf_weight.set_weight(7, std::numeric_limits<double>::infinity());
+  linalg::Vec b(g.num_vertices(), 0.0);
+  b[0] = 1.0;
+  b[1] = -1.0;
+  linalg::Vec nan_b = b;
+  nan_b[5] = std::numeric_limits<double>::quiet_NaN();
+  linalg::DenseMatrix nan_panel = linalg::DenseMatrix::from_columns({b, b});
+  nan_panel(5, 1) = std::numeric_limits<double>::quiet_NaN();
+
+  const linalg::DenseMatrix b_panel = linalg::DenseMatrix::from_columns({b});
+  for (const char* engine :
+       {"exact-dense", "exact-sparse", "sparsified-chebyshev", "cg"}) {
+    LaplacianSolveOptions lopt;
+    lopt.engine = engine;
+    lopt.sparsify = pipeline_sparsify_options();
+    EXPECT_TRUE(rejects([&] { rt.solve_laplacian(g, nan_b, lopt); },
+                        "right-hand side entry 5 is not finite"))
+        << engine;
+    EXPECT_TRUE(rejects([&] { rt.solve_laplacian_many(g, nan_panel, lopt); },
+                        "right-hand side entry (5, 1) is not finite"))
+        << engine;
+    EXPECT_TRUE(rejects([&] { rt.solve_laplacian(inf_weight, b, lopt); },
+                        "edge 7 has a non-finite weight"))
+        << engine;
+    EXPECT_TRUE(
+        rejects([&] { rt.solve_laplacian_many(inf_weight, b_panel, lopt); },
+                "edge 7 has a non-finite weight"))
+        << engine;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -308,6 +309,58 @@ TEST(SolverService, MisSizedSingleIsServedAloneAndFails) {
       EXPECT_EQ(stats.failed, 1u);
     }
   }
+}
+
+TEST(SolverService, NonFiniteSingleIsServedAloneAndFails) {
+  // A single with a NaN right-hand-side entry must never ride a panel: the
+  // facade rejects it, and inside a panel that throw would fail every
+  // coalesced request. Queued between two good singles sharing its cache
+  // key, it fails alone while the good pair coalesces with solo bytes.
+  rng::Stream stream(5);
+  const graph::Graph g = graph::random_regularish(64, 4, 8, stream);
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  ropts.seed = 19;
+  Runtime rt(ropts);
+
+  Request bad_req = solve_request(g, 2);
+  bad_req.b[5] = std::numeric_limits<double>::quiet_NaN();
+  std::string facade_error;
+  try {
+    rt.solve_laplacian(g, bad_req.b, facade_options());
+  } catch (const std::invalid_argument& e) {
+    facade_error = e.what();
+  }
+  ASSERT_FALSE(facade_error.empty());
+
+  SolverService service(caller_driven());
+  Submission first = service.submit(solve_request(g, 1));
+  Submission bad = service.submit(std::move(bad_req));
+  Submission last = service.submit(solve_request(g, 3));
+  ASSERT_TRUE(first.accepted());
+  ASSERT_TRUE(bad.accepted());
+  ASSERT_TRUE(last.accepted());
+  EXPECT_EQ(service.drain(), 3u);
+
+  const auto& bad_reply = bad.reply->wait();
+  EXPECT_EQ(bad_reply.status, ReplyStatus::kFailed);
+  EXPECT_EQ(bad_reply.error, facade_error);
+  EXPECT_FALSE(bad_reply.coalesced);
+  for (Submission* sub : {&first, &last}) {
+    const std::uint64_t rhs = sub == &first ? 1 : 3;
+    const auto& reply = sub->reply->wait();
+    ASSERT_EQ(reply.status, ReplyStatus::kOk) << "rhs " << rhs;
+    EXPECT_TRUE(reply.coalesced);
+    EXPECT_EQ(reply.panel_width, 2u);
+    const auto direct =
+        rt.solve_laplacian(g, gaussian_rhs(64, rhs), facade_options());
+    EXPECT_TRUE(BitwiseEqual(reply.x, direct.x)) << "rhs " << rhs;
+  }
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.coalesced_panels, 1u);
+  EXPECT_EQ(stats.coalesced_requests, 2u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST(SolverService, UnknownEngineKeyThrowsAtTheSubmitBoundary) {
