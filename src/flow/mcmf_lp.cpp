@@ -23,9 +23,9 @@ struct Layout {
 
 McmfLp build_mcmf_lp(const graph::Digraph& g, std::size_t s, std::size_t t,
                      rng::Stream& stream) {
+  graph::check_source_sink(g, s, t, "flow::build_mcmf_lp");
   const std::size_t m = g.num_arcs();
   const std::size_t nv = g.num_vertices();
-  assert(s != t && s < nv && t < nv);
   const std::int64_t max_cost = std::max<std::int64_t>(g.max_abs_cost(), 1);
   const std::int64_t max_cap = std::max<std::int64_t>(g.max_capacity(), 1);
 

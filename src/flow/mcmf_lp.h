@@ -38,6 +38,8 @@ struct McmfLp {
 };
 
 // Builds the LP for (g, s, t). `stream` drives the cost perturbation.
+// Throws std::invalid_argument when s or t is not a vertex of g, or
+// s == t.
 McmfLp build_mcmf_lp(const graph::Digraph& g, std::size_t s, std::size_t t,
                      rng::Stream& stream);
 

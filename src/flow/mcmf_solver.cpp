@@ -104,6 +104,7 @@ void mirror_stats(McmfIpmResult& out) {
 McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
                                     const graph::Digraph& g, std::size_t s,
                                     std::size_t t, const McmfOptions& opt) {
+  graph::check_source_sink(g, s, t, "flow::min_cost_max_flow_ipm");
   McmfIpmResult out;
   const std::size_t m = g.num_arcs();
   rng::Stream stream(opt.seed);
@@ -144,11 +145,10 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
     lp::LpOptions lp_b = opt.lp;
     lp_b.epsilon = 1.0 / (3.0 * d_denom);
     const double lambda = 4.0 * static_cast<double>(m) * (big_m + 1.0);
-    // Candidate targets in descending order: stage A's rounding can be
-    // off by one in either direction, so probe F*+1 first (a max-flow
-    // overshoot fails the value check and falls through harmlessly).
-    for (std::int64_t f_target : {f_star + 1, f_star, f_star - 1}) {
-      if (f_target < 0) continue;
+    // Solves Stage B at f_target and rounds the arc part into `flow`;
+    // true iff the rounding is a feasible flow of exactly that value.
+    auto probe = [&](std::int64_t f_target, std::vector<std::int64_t>& flow) {
+      if (f_target < 0) return false;
       StageLp stage_b = build_stage(g, s, t, /*with_f=*/false,
                                     static_cast<double>(f_target), q_tilde,
                                     lambda, 0.0);
@@ -158,14 +158,33 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
       // while the iterate is already rounding-grade; the feasibility and
       // value checks below are the authoritative validation, so attempt
       // the rounding regardless of the convergence flag.
-      std::vector<std::int64_t> flow(m);
+      flow.resize(m);
       for (std::size_t a = 0; a < m; ++a) {
         flow[a] = std::clamp<std::int64_t>(std::llround(res_b.x[a]), 0,
                                            g.arc(a).capacity);
       }
-      if (!graph::is_feasible_flow(g, flow, s, t)) continue;
+      return graph::is_feasible_flow(g, flow, s, t) &&
+             graph::flow_value(g, flow, s) == f_target;
+    };
+    // Stage A's rounding can be off by one in either direction. Probe F*
+    // first: when it rounds and its residual graph has no augmenting
+    // path, it is a maximum flow, so F*+1 is infeasible and its probe is
+    // skipped. Otherwise the highest target that rounds wins: F*+1 over
+    // F*, and F*-1 only when neither rounds.
+    std::vector<std::int64_t> flow, higher;
+    bool found = false;
+    if (probe(f_star, flow)) {
+      found = true;
+      std::size_t layers = 0;
+      const bool augmentable =
+          graph::has_augmenting_path(g, flow, s, t, &layers);
+      out.stats.rounds += static_cast<std::int64_t>(layers);
+      if (augmentable && probe(f_star + 1, higher)) flow.swap(higher);
+    } else {
+      found = probe(f_star + 1, flow) || probe(f_star - 1, flow);
+    }
+    if (found) {
       const std::int64_t value = graph::flow_value(g, flow, s);
-      if (value != f_target) continue;
       const std::int64_t cost = graph::flow_cost(g, flow);
       // Keep the best (max value, then min cost) candidate.
       if (!have_best || value > graph::flow_value(g, best_flow, s) ||
@@ -174,7 +193,6 @@ McmfIpmResult min_cost_max_flow_ipm(const common::Context& ctx,
         best_flow = flow;
         best_cost = cost;
       }
-      break;  // this perturbation produced a feasible rounding
     }
     out.retries = attempt;
     if (have_best && graph::flow_value(g, best_flow, s) >= f_star) {

@@ -22,6 +22,8 @@ class Digraph {
   std::size_t num_vertices() const { return out_arcs_.size(); }
   std::size_t num_arcs() const { return arcs_.size(); }
 
+  // Throws std::invalid_argument for a self-loop, an endpoint >=
+  // num_vertices() or a capacity <= 0.
   std::size_t add_arc(std::size_t tail, std::size_t head,
                       std::int64_t capacity, std::int64_t cost);
 
@@ -56,5 +58,24 @@ bool is_feasible_flow(const Digraph& g, const std::vector<std::int64_t>& flow,
 std::int64_t flow_value(const Digraph& g, const std::vector<std::int64_t>& flow,
                         std::size_t s);
 std::int64_t flow_cost(const Digraph& g, const std::vector<std::int64_t>& flow);
+
+// Throws std::invalid_argument naming the bad index unless s and t are
+// distinct vertices of g; `caller` prefixes the message.
+void check_source_sink(const Digraph& g, std::size_t s, std::size_t t,
+                       const char* caller);
+
+// Max-flow/min-cut certificate: true iff t is reachable from s in the
+// residual graph of `flow` (arc a gives tail -> head while flow[a] <
+// capacity and head -> tail while flow[a] > 0). For a feasible s-t flow,
+// false means the flow is maximum. Runs as a BFS in BCC rounds: each
+// round the vertices reached in the previous one broadcast their ids,
+// and every vertex with a residual arc from one of them joins the next
+// layer. *layers (when non-null) receives the rounds run: the distance
+// to t when reachable, otherwise the residual eccentricity of s plus the
+// round that reaches nothing. Throws std::invalid_argument for a bad s or
+// t, or a flow not sized to g's arcs.
+bool has_augmenting_path(const Digraph& g,
+                         const std::vector<std::int64_t>& flow, std::size_t s,
+                         std::size_t t, std::size_t* layers = nullptr);
 
 }  // namespace bcclap::graph

@@ -252,7 +252,11 @@ std::vector<Request> read_journal(std::istream& in) {
           const std::size_t head = next_u64(in, "arc head");
           const std::int64_t capacity = next_i64(in, "arc capacity");
           const std::int64_t cost = next_i64(in, "arc cost");
-          req.network.add_arc(tail, head, capacity, cost);
+          try {
+            req.network.add_arc(tail, head, capacity, cost);
+          } catch (const std::invalid_argument& e) {
+            malformed(e.what());
+          }
         }
         expect_token(in, "flow");
         req.source = next_u64(in, "source");

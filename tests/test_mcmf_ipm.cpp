@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "core/runtime.h"
 #include "flow/mcmf_lp.h"
 #include "flow/ssp.h"
 #include "graph/generators.h"
@@ -48,6 +52,78 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{6, 8, 4, 3, 1}, Case{8, 12, 5, 4, 2},
                       Case{8, 12, 5, 4, 3}, Case{10, 15, 3, 5, 4},
                       Case{10, 20, 6, 2, 5}, Case{12, 18, 4, 4, 6}));
+
+// 200 instances (5 shapes x 40 seeds): every answer matches SSP's value
+// and cost, and the certificate confirms it is a maximum flow.
+TEST(McmfExactnessSweep, MatchesSspOnRandomNetworks) {
+  const Case shapes[] = {
+      {6, 6, 3, 3, 0},
+      {8, 10, 4, 3, 0},
+      {10, 14, 3, 5, 0},
+      {12, 16, 3, 3, 0},
+      {14, 20, 5, 4, 0},
+  };
+  for (const Case& c : shapes) {
+    for (std::uint64_t seed = 101; seed <= 140; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "n " << c.n << " seed " << seed);
+      rng::Stream stream(seed);
+      const auto g =
+          graph::random_flow_network(c.n, c.extra, c.cap, c.cost, stream);
+      const std::size_t s = 0, t = c.n - 1;
+      const auto baseline = min_cost_max_flow_ssp(g, s, t);
+      McmfOptions opt;
+      opt.seed = seed * 977 + 13;
+      const auto ipm =
+          min_cost_max_flow_ipm(test_context(opt.seed), g, s, t, opt);
+      ASSERT_TRUE(ipm.exact);
+      EXPECT_EQ(ipm.flow.value, baseline.value);
+      EXPECT_EQ(ipm.flow.cost, baseline.cost);
+      EXPECT_EQ(ipm.max_flow_value, baseline.value);
+      EXPECT_TRUE(graph::is_feasible_flow(g, ipm.flow.flow, s, t));
+      EXPECT_FALSE(graph::has_augmenting_path(g, ipm.flow.flow, s, t));
+    }
+  }
+}
+
+// A bad source or sink throws std::invalid_argument naming the index,
+// from the solver, the LP builder and the Runtime facade alike.
+TEST(McmfIpm, RejectsBadSourceOrSink) {
+  rng::Stream stream(7);
+  const auto g = graph::random_flow_network(6, 6, 3, 3, stream);
+  struct Bad {
+    std::size_t s, t;
+    const char* named;
+  };
+  const Bad cases[] = {
+      {2, 2, "vertex 2"},
+      {7, 5, "source 7"},
+      {0, 9, "sink 9"},
+  };
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  Runtime rt(ropts);
+  const McmfOptions opt;
+  for (const Bad& b : cases) {
+    SCOPED_TRACE(b.named);
+    const auto expect_named = [&](const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << "no exception";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(b.named), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named([&] {
+      min_cost_max_flow_ipm(test_context(opt.seed), g, b.s, b.t, opt);
+    });
+    expect_named([&] { rt.min_cost_max_flow(g, b.s, b.t, opt); });
+    expect_named([&] {
+      rng::Stream pert(3);
+      build_mcmf_lp(g, b.s, b.t, pert);
+    });
+  }
+}
 
 TEST(McmfIpm, TrivialSingleArc) {
   graph::Digraph g(2);

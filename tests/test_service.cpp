@@ -363,6 +363,41 @@ TEST(SolverService, NonFiniteSingleIsServedAloneAndFails) {
   EXPECT_EQ(stats.failed, 1u);
 }
 
+TEST(SolverService, BadSinkMcmfFailsAloneAndTheNextRequestIsServed) {
+  // A min-cost-flow request whose sink is not a vertex gets kFailed with
+  // the solver's message; the worker goes on to serve the next request.
+  graph::Digraph net(4);
+  net.add_arc(0, 1, 2, 1);
+  net.add_arc(1, 3, 2, 1);
+  net.add_arc(0, 2, 2, 4);
+  net.add_arc(2, 3, 2, 4);
+  Request bad;
+  bad.type = RequestType::kMcmf;
+  bad.seed = 19;
+  bad.network = net;
+  bad.source = 0;
+  bad.sink = 9;
+  Request good = bad;
+  good.sink = 3;
+
+  SolverService service(caller_driven());
+  Submission bad_sub = service.submit(std::move(bad));
+  Submission good_sub = service.submit(std::move(good));
+  ASSERT_TRUE(bad_sub.accepted());
+  ASSERT_TRUE(good_sub.accepted());
+  EXPECT_EQ(service.drain(), 2u);
+
+  const auto& bad_reply = bad_sub.reply->wait();
+  EXPECT_EQ(bad_reply.status, ReplyStatus::kFailed);
+  EXPECT_NE(bad_reply.error.find("sink 9"), std::string::npos)
+      << bad_reply.error;
+  const auto& good_reply = good_sub.reply->wait();
+  ASSERT_EQ(good_reply.status, ReplyStatus::kOk);
+  EXPECT_EQ(good_reply.mcmf.flow.value, 4);
+  EXPECT_EQ(good_reply.mcmf.flow.cost, 20);
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
 TEST(SolverService, UnknownEngineKeyThrowsAtTheSubmitBoundary) {
   SolverService service(caller_driven());
   Request req = solve_request(service_test_graph(), 1);

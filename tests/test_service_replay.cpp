@@ -164,6 +164,31 @@ TEST(ServiceJournal, MalformedInputThrows) {
     std::istringstream in("");
     EXPECT_THROW(service::read_journal(in), std::runtime_error);
   }
+  // A flow-network arc that Digraph::add_arc rejects (an endpoint past
+  // the vertex count, a self-loop, a capacity <= 0) is malformed input;
+  // the same request with a valid arc parses.
+  const auto mcmf_journal = [](const std::string& arc) {
+    return "bcclap-journal 1\nrequests 1\nrequest mcmf\nseed 19\n"
+           "network 4 1\n" +
+           arc + "\nflow 0 3 42 4\nend\n";
+  };
+  {
+    std::istringstream in(mcmf_journal("0 3 2 1"));
+    const auto stream = service::read_journal(in);
+    ASSERT_EQ(stream.size(), 1u);
+    EXPECT_EQ(stream[0].network.num_arcs(), 1u);
+  }
+  for (const char* arc : {"900 3 2 1", "2 2 2 1", "0 3 0 1"}) {
+    std::istringstream in(mcmf_journal(arc));
+    try {
+      service::read_journal(in);
+      ADD_FAILURE() << "arc '" << arc << "' parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed input"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServiceReplay, SameJournalSameBytesAcrossRunsAndWorkerCounts) {
