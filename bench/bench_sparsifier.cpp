@@ -1,11 +1,13 @@
 // E3 + E4 (Theorem 1.2): sparsifier size vs n * eps^-2 * log^4 n, spectral
-// quality, out-degree of the orientation, and BC round complexity.
+// quality, out-degree of the orientation, BC round complexity, and where
+// the outer loop stops at its bundle fixpoint.
 // Runs on the shared harness; counters are thread-count-invariant.
 #include "support/harness.h"
 
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "graph/generators.h"
 #include "spanner/cluster.h"
@@ -61,6 +63,43 @@ void sparsifier_quality(bench::State& s, std::size_t n, std::size_t t) {
   s.counter("lambda_min", check.valid ? check.lambda_min : 0.0);
 }
 
+// The stopping regime (k = 2, t = 4, eps = 0.5): where the loop stops
+// relative to its cap L = ceil(log2 m), and how much of G survives. At this
+// t one bundle holds a bounded-degree graph or G(64, 1/2), so the loop
+// stops after one iteration and keeps every edge; denser graphs stop later
+// or run to L and shed edges. One fixed seed, so the counters do not
+// depend on the repetition count.
+enum class Family { kComplete, kGnpHalf, kRegularish8 };
+
+void sparsifier_fixpoint(bench::State& s, Family family, std::size_t n) {
+  rng::Stream gstream(n);
+  const graph::Graph g =
+      family == Family::kComplete  ? graph::complete(n, 4, gstream)
+      : family == Family::kGnpHalf ? graph::random_connected_gnp(n, 0.5, 4,
+                                                                 gstream)
+                                   : graph::random_regularish(n, 8, 4, gstream);
+  bcc::Network net(bcc::Model::kBroadcastCongest, g,
+                   bcc::Network::default_bandwidth(n),
+                   bench::bench_context());
+  sparsify::SparsifyOptions opt;
+  opt.epsilon = 0.5;
+  opt.k = 2;
+  opt.t = 4;
+  const auto res =
+      sparsify::spectral_sparsify(net.context().with_seed(1), g, opt, net);
+  s.counter("n", static_cast<double>(n));
+  s.counter("m", static_cast<double>(g.num_edges()));
+  s.counter("iterations_run", static_cast<double>(res.stats.iterations));
+  s.counter("iterations_cap",
+            static_cast<double>(sparsify::resolve_options(g, opt).iterations));
+  s.counter("kept_edge_ratio",
+            static_cast<double>(res.sparsifier.num_edges()) /
+                static_cast<double>(g.num_edges()));
+  s.counter("rounds", static_cast<double>(res.stats.rounds));
+  s.counter("fixpoint_rounds", static_cast<double>(net.accountant().total_for(
+                                   "sparsify/fixpoint")));
+}
+
 std::string case_name(const char* base, std::size_t n, std::size_t t) {
   return std::string(base) + "/n=" + std::to_string(n) +
          "/t=" + std::to_string(t);
@@ -80,6 +119,21 @@ int main(int argc, char** argv) {
     for (const std::size_t t : {1u, 2u, 4u, 8u}) {
       h.add(case_name("sparsifier_quality", n, t),
             [n, t](bench::State& s) { sparsifier_quality(s, n, t); });
+    }
+  }
+  const std::pair<const char*, Family> families[] = {
+      {"complete", Family::kComplete},
+      {"gnp_half", Family::kGnpHalf},
+      {"regularish8", Family::kRegularish8}};
+  for (const auto& [name, family] : families) {
+    for (const std::size_t n : {64u, 256u, 1024u}) {
+      // The dense n = 1024 runs take seconds each: one measured run, no
+      // warmup.
+      const bool big = n == 1024 && family != Family::kRegularish8;
+      h.add("sparsifier_fixpoint/" + std::string(name) +
+                "/n=" + std::to_string(n),
+            [family, n](bench::State& s) { sparsifier_fixpoint(s, family, n); },
+            big ? 1 : 0, big ? 0 : bench::Harness::kNoOverride);
     }
   }
   return h.run(argc, argv);

@@ -125,9 +125,11 @@ Run solve_on(const Runtime& rt, const graph::Graph& g, const Rhs& b,
 }
 
 // Rejects a facade solve's input up front: a right-hand side whose row
-// count is not the graph's vertex count, or a non-finite edge weight or
-// right-hand-side entry (which some engines would otherwise turn into a
-// NaN or zero x flagged usable). b is the row-major rows x cols panel.
+// count is not the graph's vertex count, a non-finite or negative edge
+// weight, or a non-finite right-hand-side entry (which some engines would
+// otherwise turn into a NaN, zero or wrong x flagged usable; a negative
+// weight makes L_G indefinite). Zero weights stay legal. b is the
+// row-major rows x cols panel.
 void check_input(const char* where, const graph::Graph& g, std::size_t rows,
                  std::size_t cols, const double* b) {
   const auto reject = [where](const std::string& what) {
@@ -139,9 +141,11 @@ void check_input(const char* where, const graph::Graph& g, std::size_t rows,
            " vertices");
   }
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    if (!std::isfinite(g.edge(e).weight)) {
+    const double w = g.edge(e).weight;
+    if (!std::isfinite(w)) {
       reject("edge " + std::to_string(e) + " has a non-finite weight");
     }
+    if (w < 0.0) reject("edge " + std::to_string(e) + " has a negative weight");
   }
   for (std::size_t i = 0; i < rows * cols; ++i) {
     if (std::isfinite(b[i])) continue;

@@ -120,7 +120,8 @@ struct LaplacianManyRun {
 
 struct SparsifyRun {
   sparsify::SparsifyResult result;
-  // rounds = BC rounds of the run; iterations = resolved outer iterations.
+  // rounds = BC rounds of the run; iterations = outer iterations run (at
+  // most the resolved L; fewer when a bundle reaches the fixpoint).
   core::RunStats stats;
 };
 

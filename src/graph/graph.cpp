@@ -4,13 +4,22 @@
 #include <cassert>
 #include <limits>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bcclap::graph {
 
 EdgeId Graph::add_edge(VertexId u, VertexId v, double weight) {
-  assert(u != v && "self-loops are not allowed");
-  assert(u < num_vertices() && v < num_vertices());
+  const auto edge_name = [&] {
+    return "Graph::add_edge: edge {" + std::to_string(u) + ", " +
+           std::to_string(v) + "}";
+  };
+  if (u >= num_vertices() || v >= num_vertices()) {
+    throw std::invalid_argument(edge_name() + " has an endpoint outside " +
+                                std::to_string(num_vertices()) + " vertices");
+  }
+  if (u == v) throw std::invalid_argument(edge_name() + " is a self-loop");
   if (u > v) std::swap(u, v);
   const EdgeId id = edges_.size();
   edges_.push_back({u, v, weight});

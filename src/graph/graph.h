@@ -29,7 +29,9 @@ class Graph {
   std::size_t num_vertices() const { return adjacency_.size(); }
   std::size_t num_edges() const { return edges_.size(); }
 
-  // Adds edge {u, v} (order normalized to u < v). Self-loops are rejected.
+  // Adds edge {u, v} (order normalized to u < v). Throws
+  // std::invalid_argument for an endpoint >= num_vertices() or a
+  // self-loop (u == v).
   EdgeId add_edge(VertexId u, VertexId v, double weight);
 
   const Edge& edge(EdgeId e) const { return edges_[e]; }

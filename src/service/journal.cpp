@@ -83,7 +83,11 @@ graph::Graph read_graph(std::istream& in) {
     const std::size_t u = next_u64(in, "edge endpoint");
     const std::size_t v = next_u64(in, "edge endpoint");
     const double w = next_double_bits(in, "edge weight");
-    g.add_edge(u, v, w);
+    try {
+      g.add_edge(u, v, w);
+    } catch (const std::invalid_argument& e) {
+      malformed(e.what());
+    }
   }
   return g;
 }

@@ -37,7 +37,9 @@ bool write_journal_file(const std::string& path,
                         const std::vector<Request>& stream);
 
 // Parses a journal back into requests. Throws std::runtime_error on
-// malformed input (wrong magic, truncated payload, unknown request type).
+// malformed input (wrong magic, truncated payload, unknown request type,
+// a graph edge or network arc that Graph::add_edge or Digraph::add_arc
+// rejects).
 std::vector<Request> read_journal(std::istream& in);
 std::vector<Request> read_journal_file(const std::string& path);
 

@@ -83,14 +83,23 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
   SparsifyResult result;
   const std::int64_t start = net.accountant().mark();
 
+  // Whether maintained edge e passes its pending survival coins
+  // j in (last_reset[e], upto]: at upto = i - 1 that is membership in
+  // E_{i-1}.
+  const auto survives_through = [&](graph::EdgeId e, std::size_t upto) {
+    for (std::size_t j = last_reset[e] + 1; j <= upto; ++j) {
+      if (!coins.survives(j, e)) return false;
+    }
+    return true;
+  };
+
   std::vector<graph::EdgeId> last_bundle;
   std::vector<graph::VertexId> last_bundle_out;
+  std::size_t ran = 0;
   for (std::size_t i = 1; i <= L; ++i) {
+    ran = i;
     const spanner::ExistenceOracle oracle = [&](graph::EdgeId e) {
-      for (std::size_t j = last_reset[e] + 1; j < i; ++j) {
-        if (!coins.survives(j, e)) return false;
-      }
-      return true;
+      return survives_through(e, i - 1);
     };
     // The survival coins are a pure function of (seed, iteration, edge)
     // and last_reset_ only changes between bundle calls, so the oracle is
@@ -118,6 +127,23 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
     });
     last_bundle = bundle.bundle_edges;
     last_bundle_out = bundle.out_vertex;
+    if (i == L) break;
+
+    // Fixpoint check: if B_i holds every edge of E_{i-1}, then G_i =
+    // G_{i-1} and H = B_i. Each vertex owning a maintained edge outside
+    // the bundle that passes its pending coins (its own randomness)
+    // broadcasts a 1-bit flag; one round tells everyone whether to stop.
+    net.charge("sparsify/fixpoint", 1);
+    bool outside = false;
+    ctx.parallel_reduce_chunks(
+        0, m, 1024, std::uint8_t{0},
+        [&](std::size_t lo, std::size_t hi, std::uint8_t& found) {
+          for (std::size_t e = lo; e < hi && !found; ++e) {
+            found = avail[e] && !in_bundle[e] && survives_through(e, i - 1);
+          }
+        },
+        [&](std::uint8_t found) { outside = outside || found; });
+    if (!outside) break;
   }
 
   // Final step: keep the last bundle, sample each other maintained edge
@@ -140,14 +166,7 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
   ctx.parallel_for_chunks(0, m, 1024, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t e = lo; e < hi; ++e) {
       if (!avail[e] || in_last_bundle[e]) continue;
-      bool exists = true;
-      for (std::size_t j = last_reset[e] + 1; j <= L; ++j) {
-        if (!coins.survives(j, e)) {
-          exists = false;
-          break;
-        }
-      }
-      sampled[e] = exists ? 1 : 0;
+      sampled[e] = survives_through(e, ran) ? 1 : 0;
     }
   });
   // The lower-id endpoint announces each sampled edge (Algorithm 5 lines
@@ -167,7 +186,7 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
   result.resolved_t = opt.t;
   result.resolved_k = opt.k;
   result.stats.rounds = net.accountant().since(start);
-  result.stats.iterations = L;
+  result.stats.iterations = ran;
   return result;
 }
 
@@ -195,7 +214,9 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
   std::vector<graph::EdgeId> final_sampled;
 
   const spanner::ExistenceOracle always = [](graph::EdgeId) { return true; };
+  std::size_t ran = 0;
   for (std::size_t i = 1; i <= L; ++i) {
+    ran = i;
     const auto bundle = spanner::bundle_spanner(
         g, exists, weight, opt.k, bundle_size_at(opt, opt.t, i), always,
         mark_stream, scratch, /*pure_oracle=*/true);
@@ -203,8 +224,10 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
     assert(bundle.deleted_edges.empty());  // p == 1 never rejects
     std::vector<bool> in_bundle(m, false);
     for (graph::EdgeId e : bundle.bundle_edges) in_bundle[e] = true;
+    bool outside = false;
     for (std::size_t e = 0; e < m; ++e) {
       if (!exists[e] || in_bundle[e]) continue;
+      outside = true;
       if (coins.survives(i, e)) {
         weight[e] *= 4.0;
       } else {
@@ -213,6 +236,9 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
     }
     last_bundle = bundle.bundle_edges;
     last_bundle_out = bundle.out_vertex;
+    // Fixpoint (the ad-hoc variant's test): B_i holds all of E_{i-1}, so
+    // the loop above flipped no coin and G_i = G_{i-1}.
+    if (!outside) break;
   }
 
   graph::Graph h(g.num_vertices());
@@ -235,7 +261,7 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
   result.sparsifier = std::move(h);
   result.resolved_t = opt.t;
   result.resolved_k = opt.k;
-  result.stats.iterations = L;
+  result.stats.iterations = ran;
   return result;
 }
 

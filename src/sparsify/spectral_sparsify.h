@@ -16,6 +16,22 @@
 // from the same stream. Under a shared seed the two algorithms therefore
 // produce *identical* output graphs — the constructive counterpart of the
 // lemma's distributional equality, and a property test in the suite.
+//
+// Stopping rule: an outer iteration exists to shrink the maintained graph
+// toward the bundle size. After iteration i < L both variants stop if the
+// bundle B_i holds every edge of E_{i-1}; then G_i = G_{i-1} and H = B_i
+// with its current weights, still one bundle in size, and the sampling
+// error of iterations i+1..L is never added. In the ad-hoc variant an
+// edge of E_{i-1} is a maintained edge whose pending survival coins all
+// pass; those coins are its owner's own randomness, so the check is one
+// Broadcast Congested Clique round in which each vertex owning such an
+// edge outside B_i broadcasts a 1-bit flag (plain Broadcast CONGEST would
+// need diameter-many rounds to spread it). It is charged under
+// "sparsify/fixpoint": L - 1 rounds when the loop never stops early. The
+// a-priori variant makes the same test on its sampled E_{i-1} (such an
+// iteration flips no coin) and stops at the same iteration.
+// stats.iterations counts the iterations run, at most L =
+// SparsifyOptions::iterations.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +54,8 @@ struct SparsifyOptions {
   // "sparsifier" would be denser than G). Benches default to a small
   // constant and report it; the asymptotic form is unchanged.
   double t_constant = 1.0;
-  // Outer iterations; 0 = ceil(log2 m) (paper default).
+  // Cap L on the outer iterations; 0 = ceil(log2 m) (paper default). The
+  // loop stops earlier at the bundle fixpoint.
   std::size_t iterations = 0;
   // Ablation A1: grow the bundle size linearly over iterations (Koutis-Xu
   // style) instead of keeping it fixed (Kyng et al.).
@@ -55,8 +72,8 @@ struct SparsifyResult {
   bool deduction_consistent = true;
   std::size_t resolved_t = 0;  // the t actually used
   std::size_t resolved_k = 0;
-  // Unified shape: rounds = BC rounds of the run, iterations = resolved
-  // outer iterations (core/stats.h).
+  // Unified shape: rounds = BC rounds of the run, iterations = outer
+  // iterations run, at most the resolved L (core/stats.h).
   core::RunStats stats;
 };
 

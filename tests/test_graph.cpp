@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace bcclap::graph {
 namespace {
@@ -13,6 +14,17 @@ TEST(Graph, AddEdgeNormalizesOrder) {
   EXPECT_EQ(g.edge(e).u, 1u);
   EXPECT_EQ(g.edge(e).v, 2u);
   EXPECT_DOUBLE_EQ(g.edge(e).weight, 5.0);
+}
+
+TEST(Graph, AddEdgeRejectsBadEndpoints) {
+  Graph g(4);
+  EXPECT_THROW(g.add_edge(900, 2, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(2, 4, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(2, 2, 1.0), std::invalid_argument);  // self-loop
+  // A rejected edge leaves the graph untouched.
+  EXPECT_EQ(g.num_edges(), 0u);
+  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(g.degree(v), 0u);
+  EXPECT_EQ(g.add_edge(3, 2, 1.0), 0u);
 }
 
 TEST(Graph, FindEdgeAndOtherEndpoint) {

@@ -152,7 +152,10 @@ TEST(Pipeline, RunStatsPropagateThroughFacade) {
 
   const auto sp = rt.sparsify(g, sopt);
   EXPECT_GT(sp.stats.rounds, 0);
-  EXPECT_EQ(sp.stats.iterations,
+  // iterations counts the outer iterations run: at least one, at most
+  // the resolved ceil(log2 m), fewer when a bundle reaches the fixpoint.
+  EXPECT_GE(sp.stats.iterations, 1u);
+  EXPECT_LE(sp.stats.iterations,
             sparsify::resolve_options(g, sopt).iterations);
 
   linalg::Vec b(24, 0.0);

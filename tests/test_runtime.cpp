@@ -390,5 +390,39 @@ TEST(Runtime, FacadeRejectsNonFiniteInput) {
   }
 }
 
+TEST(Runtime, FacadeRejectsNegativeWeights) {
+  // Every concrete engine would reply usable on a -1 edge of G(64, 0.3),
+  // whose Laplacian is then indefinite, so the facade rejects the weight
+  // and names the edge. A zero weight stays legal.
+  RuntimeOptions opts;
+  opts.threads = 1;
+  opts.seed = 13;
+  Runtime rt(opts);
+  rng::Stream stream(6);
+  const graph::Graph g = graph::random_connected_gnp(64, 0.3, 4, stream);
+  graph::Graph negative = g;
+  negative.set_weight(3, -1.0);
+  graph::Graph zero = g;
+  zero.set_weight(3, 0.0);
+  linalg::Vec b(g.num_vertices(), 0.0);
+  b[0] = 1.0;
+  b[1] = -1.0;
+  const linalg::DenseMatrix b_panel = linalg::DenseMatrix::from_columns({b});
+  for (const char* engine :
+       {"exact-dense", "exact-sparse", "sparsified-chebyshev", "cg"}) {
+    LaplacianSolveOptions lopt;
+    lopt.engine = engine;
+    lopt.sparsify = pipeline_sparsify_options();
+    EXPECT_TRUE(rejects([&] { rt.solve_laplacian(negative, b, lopt); },
+                        "edge 3 has a negative weight"))
+        << engine;
+    EXPECT_TRUE(
+        rejects([&] { rt.solve_laplacian_many(negative, b_panel, lopt); },
+                "edge 3 has a negative weight"))
+        << engine;
+    EXPECT_NO_THROW(rt.solve_laplacian(zero, b, lopt)) << engine;
+  }
+}
+
 }  // namespace
 }  // namespace bcclap

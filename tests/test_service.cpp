@@ -363,6 +363,52 @@ TEST(SolverService, NonFiniteSingleIsServedAloneAndFails) {
   EXPECT_EQ(stats.failed, 1u);
 }
 
+TEST(SolverService, NegativeWeightSingleIsServedAloneAndFails) {
+  // A single whose graph carries a negative edge weight fails with the
+  // facade's message. Queued between two good singles, it fails alone and
+  // the good pair still coalesces.
+  rng::Stream stream(5);
+  const graph::Graph g = graph::random_regularish(64, 4, 8, stream);
+  graph::Graph negative = g;
+  negative.set_weight(9, -1.0);
+  RuntimeOptions ropts;
+  ropts.threads = 1;
+  ropts.seed = 19;
+  Runtime rt(ropts);
+
+  Request bad_req = solve_request(negative, 2);
+  std::string facade_error;
+  try {
+    rt.solve_laplacian(negative, bad_req.b, facade_options());
+  } catch (const std::invalid_argument& e) {
+    facade_error = e.what();
+  }
+  ASSERT_NE(facade_error.find("edge 9 has a negative weight"),
+            std::string::npos)
+      << facade_error;
+
+  SolverService service(caller_driven());
+  Submission first = service.submit(solve_request(g, 1));
+  Submission bad = service.submit(std::move(bad_req));
+  Submission last = service.submit(solve_request(g, 3));
+  ASSERT_TRUE(first.accepted());
+  ASSERT_TRUE(bad.accepted());
+  ASSERT_TRUE(last.accepted());
+  EXPECT_EQ(service.drain(), 3u);
+
+  const auto& bad_reply = bad.reply->wait();
+  EXPECT_EQ(bad_reply.status, ReplyStatus::kFailed);
+  EXPECT_EQ(bad_reply.error, facade_error);
+  EXPECT_FALSE(bad_reply.coalesced);
+  for (Submission* sub : {&first, &last}) {
+    const auto& reply = sub->reply->wait();
+    ASSERT_EQ(reply.status, ReplyStatus::kOk);
+    EXPECT_TRUE(reply.coalesced);
+    EXPECT_EQ(reply.panel_width, 2u);
+  }
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
 TEST(SolverService, BadSinkMcmfFailsAloneAndTheNextRequestIsServed) {
   // A min-cost-flow request whose sink is not a vertex gets kFailed with
   // the solver's message; the worker goes on to serve the next request.

@@ -191,6 +191,58 @@ TEST(ServiceJournal, MalformedInputThrows) {
   }
 }
 
+TEST(ServiceJournal, BadGraphEdgeIsMalformedInput) {
+  // A solve-request edge that Graph::add_edge rejects (an endpoint past
+  // the vertex count, a self-loop) is malformed input; the same request
+  // with a valid edge parses.
+  const auto solve_journal = [](const std::string& edge) {
+    return "bcclap-journal 1\nrequests 1\nrequest solve\nseed 19\n"
+           "engine auto\neps 3e45798ee2308c3a\n"
+           "sparsify 3ff0000000000000 2 3 3ff0000000000000 0 0\n"
+           "graph 4 1\n" +
+           edge + " 3ff0000000000000\nrhs 4\n" +
+           "3ff0000000000000 0 0 bff0000000000000\nend\n";
+  };
+  {
+    std::istringstream in(solve_journal("0 3"));
+    const auto stream = service::read_journal(in);
+    ASSERT_EQ(stream.size(), 1u);
+    EXPECT_EQ(stream[0].graph.num_edges(), 1u);
+  }
+  for (const char* edge : {"900 2", "2 2"}) {
+    std::istringstream in(solve_journal(edge));
+    try {
+      service::read_journal(in);
+      ADD_FAILURE() << "edge '" << edge << "' parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed input"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The bad request fails alone: journals read one after another around
+  // it still replay, and the service sees no failure.
+  std::vector<Request> served;
+  for (const char* edge : {"0 3", "900 2", "1 3"}) {
+    std::istringstream in(solve_journal(edge));
+    try {
+      for (Request& req : service::read_journal(in)) {
+        served.push_back(std::move(req));
+      }
+    } catch (const std::runtime_error&) {
+      EXPECT_EQ(std::string(edge), "900 2");
+    }
+  }
+  ASSERT_EQ(served.size(), 2u);
+  ServiceOptions opts;
+  opts.workers = 0;
+  SolverService service(opts);
+  const ReplayResult out = service::replay(service, served);
+  ASSERT_EQ(out.payloads.size(), 2u);
+  EXPECT_EQ(service.stats().failed, 0u);
+  EXPECT_EQ(service.stats().served, 2u);
+}
+
 TEST(ServiceReplay, SameJournalSameBytesAcrossRunsAndWorkerCounts) {
   const std::vector<Request> stream = synthetic_stream();
 

@@ -126,5 +126,45 @@ TEST(Sparsifier, ChargesRounds) {
   EXPECT_TRUE(testsupport::RoundsConsistent(res.stats.rounds, net));
 }
 
+TEST(Sparsifier, StopsWhenOneBundleHoldsTheGraph) {
+  // At t = 4 the first bundle of a dense G(64, 1/2) takes every edge, so
+  // G_1 = G and the loop stops there: H is G with its own weights after
+  // one iteration and one fixpoint round.
+  rng::Stream gstream(8);
+  const auto g = graph::random_connected_gnp(64, 0.5, 8, gstream);
+  const SparsifyOptions opt = testsupport::small_sparsify_options(1.0, 2, 4);
+  auto net = bc_net(g);
+  const auto res = spectral_sparsify(net.context().with_seed(17), g, opt, net);
+  EXPECT_EQ(res.stats.iterations, 1u);
+  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 1);
+  EXPECT_EQ(net.accountant().total_for("sparsify/final-sample"), 0);
+  ASSERT_EQ(res.sparsifier.num_edges(), g.num_edges());
+  std::vector<bool> seen(g.num_edges(), false);
+  for (std::size_t i = 0; i < res.sparsifier.num_edges(); ++i) {
+    const graph::EdgeId e = res.original_edge[i];
+    ASSERT_LT(e, g.num_edges());
+    EXPECT_FALSE(seen[e]);
+    seen[e] = true;
+    const auto& se = res.sparsifier.edge(i);
+    EXPECT_EQ(se.u, g.edge(e).u);
+    EXPECT_EQ(se.v, g.edge(e).v);
+    EXPECT_EQ(se.weight, g.edge(e).weight);
+  }
+}
+
+TEST(Sparsifier, IterationsCapStillBoundsTheLoop) {
+  // A sparse cap stops the loop before any fixpoint: every iteration but
+  // the last pays the flag round.
+  rng::Stream gstream(9);
+  const auto g = graph::complete(40, 2, gstream);
+  SparsifyOptions opt = test_options();
+  opt.t = 1;
+  opt.iterations = 3;
+  auto net = bc_net(g);
+  const auto res = spectral_sparsify(net.context().with_seed(61), g, opt, net);
+  EXPECT_EQ(res.stats.iterations, 3u);
+  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 2);
+}
+
 }  // namespace
 }  // namespace bcclap::sparsify

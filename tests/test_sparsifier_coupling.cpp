@@ -72,5 +72,88 @@ TEST(Coupling, ManySeedsOnOneGraph) {
   }
 }
 
+// Both variants stop at the bundle fixpoint: the first iteration whose
+// bundle holds every edge of E_{i-1}. They must stop at the same iteration
+// and return the same graph, including when that iteration is past the
+// first. Returns the ad-hoc run, its fixpoint rounds and the cap L.
+struct FixpointRun {
+  SparsifyResult adhoc;
+  std::int64_t fixpoint_rounds;
+  std::size_t resolved_iterations;
+};
+
+FixpointRun expect_coupled_fixpoint(const graph::Graph& g, std::size_t t,
+                                    std::uint64_t seed) {
+  const auto opt = testsupport::small_sparsify_options(1.0, 2, t);
+  auto net = testsupport::bc_net(g);
+  auto adhoc = spectral_sparsify(net.context().with_seed(seed), g, opt, net);
+  const auto apriori = spectral_sparsify_apriori(test_context(seed), g, opt);
+  EXPECT_EQ(adhoc.stats.iterations, apriori.stats.iterations);
+  EXPECT_EQ(adhoc.original_edge, apriori.original_edge);
+  EXPECT_EQ(adhoc.sparsifier.num_edges(), apriori.sparsifier.num_edges());
+  for (std::size_t i = 0; i < adhoc.sparsifier.num_edges() &&
+                          i < apriori.sparsifier.num_edges();
+       ++i) {
+    EXPECT_EQ(adhoc.sparsifier.edge(i).weight,
+              apriori.sparsifier.edge(i).weight);
+  }
+  return {std::move(adhoc), net.accountant().total_for("sparsify/fixpoint"),
+          resolve_options(g, opt).iterations};
+}
+
+TEST(CouplingFixpoint, LateFixpointOnSparseGnp) {
+  // G(128, 0.2) at t = 2 and G(256, 0.3) at t = 3 sit at the edge of the
+  // regime where one bundle holds the graph: the loop runs a few
+  // iterations, then a bundle takes every remaining edge.
+  struct Late {
+    std::size_t n;
+    double p;
+    std::size_t t;
+    std::uint64_t seed;
+  };
+  for (const Late c : {Late{128, 0.2, 2, 1}, Late{128, 0.2, 2, 2},
+                       Late{128, 0.2, 2, 3}, Late{256, 0.3, 3, 1},
+                       Late{256, 0.3, 3, 2}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n " << c.n << " p " << c.p << " t " << c.t << " seed "
+                 << c.seed);
+    rng::Stream gstream(c.seed);
+    const auto g = graph::random_connected_gnp(c.n, c.p, 4, gstream);
+    const FixpointRun run = expect_coupled_fixpoint(g, c.t, c.seed ^ 0x5a5a);
+    const std::size_t ran = run.adhoc.stats.iterations;
+    EXPECT_GT(ran, 1u);
+    EXPECT_LT(ran, run.resolved_iterations);
+    // One flag round per iteration run, the stopping one included.
+    EXPECT_EQ(run.fixpoint_rounds, static_cast<std::int64_t>(ran));
+  }
+}
+
+TEST(CouplingFixpoint, SparseGnpAtBothBundleSizes) {
+  // G(256, 0.2): t = 2 never reaches the fixpoint, t = 3 stops after the
+  // first bundle. Either way the variants agree.
+  for (const std::size_t t : {2u, 3u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "t " << t << " seed " << seed);
+      rng::Stream gstream(seed);
+      const auto g = graph::random_connected_gnp(256, 0.2, 4, gstream);
+      const FixpointRun run = expect_coupled_fixpoint(g, t, seed ^ 0x5a5a);
+      EXPECT_EQ(run.adhoc.stats.iterations,
+                t == 2 ? run.resolved_iterations : 1u);
+    }
+  }
+}
+
+TEST(CouplingFixpoint, CompleteGraphNeverReachesFixpoint) {
+  rng::Stream gstream(12);
+  const auto g = graph::complete(128, 4, gstream);
+  const FixpointRun run = expect_coupled_fixpoint(g, 3, 77);
+  const std::size_t L = run.resolved_iterations;
+  EXPECT_EQ(run.adhoc.stats.iterations, L);
+  // Every iteration before the last checks once; the last has nothing
+  // after it to skip.
+  EXPECT_EQ(run.fixpoint_rounds, static_cast<std::int64_t>(L - 1));
+  EXPECT_LT(run.adhoc.sparsifier.num_edges(), g.num_edges());
+}
+
 }  // namespace
 }  // namespace bcclap::sparsify

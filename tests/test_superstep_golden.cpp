@@ -1,10 +1,9 @@
 // Golden pins for the broadcast superstep engine: for fixed (graph, seed)
 // cases the sparsifier's output edge list, its round count, the
 // accountant's per-label breakdown and the deduction-consistency verdict
-// are pinned to values recorded before the engine's message and inbox
-// representation changed. Any change to delivery order, edge lookup,
-// candidate grouping or round costing shows up here as a mismatch. Every
-// case runs at 1 and 4 threads.
+// are pinned. Any change to delivery order, edge lookup, candidate
+// grouping, round costing or the sparsifier's stopping rule shows up here
+// as a mismatch. Every case runs at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,13 +98,13 @@ Pin run_stateful_spanner(const graph::Graph& g, std::size_t k,
 }
 
 Pin run_apriori(const graph::Graph& g, std::uint64_t seed,
-                     std::size_t threads) {
+                std::size_t threads, std::size_t t = 4) {
   RuntimeOptions opts;
   opts.threads = threads;
   Runtime rt(opts);
   const auto res = sparsify::spectral_sparsify_apriori(
       rt.context().with_seed(seed), g,
-      testsupport::small_sparsify_options(1.0, 2, 4));
+      testsupport::small_sparsify_options(1.0, 2, t));
   return {edge_list_hash(res.sparsifier), res.stats.rounds, {},
           res.deduction_consistent};
 }
@@ -113,6 +112,12 @@ Pin run_apriori(const graph::Graph& g, std::uint64_t seed,
 graph::Graph gnp(std::size_t n, std::uint64_t graph_seed) {
   rng::Stream s(graph_seed);
   return graph::random_connected_gnp(n, 0.5, 8, s);
+}
+
+// G(128, 0.2) with weights in [1, 4].
+graph::Graph sparse_gnp() {
+  rng::Stream s(2);
+  return graph::random_connected_gnp(128, 0.2, 4, s);
 }
 
 // A weighted multigraph: G(40, 0.3) plus a parallel copy of every third
@@ -132,41 +137,44 @@ graph::Graph multigraph() {
 class SuperstepGolden : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SuperstepGolden, Gnp64) {
-  const Pin want{18443444754432997199ull, 2465,
-                 {{"spanner/step1", 40},
-                  {"spanner/step2", 69},
-                  {"spanner/step3.1", 820},
-                  {"spanner/step3.2", 794},
-                  {"spanner/step4", 742},
-                  {"sparsify/final-sample", 0}},
+  const Pin want{18157525448859279867ull, 262,
+                 {{"spanner/step1", 4},
+                  {"spanner/step2", 7},
+                  {"spanner/step3.1", 76},
+                  {"spanner/step3.2", 84},
+                  {"spanner/step4", 90},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 1}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam()), want);
 }
 
 TEST_P(SuperstepGolden, Gnp96) {
-  const Pin want{7710679312898685166ull, 4665,
-                 {{"spanner/step1", 48},
-                  {"spanner/step2", 91},
-                  {"spanner/step3.1", 1566},
-                  {"spanner/step3.2", 1518},
-                  {"spanner/step4", 1442},
-                  {"sparsify/final-sample", 0}},
+  const Pin want{7061029061966794650ull, 437,
+                 {{"spanner/step1", 4},
+                  {"spanner/step2", 8},
+                  {"spanner/step3.1", 174},
+                  {"spanner/step3.2", 110},
+                  {"spanner/step4", 140},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 1}},
                  true};
   expect_pin(run_adhoc(gnp(96, 8), 29, GetParam()), want);
 }
 
-// At t = 4 the bundles of G(64, 1/2) take every edge and the final-sample
-// superstep is silent. One spanner per bundle and two outer iterations
-// leave sampled edges outside the last bundle, so that superstep carries
-// traffic too.
+// At t = 4 the first bundle of G(64, 1/2) takes every edge, so the loop
+// stops there after one fixpoint round and the final-sample superstep is
+// silent. One spanner per bundle and two outer iterations leave sampled
+// edges outside the last bundle, so that superstep carries traffic too.
 TEST_P(SuperstepGolden, Gnp64FinalSampleTraffic) {
-  const Pin want{10037787064573855893ull, 256,
+  const Pin want{10037787064573855893ull, 257,
                  {{"spanner/step1", 2},
                   {"spanner/step2", 4},
                   {"spanner/step3.1", 78},
                   {"spanner/step3.2", 92},
                   {"spanner/step4", 76},
-                  {"sparsify/final-sample", 4}},
+                  {"sparsify/final-sample", 4},
+                  {"sparsify/fixpoint", 1}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam(), 1, 2), want);
 }
@@ -174,7 +182,7 @@ TEST_P(SuperstepGolden, Gnp64FinalSampleTraffic) {
 TEST_P(SuperstepGolden, AprioriGnp64) {
   // Same coins as Gnp64, so the same edge list (Lemma 3.3); the
   // centralized reference charges no rounds.
-  const Pin want{18443444754432997199ull, 0, {}, true};
+  const Pin want{18157525448859279867ull, 0, {}, true};
   expect_pin(run_apriori(gnp(64, 8), 17, GetParam()), want);
 }
 
@@ -182,13 +190,14 @@ TEST_P(SuperstepGolden, WeightedMultigraph) {
   // Receivers resolve a sender to the lowest-id edge between the pair, so
   // the higher-id parallel edges never get a deduced belief and the
   // consistency check reports false. The pin records that behaviour.
-  const Pin want{1811381162445945270ull, 1291,
-                 {{"spanner/step1", 36},
-                  {"spanner/step2", 63},
-                  {"spanner/step3.1", 396},
-                  {"spanner/step3.2", 354},
-                  {"spanner/step4", 442},
-                  {"sparsify/final-sample", 0}},
+  const Pin want{7296418164092749570ull, 137,
+                 {{"spanner/step1", 4},
+                  {"spanner/step2", 8},
+                  {"spanner/step3.1", 46},
+                  {"spanner/step3.2", 34},
+                  {"spanner/step4", 44},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 1}},
                  false};
   expect_pin(run_adhoc(multigraph(), 41, GetParam()), want);
 }
@@ -196,15 +205,38 @@ TEST_P(SuperstepGolden, WeightedMultigraph) {
 // k = 3 runs two step-3 phases (and two step-1/step-2 phases) per
 // spanner, a path the k = 2 cases never reach.
 TEST_P(SuperstepGolden, Gnp64StretchThree) {
-  const Pin want{16427370059418926864ull, 2879,
-                 {{"spanner/step1", 120},
-                  {"spanner/step2", 159},
-                  {"spanner/step3.1", 1080},
-                  {"spanner/step3.2", 1018},
-                  {"spanner/step4", 502},
-                  {"sparsify/final-sample", 0}},
+  const Pin want{6339514859478181752ull, 574,
+                 {{"spanner/step1", 24},
+                  {"spanner/step2", 32},
+                  {"spanner/step3.1", 246},
+                  {"spanner/step3.2", 188},
+                  {"spanner/step4", 82},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 2}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam(), 4, 0, 3), want);
+}
+
+// A sparser graph at t = 2 runs several iterations before a bundle takes
+// every remaining edge, so its later bundles query the survival coins of
+// edges whose probability has already fallen below 1.
+TEST_P(SuperstepGolden, SparseGnpLateFixpoint) {
+  const Pin want{4946577323113046602ull, 1992,
+                 {{"spanner/step1", 16},
+                  {"spanner/step2", 32},
+                  {"spanner/step3.1", 652},
+                  {"spanner/step3.2", 596},
+                  {"spanner/step4", 688},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 8}},
+                 true};
+  expect_pin(run_adhoc(sparse_gnp(), 0x5a58, GetParam(), 2), want);
+}
+
+TEST_P(SuperstepGolden, AprioriSparseGnpLateFixpoint) {
+  // The a-priori variant stops at the same iteration with the same graph.
+  const Pin want{4946577323113046602ull, 0, {}, true};
+  expect_pin(run_apriori(sparse_gnp(), 0x5a58, GetParam(), 2), want);
 }
 
 TEST_P(SuperstepGolden, StatefulOracleSpanner) {
