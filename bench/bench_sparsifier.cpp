@@ -127,13 +127,12 @@ int main(int argc, char** argv) {
       {"regularish8", Family::kRegularish8}};
   for (const auto& [name, family] : families) {
     for (const std::size_t n : {64u, 256u, 1024u}) {
-      // The dense n = 1024 runs take seconds each: one measured run, no
-      // warmup.
-      const bool big = n == 1024 && family != Family::kRegularish8;
+      // A dense n = 1024 run takes seconds; only the bounded-degree family
+      // goes that far.
+      if (n == 1024 && family != Family::kRegularish8) continue;
       h.add("sparsifier_fixpoint/" + std::string(name) +
                 "/n=" + std::to_string(n),
-            [family, n](bench::State& s) { sparsifier_fixpoint(s, family, n); },
-            big ? 1 : 0, big ? 0 : bench::Harness::kNoOverride);
+            [family, n](bench::State& s) { sparsifier_fixpoint(s, family, n); });
     }
   }
   return h.run(argc, argv);

@@ -21,6 +21,22 @@ bool same_bits(double a, double b) {
   return ba == bb;
 }
 
+// A single joins a panel only when the facade would accept it: its
+// right-hand side fills exactly one panel column with finite entries and
+// every edge weight is finite and non-negative. Any other single is served
+// alone, where the facade rejects it with its own message (in a panel, its
+// throw would fail every coalesced request).
+bool fits_panel(const Request& req) {
+  const auto finite = [](double v) { return std::isfinite(v); };
+  return req.type == RequestType::kSolve &&
+         req.b.size() == req.graph.num_vertices() &&
+         std::all_of(req.b.begin(), req.b.end(), finite) &&
+         std::all_of(req.graph.edges().begin(), req.graph.edges().end(),
+                     [&](const graph::Edge& ed) {
+                       return finite(ed.weight) && ed.weight >= 0.0;
+                     });
+}
+
 }  // namespace
 
 const char* request_type_name(RequestType type) {
@@ -73,6 +89,7 @@ Submission SolverService::submit(Request req) {
   Ticket ticket;
   ticket.laplacian = req.type == RequestType::kSolve ||
                      req.type == RequestType::kSolveMany;
+  ticket.fits_panel = fits_panel(req);
   if (ticket.laplacian) {
     // The admission key is built by the Runtime facade's own builder:
     // resolved concrete engine, canonical fingerprint, the request seed
@@ -211,23 +228,12 @@ bool coalesce_compatible(const sparsify::SparsifyOptions& a,
          a.iterations == b.iterations && a.growing_t == b.growing_t;
 }
 
-// A single joins a panel only when its right-hand side fills exactly one
-// panel column with finite entries; any other single is served alone,
-// where the facade rejects it with its own message (in a panel, its throw
-// would fail every coalesced request).
-bool fits_panel(const Request& req) {
-  return req.type == RequestType::kSolve &&
-         req.b.size() == req.graph.num_vertices() &&
-         std::all_of(req.b.begin(), req.b.end(),
-                     [](double v) { return std::isfinite(v); });
-}
-
 }  // namespace
 
 void SolverService::take_batch_locked(std::vector<Ticket>* batch) {
   batch->push_back(std::move(queue_.front()));
   queue_.pop_front();
-  if (!fits_panel(batch->front().req) || opts_.max_coalesce <= 1) return;
+  if (!batch->front().fits_panel || opts_.max_coalesce <= 1) return;
   // The push_back below may reallocate *batch, so the head's matching
   // fields are taken by value — a reference into the vector would dangle.
   const core::FactorCacheKey head_key = batch->front().cache_key;
@@ -235,7 +241,7 @@ void SolverService::take_batch_locked(std::vector<Ticket>* batch) {
   const sparsify::SparsifyOptions head_sparsify = batch->front().req.sparsify;
   for (auto it = queue_.begin();
        it != queue_.end() && batch->size() < opts_.max_coalesce;) {
-    if (it->cache_key == head_key && fits_panel(it->req) &&
+    if (it->cache_key == head_key && it->fits_panel &&
         same_bits(it->req.eps, head_eps) &&
         coalesce_compatible(it->req.sparsify, head_sparsify)) {
       batch->push_back(std::move(*it));

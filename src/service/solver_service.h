@@ -31,7 +31,8 @@
 // (fingerprint, seed, resolved engine, prepare options, eps) are batched
 // into one solve_many panel. Column j of a panel is byte-identical to the
 // single-RHS solve (the PR 5 contract), so coalescing changes throughput,
-// never bytes.
+// never bytes. A single the facade would reject is never coalesced: it is
+// served, and fails, alone.
 //
 // Determinism contract (tested in tests/test_service.cpp and the replay
 // harness, service/journal.h): the reply payload bytes of a request are a
@@ -168,6 +169,7 @@ class SolverService {
     std::shared_ptr<PendingReply> reply;
     bool laplacian = false;  // cache_key below is meaningful
     core::FactorCacheKey cache_key;
+    bool fits_panel = false;  // a single the facade accepts (may coalesce)
   };
   // Per-worker serving state: the Runtime is rebuilt when the request
   // seed changes (each Runtime's seed is fixed at construction; traffic

@@ -42,6 +42,43 @@ std::size_t bundle_size_at(const SparsifyOptions& opt, std::size_t t_base,
   return opt.growing_t ? t_base * iteration : t_base;
 }
 
+// The connected components of g, which stop at their bundle fixpoints
+// independently: in Broadcast CONGEST a vertex hears only its own
+// component. depth[c] is the eccentricity of component c's lowest-id
+// vertex r, the depth of a BFS tree of c rooted at r.
+struct Components {
+  std::vector<std::size_t> of_vertex;
+  std::vector<std::int64_t> depth;
+};
+
+Components bfs_components(const graph::Graph& g) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  const std::size_t n = g.num_vertices();
+  Components out;
+  out.of_vertex.assign(n, kNone);
+  std::vector<std::int64_t> level(n, 0);
+  std::vector<graph::VertexId> queue;
+  queue.reserve(n);
+  for (graph::VertexId r = 0; r < n; ++r) {
+    if (out.of_vertex[r] != kNone) continue;
+    const std::size_t c = out.depth.size();
+    out.of_vertex[r] = c;
+    queue.assign(1, r);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const graph::VertexId v = queue[head];
+      for (graph::EdgeId e : g.incident(v)) {
+        const graph::VertexId u = g.other_endpoint(e, v);
+        if (out.of_vertex[u] != kNone) continue;
+        out.of_vertex[u] = c;
+        level[u] = level[v] + 1;
+        queue.push_back(u);
+      }
+    }
+    out.depth.push_back(level[queue.back()]);
+  }
+  return out;
+}
+
 }  // namespace
 
 SparsifyOptions resolve_options(const graph::Graph& g,
@@ -93,8 +130,16 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
     return true;
   };
 
-  std::vector<graph::EdgeId> last_bundle;
-  std::vector<graph::VertexId> last_bundle_out;
+  // H's bundle part: each component's last bundle, in the order the
+  // components stop.
+  std::vector<graph::EdgeId> kept;
+  std::vector<graph::VertexId> kept_out;
+  const Components comps = bfs_components(g);
+  const auto component_of = [&](graph::EdgeId e) {
+    return comps.of_vertex[g.edge(e).u];
+  };
+  std::vector<std::uint8_t> active(comps.depth.size(), 1);
+  std::vector<std::uint8_t> outside(m);
   std::size_t ran = 0;
   for (std::size_t i = 1; i <= L; ++i) {
     ran = i;
@@ -125,39 +170,64 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
         }
       }
     });
-    last_bundle = bundle.bundle_edges;
-    last_bundle_out = bundle.out_vertex;
-    if (i == L) break;
+    if (i == L) {
+      kept.insert(kept.end(), bundle.bundle_edges.begin(),
+                  bundle.bundle_edges.end());
+      kept_out.insert(kept_out.end(), bundle.out_vertex.begin(),
+                      bundle.out_vertex.end());
+      break;
+    }
 
-    // Fixpoint check: if B_i holds every edge of E_{i-1}, then G_i =
-    // G_{i-1} and H = B_i. Each vertex owning a maintained edge outside
-    // the bundle that passes its pending coins (its own randomness)
-    // broadcasts a 1-bit flag; one round tells everyone whether to stop.
-    net.charge("sparsify/fixpoint", 1);
-    bool outside = false;
-    ctx.parallel_reduce_chunks(
-        0, m, 1024, std::uint8_t{0},
-        [&](std::size_t lo, std::size_t hi, std::uint8_t& found) {
-          for (std::size_t e = lo; e < hi && !found; ++e) {
-            found = avail[e] && !in_bundle[e] && survives_through(e, i - 1);
-          }
-        },
-        [&](std::uint8_t found) { outside = outside || found; });
-    if (!outside) break;
+    // Fixpoint check, per component: a component whose bundle B_i holds
+    // every edge of E_{i-1} has G_i = G_{i-1}, so it stops and keeps B_i.
+    // The owner of a maintained edge outside B_i that passes its pending
+    // coins (its own randomness) raises a 1-bit flag; the flags are ORed
+    // up the component's BFS tree to its root and the decision is
+    // broadcast back down, 2 * depth rounds. The first check also builds
+    // the trees, one BFS wave of depth rounds. Components check in
+    // parallel, so a check costs its deepest active component's rounds.
+    std::int64_t depth = 0;
+    for (std::size_t c = 0; c < active.size(); ++c) {
+      if (active[c]) depth = std::max(depth, comps.depth[c]);
+    }
+    if (depth > 0) net.charge("sparsify/fixpoint", (i == 1 ? 3 : 2) * depth);
+    ctx.parallel_for_chunks(0, m, 1024, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t e = lo; e < hi; ++e) {
+        outside[e] = avail[e] && !in_bundle[e] && survives_through(e, i - 1);
+      }
+    });
+    std::vector<std::uint8_t> goes_on(active.size(), 0);
+    for (std::size_t e = 0; e < m; ++e) {
+      if (outside[e]) goes_on[component_of(e)] = 1;
+    }
+    // A stopping component keeps its bundle edges with their current
+    // weights; its other edges all failed a coin and leave with it.
+    for (std::size_t j = 0; j < bundle.bundle_edges.size(); ++j) {
+      const graph::EdgeId e = bundle.bundle_edges[j];
+      if (goes_on[component_of(e)]) continue;
+      kept.push_back(e);
+      kept_out.push_back(bundle.out_vertex[j]);
+    }
+    for (std::size_t e = 0; e < m; ++e) {
+      if (!goes_on[component_of(e)]) avail[e] = false;
+    }
+    active = goes_on;
+    if (std::find(active.begin(), active.end(), 1) == active.end()) break;
   }
 
-  // Final step: keep the last bundle, sample each other maintained edge
+  // Final step: keep every component's last bundle and sample each other
+  // maintained edge (only components that ran all L iterations have any)
   // with its current probability. The lower-id endpoint samples and
   // broadcasts additions (Algorithm 5 lines 12-15).
   graph::Graph h(g.num_vertices());
-  std::vector<bool> in_last_bundle(m, false);
-  for (std::size_t j = 0; j < last_bundle.size(); ++j) {
-    const graph::EdgeId e = last_bundle[j];
-    in_last_bundle[e] = true;
+  std::vector<bool> in_h(m, false);
+  for (std::size_t j = 0; j < kept.size(); ++j) {
+    const graph::EdgeId e = kept[j];
+    in_h[e] = true;
     const auto& ed = g.edge(e);
     h.add_edge(ed.u, ed.v, weight[e]);
     result.original_edge.push_back(e);
-    result.out_vertex.push_back(last_bundle_out[j]);
+    result.out_vertex.push_back(kept_out[j]);
   }
   // The pending survival coins of every maintained edge are a pure function
   // of (seed, iteration, edge), so they evaluate in parallel; the graph and
@@ -165,8 +235,8 @@ SparsifyResult spectral_sparsify(const common::Context& ctx,
   std::vector<std::uint8_t> sampled(m, 0);
   ctx.parallel_for_chunks(0, m, 1024, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t e = lo; e < hi; ++e) {
-      if (!avail[e] || in_last_bundle[e]) continue;
-      sampled[e] = survives_through(e, ran) ? 1 : 0;
+      if (!avail[e] || in_h[e]) continue;
+      sampled[e] = survives_through(e, L) ? 1 : 0;
     }
   });
   // The lower-id endpoint announces each sampled edge (Algorithm 5 lines
@@ -209,9 +279,12 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
   for (std::size_t e = 0; e < m; ++e) weight[e] = g.edge(e).weight;
 
   SparsifyResult result;
-  std::vector<graph::EdgeId> last_bundle;
-  std::vector<graph::VertexId> last_bundle_out;
-  std::vector<graph::EdgeId> final_sampled;
+  std::vector<graph::EdgeId> kept;
+  std::vector<graph::VertexId> kept_out;
+  const Components comps = bfs_components(g);
+  const auto component_of = [&](graph::EdgeId e) {
+    return comps.of_vertex[g.edge(e).u];
+  };
 
   const spanner::ExistenceOracle always = [](graph::EdgeId) { return true; };
   std::size_t ran = 0;
@@ -224,35 +297,44 @@ SparsifyResult spectral_sparsify_apriori(const common::Context& ctx,
     assert(bundle.deleted_edges.empty());  // p == 1 never rejects
     std::vector<bool> in_bundle(m, false);
     for (graph::EdgeId e : bundle.bundle_edges) in_bundle[e] = true;
-    bool outside = false;
+    std::vector<std::uint8_t> goes_on(comps.depth.size(), 0);
     for (std::size_t e = 0; e < m; ++e) {
       if (!exists[e] || in_bundle[e]) continue;
-      outside = true;
+      goes_on[component_of(e)] = 1;
       if (coins.survives(i, e)) {
         weight[e] *= 4.0;
       } else {
         exists[e] = false;
       }
     }
-    last_bundle = bundle.bundle_edges;
-    last_bundle_out = bundle.out_vertex;
-    // Fixpoint (the ad-hoc variant's test): B_i holds all of E_{i-1}, so
-    // the loop above flipped no coin and G_i = G_{i-1}.
-    if (!outside) break;
+    // The ad-hoc variant's per-component fixpoint: a component whose B_i
+    // holds all of its E_{i-1} flipped no coin above (G_i = G_{i-1}); it
+    // stops and keeps B_i. At i = L every component keeps its B_i.
+    for (std::size_t j = 0; j < bundle.bundle_edges.size(); ++j) {
+      const graph::EdgeId e = bundle.bundle_edges[j];
+      if (i < L && goes_on[component_of(e)]) continue;
+      kept.push_back(e);
+      kept_out.push_back(bundle.out_vertex[j]);
+    }
+    if (i == L) break;
+    for (std::size_t e = 0; e < m; ++e) {
+      if (!goes_on[component_of(e)]) exists[e] = false;
+    }
+    if (std::find(goes_on.begin(), goes_on.end(), 1) == goes_on.end()) break;
   }
 
   graph::Graph h(g.num_vertices());
-  std::vector<bool> in_last_bundle(m, false);
-  for (std::size_t j = 0; j < last_bundle.size(); ++j) {
-    const graph::EdgeId e = last_bundle[j];
-    in_last_bundle[e] = true;
+  std::vector<bool> in_h(m, false);
+  for (std::size_t j = 0; j < kept.size(); ++j) {
+    const graph::EdgeId e = kept[j];
+    in_h[e] = true;
     const auto& ed = g.edge(e);
     h.add_edge(ed.u, ed.v, weight[e]);
     result.original_edge.push_back(e);
-    result.out_vertex.push_back(last_bundle_out[j]);
+    result.out_vertex.push_back(kept_out[j]);
   }
   for (std::size_t e = 0; e < m; ++e) {
-    if (!exists[e] || in_last_bundle[e]) continue;
+    if (!exists[e] || in_h[e]) continue;
     const auto& ed = g.edge(e);
     h.add_edge(ed.u, ed.v, weight[e]);
     result.original_edge.push_back(e);

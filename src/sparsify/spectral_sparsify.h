@@ -18,19 +18,23 @@
 // lemma's distributional equality, and a property test in the suite.
 //
 // Stopping rule: an outer iteration exists to shrink the maintained graph
-// toward the bundle size. After iteration i < L both variants stop if the
-// bundle B_i holds every edge of E_{i-1}; then G_i = G_{i-1} and H = B_i
-// with its current weights, still one bundle in size, and the sampling
-// error of iterations i+1..L is never added. In the ad-hoc variant an
-// edge of E_{i-1} is a maintained edge whose pending survival coins all
-// pass; those coins are its owner's own randomness, so the check is one
-// Broadcast Congested Clique round in which each vertex owning such an
-// edge outside B_i broadcasts a 1-bit flag (plain Broadcast CONGEST would
-// need diameter-many rounds to spread it). It is charged under
-// "sparsify/fixpoint": L - 1 rounds when the loop never stops early. The
-// a-priori variant makes the same test on its sampled E_{i-1} (such an
-// iteration flips no coin) and stops at the same iteration.
-// stats.iterations counts the iterations run, at most L =
+// toward the bundle size. After iteration i < L each connected component
+// of G stops if the bundle B_i holds every edge of E_{i-1} inside it; then
+// the component's G_i = G_{i-1}, it keeps B_i with its current weights
+// (still one bundle in size), and the sampling error of iterations
+// i+1..L is never added to it. Components stop on their own because in
+// Broadcast CONGEST a vertex hears only its own component. In the ad-hoc
+// variant an edge of E_{i-1} is a maintained edge whose pending survival
+// coins all pass; those coins are its owner's own randomness, so the
+// owner raises a 1-bit flag, the flags are ORed up a BFS tree of the
+// component rooted at its lowest-id vertex r, and the decision is
+// broadcast back down: 2 ecc(r) rounds per check, plus ecc(r) rounds once
+// to build the tree by a BFS wave from r. Components check in parallel,
+// so a check costs its deepest still-running component's rounds, charged
+// under "sparsify/fixpoint". The a-priori variant makes the same test on
+// its sampled E_{i-1} (such an iteration flips no coin in the component)
+// and stops each component at the same iteration. stats.iterations counts
+// the iterations run (by the last component to stop), at most L =
 // SparsifyOptions::iterations.
 #pragma once
 

@@ -1,5 +1,8 @@
 #include "support/fixtures.h"
 
+#include <algorithm>
+#include <queue>
+
 #include "core/runtime.h"
 
 namespace bcclap::testsupport {
@@ -30,6 +33,29 @@ sparsify::SparsifyOptions small_sparsify_options(double epsilon, std::size_t k,
   opt.k = k;
   opt.t = t;
   return opt;
+}
+
+std::int64_t expected_fixpoint_rounds(const graph::Graph& g,
+                                      std::size_t iterations, std::size_t L) {
+  // Hop eccentricity of vertex 0, by BFS.
+  std::vector<std::int64_t> hops(g.num_vertices(), -1);
+  std::queue<graph::VertexId> queue;
+  hops[0] = 0;
+  queue.push(0);
+  std::int64_t ecc = 0;
+  while (!queue.empty()) {
+    const graph::VertexId v = queue.front();
+    queue.pop();
+    ecc = std::max(ecc, hops[v]);
+    for (graph::EdgeId e : g.incident(v)) {
+      const graph::VertexId u = g.other_endpoint(e, v);
+      if (hops[u] >= 0) continue;
+      hops[u] = hops[v] + 1;
+      queue.push(u);
+    }
+  }
+  const auto checks = static_cast<std::int64_t>(std::min(iterations, L - 1));
+  return checks == 0 ? 0 : ecc * (2 * checks + 1);
 }
 
 std::vector<double> edge_weights(const graph::Graph& g) {

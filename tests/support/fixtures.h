@@ -47,6 +47,14 @@ sparsify::SparsifyOptions small_sparsify_options(double epsilon = 1.0,
                                                  std::size_t k = 2,
                                                  std::size_t t = 3);
 
+// Rounds spectral_sparsify charges under "sparsify/fixpoint" on a
+// connected g when it runs `iterations` of its cap L: one stop check after
+// each iteration before L, each a convergecast and broadcast over a BFS
+// tree rooted at vertex 0 (2 ecc(0) rounds), plus one BFS wave of ecc(0)
+// rounds that builds the tree before the first check.
+std::int64_t expected_fixpoint_rounds(const graph::Graph& g,
+                                      std::size_t iterations, std::size_t L);
+
 // The graph's edge weights as a dense vector indexed by EdgeId — the form
 // the spanner/bundle entry points take.
 std::vector<double> edge_weights(const graph::Graph& g);

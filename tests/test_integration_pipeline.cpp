@@ -152,11 +152,15 @@ TEST(Pipeline, RunStatsPropagateThroughFacade) {
 
   const auto sp = rt.sparsify(g, sopt);
   EXPECT_GT(sp.stats.rounds, 0);
-  // iterations counts the outer iterations run: at least one, at most
-  // the resolved ceil(log2 m), fewer when a bundle reaches the fixpoint.
-  EXPECT_GE(sp.stats.iterations, 1u);
-  EXPECT_LE(sp.stats.iterations,
-            sparsify::resolve_options(g, sopt).iterations);
+  // The facade reports the layer's own stats: a direct run on the same
+  // context stops at the same outer iteration after the same rounds.
+  auto net = testsupport::bc_net(rt.context(), g);
+  const auto direct = sparsify::spectral_sparsify(rt.context(), g, sopt, net);
+  EXPECT_EQ(sp.stats.rounds, direct.stats.rounds);
+  EXPECT_EQ(sp.stats.iterations, direct.stats.iterations);
+  // Here the loop stops at its bundle fixpoint after 4 of L = 9.
+  EXPECT_EQ(sparsify::resolve_options(g, sopt).iterations, 9u);
+  EXPECT_EQ(sp.stats.iterations, 4u);
 
   linalg::Vec b(24, 0.0);
   b[0] = 1.0;

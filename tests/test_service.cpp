@@ -365,8 +365,9 @@ TEST(SolverService, NonFiniteSingleIsServedAloneAndFails) {
 
 TEST(SolverService, NegativeWeightSingleIsServedAloneAndFails) {
   // A single whose graph carries a negative edge weight fails with the
-  // facade's message. Queued between two good singles, it fails alone and
-  // the good pair still coalesces.
+  // facade's message. Two such singles on one graph share a cache key, but
+  // queued between two good singles each still fails alone, and the good
+  // pair still coalesces.
   rng::Stream stream(5);
   const graph::Graph g = graph::random_regularish(64, 4, 8, stream);
   graph::Graph negative = g;
@@ -390,23 +391,27 @@ TEST(SolverService, NegativeWeightSingleIsServedAloneAndFails) {
   SolverService service(caller_driven());
   Submission first = service.submit(solve_request(g, 1));
   Submission bad = service.submit(std::move(bad_req));
+  Submission bad_twin = service.submit(solve_request(negative, 4));
   Submission last = service.submit(solve_request(g, 3));
   ASSERT_TRUE(first.accepted());
   ASSERT_TRUE(bad.accepted());
+  ASSERT_TRUE(bad_twin.accepted());
   ASSERT_TRUE(last.accepted());
-  EXPECT_EQ(service.drain(), 3u);
+  EXPECT_EQ(service.drain(), 4u);
 
-  const auto& bad_reply = bad.reply->wait();
-  EXPECT_EQ(bad_reply.status, ReplyStatus::kFailed);
-  EXPECT_EQ(bad_reply.error, facade_error);
-  EXPECT_FALSE(bad_reply.coalesced);
+  for (Submission* sub : {&bad, &bad_twin}) {
+    const auto& reply = sub->reply->wait();
+    EXPECT_EQ(reply.status, ReplyStatus::kFailed);
+    EXPECT_EQ(reply.error, facade_error);
+    EXPECT_FALSE(reply.coalesced);
+  }
   for (Submission* sub : {&first, &last}) {
     const auto& reply = sub->reply->wait();
     ASSERT_EQ(reply.status, ReplyStatus::kOk);
     EXPECT_TRUE(reply.coalesced);
     EXPECT_EQ(reply.panel_width, 2u);
   }
-  EXPECT_EQ(service.stats().failed, 1u);
+  EXPECT_EQ(service.stats().failed, 2u);
 }
 
 TEST(SolverService, BadSinkMcmfFailsAloneAndTheNextRequestIsServed) {

@@ -129,14 +129,19 @@ TEST(Sparsifier, ChargesRounds) {
 TEST(Sparsifier, StopsWhenOneBundleHoldsTheGraph) {
   // At t = 4 the first bundle of a dense G(64, 1/2) takes every edge, so
   // G_1 = G and the loop stops there: H is G with its own weights after
-  // one iteration and one fixpoint round.
+  // one iteration and one stop check. Vertex 0 has eccentricity 2, so the
+  // check costs 2 rounds to build the BFS tree and 4 to convergecast the
+  // flags and broadcast the decision.
   rng::Stream gstream(8);
   const auto g = graph::random_connected_gnp(64, 0.5, 8, gstream);
   const SparsifyOptions opt = testsupport::small_sparsify_options(1.0, 2, 4);
   auto net = bc_net(g);
   const auto res = spectral_sparsify(net.context().with_seed(17), g, opt, net);
   EXPECT_EQ(res.stats.iterations, 1u);
-  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 1);
+  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 6);
+  EXPECT_EQ(testsupport::expected_fixpoint_rounds(
+                g, 1, resolve_options(g, opt).iterations),
+            6);
   EXPECT_EQ(net.accountant().total_for("sparsify/final-sample"), 0);
   ASSERT_EQ(res.sparsifier.num_edges(), g.num_edges());
   std::vector<bool> seen(g.num_edges(), false);
@@ -154,7 +159,8 @@ TEST(Sparsifier, StopsWhenOneBundleHoldsTheGraph) {
 
 TEST(Sparsifier, IterationsCapStillBoundsTheLoop) {
   // A sparse cap stops the loop before any fixpoint: every iteration but
-  // the last pays the flag round.
+  // the last pays a stop check, on complete(40) 2 rounds each (ecc 1) plus
+  // 1 round once to build the BFS tree.
   rng::Stream gstream(9);
   const auto g = graph::complete(40, 2, gstream);
   SparsifyOptions opt = test_options();
@@ -163,7 +169,8 @@ TEST(Sparsifier, IterationsCapStillBoundsTheLoop) {
   auto net = bc_net(g);
   const auto res = spectral_sparsify(net.context().with_seed(61), g, opt, net);
   EXPECT_EQ(res.stats.iterations, 3u);
-  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 2);
+  EXPECT_EQ(net.accountant().total_for("sparsify/fixpoint"), 5);
+  EXPECT_EQ(testsupport::expected_fixpoint_rounds(g, 3, 3), 5);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // distributional equality and machine-checks its coupling argument.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
 #include "sparsify/spectral_sparsify.h"
 #include "support/fixtures.h"
@@ -123,8 +125,10 @@ TEST(CouplingFixpoint, LateFixpointOnSparseGnp) {
     const std::size_t ran = run.adhoc.stats.iterations;
     EXPECT_GT(ran, 1u);
     EXPECT_LT(ran, run.resolved_iterations);
-    // One flag round per iteration run, the stopping one included.
-    EXPECT_EQ(run.fixpoint_rounds, static_cast<std::int64_t>(ran));
+    // One stop check per iteration run, the stopping one included.
+    EXPECT_EQ(run.fixpoint_rounds,
+              testsupport::expected_fixpoint_rounds(g, ran,
+                                                    run.resolved_iterations));
   }
 }
 
@@ -150,9 +154,49 @@ TEST(CouplingFixpoint, CompleteGraphNeverReachesFixpoint) {
   const std::size_t L = run.resolved_iterations;
   EXPECT_EQ(run.adhoc.stats.iterations, L);
   // Every iteration before the last checks once; the last has nothing
-  // after it to skip.
-  EXPECT_EQ(run.fixpoint_rounds, static_cast<std::int64_t>(L - 1));
+  // after it to skip. Each check costs 2 rounds (ecc 1), and the first 1
+  // more to build the BFS tree.
+  EXPECT_EQ(run.fixpoint_rounds, static_cast<std::int64_t>(2 * L - 1));
+  EXPECT_EQ(run.fixpoint_rounds,
+            testsupport::expected_fixpoint_rounds(g, L, L));
   EXPECT_LT(run.adhoc.sparsifier.num_edges(), g.num_edges());
+}
+
+TEST(CouplingFixpoint, ComponentsStopOnTheirOwn) {
+  // A vertex hears only its own component, so each component stops at its
+  // own fixpoint: G(64, 1/2) next to complete(64), at t = 4. The sparse
+  // component stops after one bundle and keeps every edge with its own
+  // weight; the complete one runs on alone and sheds edges. The variants
+  // still agree.
+  rng::Stream gstream(8);
+  const auto gnp = graph::random_connected_gnp(64, 0.5, 8, gstream);
+  const auto clique = graph::complete(64, 8, gstream);
+  graph::Graph g(128);
+  for (const auto& ed : gnp.edges()) g.add_edge(ed.u, ed.v, ed.weight);
+  for (const auto& ed : clique.edges()) {
+    g.add_edge(64 + ed.u, 64 + ed.v, ed.weight);
+  }
+  const FixpointRun run = expect_coupled_fixpoint(g, 4, 17);
+  EXPECT_GT(run.adhoc.stats.iterations, 1u);
+
+  std::size_t gnp_kept = 0;
+  std::size_t clique_kept = 0;
+  for (std::size_t i = 0; i < run.adhoc.sparsifier.num_edges(); ++i) {
+    const graph::EdgeId e = run.adhoc.original_edge[i];
+    if (e < gnp.num_edges()) {
+      ++gnp_kept;
+      EXPECT_EQ(run.adhoc.sparsifier.edge(i).weight, g.edge(e).weight);
+    } else {
+      ++clique_kept;
+    }
+  }
+  EXPECT_EQ(gnp_kept, gnp.num_edges());
+  EXPECT_LT(clique_kept, clique.num_edges());
+  // The first check pays the deeper tree (G(64, 1/2): 3 * 2 rounds); later
+  // checks pay only the still-running clique (2 * 1 rounds).
+  const auto later = static_cast<std::int64_t>(
+      std::min(run.adhoc.stats.iterations, run.resolved_iterations - 1) - 1);
+  EXPECT_EQ(run.fixpoint_rounds, 6 + 2 * later);
 }
 
 }  // namespace

@@ -120,6 +120,20 @@ graph::Graph sparse_gnp() {
   return graph::random_connected_gnp(128, 0.2, 4, s);
 }
 
+// G(64, 1/2) on vertices 0..63 beside complete(64) on 64..127: the
+// components stop at their own fixpoints.
+graph::Graph two_components() {
+  rng::Stream s(8);
+  const graph::Graph gnp = graph::random_connected_gnp(64, 0.5, 8, s);
+  const graph::Graph clique = graph::complete(64, 8, s);
+  graph::Graph g(128);
+  for (const auto& ed : gnp.edges()) g.add_edge(ed.u, ed.v, ed.weight);
+  for (const auto& ed : clique.edges()) {
+    g.add_edge(64 + ed.u, 64 + ed.v, ed.weight);
+  }
+  return g;
+}
+
 // A weighted multigraph: G(40, 0.3) plus a parallel copy of every third
 // edge with a different weight, so edge lookups between one pair of
 // vertices have more than one answer.
@@ -137,44 +151,44 @@ graph::Graph multigraph() {
 class SuperstepGolden : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SuperstepGolden, Gnp64) {
-  const Pin want{18157525448859279867ull, 262,
+  const Pin want{18157525448859279867ull, 267,
                  {{"spanner/step1", 4},
                   {"spanner/step2", 7},
                   {"spanner/step3.1", 76},
                   {"spanner/step3.2", 84},
                   {"spanner/step4", 90},
                   {"sparsify/final-sample", 0},
-                  {"sparsify/fixpoint", 1}},
+                  {"sparsify/fixpoint", 6}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam()), want);
 }
 
 TEST_P(SuperstepGolden, Gnp96) {
-  const Pin want{7061029061966794650ull, 437,
+  const Pin want{7061029061966794650ull, 442,
                  {{"spanner/step1", 4},
                   {"spanner/step2", 8},
                   {"spanner/step3.1", 174},
                   {"spanner/step3.2", 110},
                   {"spanner/step4", 140},
                   {"sparsify/final-sample", 0},
-                  {"sparsify/fixpoint", 1}},
+                  {"sparsify/fixpoint", 6}},
                  true};
   expect_pin(run_adhoc(gnp(96, 8), 29, GetParam()), want);
 }
 
 // At t = 4 the first bundle of G(64, 1/2) takes every edge, so the loop
-// stops there after one fixpoint round and the final-sample superstep is
-// silent. One spanner per bundle and two outer iterations leave sampled
+// stops there after one stop check (6 rounds: vertex 0 has eccentricity
+// 2) and the final-sample superstep is silent. One spanner per bundle and two outer iterations leave sampled
 // edges outside the last bundle, so that superstep carries traffic too.
 TEST_P(SuperstepGolden, Gnp64FinalSampleTraffic) {
-  const Pin want{10037787064573855893ull, 257,
+  const Pin want{10037787064573855893ull, 262,
                  {{"spanner/step1", 2},
                   {"spanner/step2", 4},
                   {"spanner/step3.1", 78},
                   {"spanner/step3.2", 92},
                   {"spanner/step4", 76},
                   {"sparsify/final-sample", 4},
-                  {"sparsify/fixpoint", 1}},
+                  {"sparsify/fixpoint", 6}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam(), 1, 2), want);
 }
@@ -190,14 +204,14 @@ TEST_P(SuperstepGolden, WeightedMultigraph) {
   // Receivers resolve a sender to the lowest-id edge between the pair, so
   // the higher-id parallel edges never get a deduced belief and the
   // consistency check reports false. The pin records that behaviour.
-  const Pin want{7296418164092749570ull, 137,
+  const Pin want{7296418164092749570ull, 142,
                  {{"spanner/step1", 4},
                   {"spanner/step2", 8},
                   {"spanner/step3.1", 46},
                   {"spanner/step3.2", 34},
                   {"spanner/step4", 44},
                   {"sparsify/final-sample", 0},
-                  {"sparsify/fixpoint", 1}},
+                  {"sparsify/fixpoint", 6}},
                  false};
   expect_pin(run_adhoc(multigraph(), 41, GetParam()), want);
 }
@@ -205,14 +219,14 @@ TEST_P(SuperstepGolden, WeightedMultigraph) {
 // k = 3 runs two step-3 phases (and two step-1/step-2 phases) per
 // spanner, a path the k = 2 cases never reach.
 TEST_P(SuperstepGolden, Gnp64StretchThree) {
-  const Pin want{6339514859478181752ull, 574,
+  const Pin want{6339514859478181752ull, 582,
                  {{"spanner/step1", 24},
                   {"spanner/step2", 32},
                   {"spanner/step3.1", 246},
                   {"spanner/step3.2", 188},
                   {"spanner/step4", 82},
                   {"sparsify/final-sample", 0},
-                  {"sparsify/fixpoint", 2}},
+                  {"sparsify/fixpoint", 10}},
                  true};
   expect_pin(run_adhoc(gnp(64, 8), 17, GetParam(), 4, 0, 3), want);
 }
@@ -221,14 +235,14 @@ TEST_P(SuperstepGolden, Gnp64StretchThree) {
 // every remaining edge, so its later bundles query the survival coins of
 // edges whose probability has already fallen below 1.
 TEST_P(SuperstepGolden, SparseGnpLateFixpoint) {
-  const Pin want{4946577323113046602ull, 1992,
+  const Pin want{4946577323113046602ull, 2035,
                  {{"spanner/step1", 16},
                   {"spanner/step2", 32},
                   {"spanner/step3.1", 652},
                   {"spanner/step3.2", 596},
                   {"spanner/step4", 688},
                   {"sparsify/final-sample", 0},
-                  {"sparsify/fixpoint", 8}},
+                  {"sparsify/fixpoint", 51}},
                  true};
   expect_pin(run_adhoc(sparse_gnp(), 0x5a58, GetParam(), 2), want);
 }
@@ -237,6 +251,27 @@ TEST_P(SuperstepGolden, AprioriSparseGnpLateFixpoint) {
   // The a-priori variant stops at the same iteration with the same graph.
   const Pin want{4946577323113046602ull, 0, {}, true};
   expect_pin(run_apriori(sparse_gnp(), 0x5a58, GetParam(), 2), want);
+}
+
+// The G(64, 1/2) component stops after its first bundle; the clique runs
+// on alone and stops after its second. The first stop check pays the
+// deeper BFS tree (3 * 2 rounds), the second only the clique's (2 * 1).
+TEST_P(SuperstepGolden, TwoComponents) {
+  const Pin want{6234645949757059890ull, 908,
+                 {{"spanner/step1", 8},
+                  {"spanner/step2", 16},
+                  {"spanner/step3.1", 366},
+                  {"spanner/step3.2", 332},
+                  {"spanner/step4", 178},
+                  {"sparsify/final-sample", 0},
+                  {"sparsify/fixpoint", 8}},
+                 true};
+  expect_pin(run_adhoc(two_components(), 17, GetParam()), want);
+}
+
+TEST_P(SuperstepGolden, AprioriTwoComponents) {
+  const Pin want{6234645949757059890ull, 0, {}, true};
+  expect_pin(run_apriori(two_components(), 17, GetParam()), want);
 }
 
 TEST_P(SuperstepGolden, StatefulOracleSpanner) {
