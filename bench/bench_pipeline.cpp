@@ -13,6 +13,7 @@
 #include <cstring>
 #include <thread>
 
+#include "core/factor_cache.h"
 #include "core/runtime.h"
 #include "flow/mcmf_solver.h"
 #include "flow/ssp.h"
@@ -304,6 +305,11 @@ void pipeline_cached_solve(bench::State& s, std::size_t n) {
             static_cast<double>(warm.stats.sparsify_count));
   s.counter("identical_to_uncached", identical ? 1.0 : 0.0);
   s.counter("fingerprint_xnorm", linalg::norm2(warm.x));
+  // What the cached artifact keeps resident (the sparsifier's H factor):
+  // a pure function of the prepared bytes, so it is thread-count
+  // invariant and the determinism gate covers it.
+  s.counter("cache_resident_bytes",
+            static_cast<double>(rt.factor_cache()->stats().resident_bytes));
 }
 
 void pipeline_flow_full_stack(bench::State& s, std::size_t n) {

@@ -20,7 +20,7 @@ namespace {
 // block and the arithmetic is exactly the classic unblocked sweep.
 constexpr std::size_t kLdltBlock = 64;
 
-// Rows (and packed columns) per register block of the lane kernels.
+// Rows and columns per register block of the lane kernels.
 constexpr std::size_t kLanes = 4;
 
 // Two doubles in one SIMD register (GCC/Clang vector extension; SSE2 on
@@ -41,14 +41,31 @@ void store2(double* p, Lane2 v) { std::memcpy(p, &v, sizeof v); }
 
 Lane2 splat(double x) { return Lane2{x, x}; }
 
-// Row pointers of a kLanes-row block starting at row i0 of `l`; rows past
-// `end` alias row end - 1, so ragged edges run the full-width kernel and
-// the caller simply drops the aliased lanes' results.
-template <typename Matrix, typename Ptr>
-void block_rows(Matrix& l, std::size_t i0, std::size_t end,
-                Ptr (&rows)[kLanes]) {
-  for (std::size_t r = 0; r < kLanes; ++r)
-    rows[r] = l.row_data(std::min(i0 + r, end - 1));
+// Column j of the packed lower triangle of an n x n matrix, indexed by
+// row: column(p, n, j)[i] is entry (i, j) for j <= i < n.
+template <typename T>
+T* column(T* p, std::size_t n, std::size_t j) {
+  return p + LdltFactor::packed_index(n, 0, j);
+}
+
+// Rows [i, i + 2 * kPairs) of column j in the diagonal block that starts
+// at column kb, as kPairs two-lane chains: each entry subtracts
+// L(i, k) L(j, k) D(k) in ascending k, D(k) read from column k's diagonal
+// slot. Walking from column k to k + 1 advances n - 1 - k doubles.
+template <std::size_t kPairs>
+void diagonal_block_rows(double* p, std::size_t n, std::size_t kb,
+                         std::size_t j, std::size_t i) {
+  double* cj = column(p, n, j);
+  Lane2 v[kPairs];
+  for (std::size_t h = 0; h < kPairs; ++h) v[h] = load2(cj + i + 2 * h);
+  const double* ck = column(p, n, kb);
+  for (std::size_t k = kb; k < j; ck += n - 1 - k, ++k) {
+    const Lane2 ljk = splat(ck[j]);
+    const Lane2 dk = splat(ck[k]);
+    for (std::size_t h = 0; h < kPairs; ++h)
+      v[h] = v[h] - load2(ck + i + 2 * h) * ljk * dk;
+  }
+  for (std::size_t h = 0; h < kPairs; ++h) store2(cj + i + 2 * h, v[h]);
 }
 
 void require_square(const CsrMatrix& laplacian) {
@@ -76,6 +93,23 @@ std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
   return f;
 }
 
+std::optional<LdltFactor> LdltFactor::factor_packed(const common::Context& ctx,
+                                                    std::size_t n,
+                                                    std::vector<double> lower,
+                                                    double pivot_tol) {
+  if (lower.size() != packed_size(n)) {
+    throw std::invalid_argument(
+        "LdltFactor::factor_packed: buffer holds " +
+        std::to_string(lower.size()) + " doubles, a packed " +
+        std::to_string(n) + " x " + std::to_string(n) + " triangle needs " +
+        std::to_string(packed_size(n)));
+  }
+  LdltFactor f;
+  f.l_ = std::move(lower);
+  if (!f.factor_in_place(ctx, n, pivot_tol)) return std::nullopt;
+  return f;
+}
+
 bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
                           double pivot_tol) {
   n_ = 0;
@@ -85,12 +119,32 @@ bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
         std::to_string(a.cols()) + ", expected square");
   }
   const std::size_t n = a.rows();
+  // Every packed entry is overwritten by the copy below, so storage kept
+  // from an earlier factorization of the same size needs no reset; a new
+  // size gets a fresh buffer (a shrunk vector would keep its old capacity
+  // resident behind resident_bytes()'s back).
+  if (l_.size() != packed_size(n)) l_ = std::vector<double>(packed_size(n));
+  // The copy is a transpose (packed columns from a row-major matrix) and
+  // O(n^2) against the kernel's O(n^3); it runs on the calling thread,
+  // which keeps the small systems the IPM refactors at every Newton step
+  // off the pool.
+  double* p = l_.data();
+  for (std::size_t j = 0; j < n; ++j) {
+    double* cj = column(p, n, j);
+    for (std::size_t i = j; i < n; ++i) cj[i] = a(i, j);
+  }
+  return factor_in_place(ctx, n, pivot_tol);
+}
+
+bool LdltFactor::factor_in_place(const common::Context& ctx, std::size_t n,
+                                 double pivot_tol) {
+  double* p = l_.data();
   // Relative pivot threshold: matrices arriving here can be scaled by
   // anything from barrier Hessians (1e-16 .. 1e16), so an absolute
   // tolerance would reject legitimately tiny-but-positive pivots.
   double diag_scale = 0.0;
   for (std::size_t j = 0; j < n; ++j)
-    diag_scale = std::max(diag_scale, std::abs(a(j, j)));
+    diag_scale = std::max(diag_scale, std::abs(column(p, n, j)[j]));
   // Degenerate inputs are "not PD" explicitly: a 0x0 system has nothing to
   // factor, and an all-zero diagonal admits no positive pivot — without
   // this guard the zero matrix would race `0 <= pivot_tol * 1e-300`
@@ -98,72 +152,73 @@ bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
   if (n == 0 || diag_scale == 0.0) return false;
   const double threshold = pivot_tol * diag_scale;
 
-  // Every entry of L and D is written below before it is read, so storage
-  // kept from an earlier factorization of the same size needs no reset.
-  if (l_.rows() != n) l_ = DenseMatrix(n, n);
-  d_.resize(n);
-  DenseMatrix& l = l_;
-  Vec& d = d_;
-
-  // Working storage: the lower triangle of `l` starts as the lower
-  // triangle of `a` and is transformed block column by block column into
-  // the unit-lower factor; the diagonal slots hold trailing-matrix values
-  // until the final pass pins them to 1. The strict upper triangle is
-  // never read during the factorization: as soon as an entry L(i, j) is
-  // final, steps (1) and (2) mirror it to l(j, i), so the finished factor
-  // holds L^T there and the backward sweeps read row i contiguously. The
-  // mirror is written while the block column is in cache; a separate
-  // transpose pass afterwards costs an extra sweep (and, below n = 64, a
-  // measurable share of the many tiny IPM factorizations).
-  ctx.parallel_for_chunks(
-      0, n, ctx.grain(n, n / 2 + 1), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          double* li = l.row_data(i);
-          const double* ai = a.row_data(i);
-          for (std::size_t j = 0; j <= i; ++j) li[j] = ai[j];
-        }
-      });
-
-  // Packed D-scaled panel, the right-hand operand of the trailing update:
-  // the rows below a block column in groups of kLanes, each group stored
-  // k-major — packed[(g * kLdltBlock + k) * kLanes + c] holds
-  // L(ke + g * kLanes + c, kb + k) * D(kb + k). Sized once for the first
-  // (largest) panel: every block column that reaches the trailing update
-  // has bw == kLdltBlock (the final, possibly ragged block breaks out
-  // before using it), so one buffer serves the whole factorization.
+  // The packed triangle starts as the lower triangle of the matrix and is
+  // transformed block column by block column into the factor: L below the
+  // diagonal, D on it. Trailing entries hold the partially updated matrix
+  // until their own block column comes up.
+  //
+  // Below the diagonal block, the block column is worked on in a staged
+  // copy, because its packed columns lie ~n doubles apart: the rows below
+  // the block in groups of kLanes, each group stored k-major —
+  // rows[(g * kLdltBlock + k) * kLanes + c] holds L(ke + g * kLanes + c,
+  // kb + k) and scaled[...] at the same index that entry times D(kb + k),
+  // the left and right operands of the trailing update. The lanes of a
+  // ragged last group alias row n - 1, so every group runs full width and
+  // only the valid lanes are stored back. `diag` is a row-major copy of
+  // the factored diagonal block (L below the diagonal, D on it), the
+  // panel's shared operand. Sized once for the first (largest) panel:
+  // every block column that reaches the panel has bw == kLdltBlock (the
+  // final, possibly ragged block breaks out before it), so one buffer
+  // serves the whole factorization; for n <= kLdltBlock it stays empty.
   const std::size_t max_groups =
       n > kLdltBlock ? (n - kLdltBlock + kLanes - 1) / kLanes : 0;
-  std::vector<double> packed(max_groups * kLdltBlock * kLanes);
+  const std::size_t panel_size = max_groups * kLdltBlock * kLanes;
+  std::vector<double> work(
+      n > kLdltBlock ? 2 * panel_size + kLdltBlock * kLdltBlock : 0);
+  double* const rows = work.data();
+  double* const scaled = rows + panel_size;
+  double* const diag = scaled + panel_size;
 
   for (std::size_t kb = 0; kb < n; kb += kLdltBlock) {
     const std::size_t ke = std::min(n, kb + kLdltBlock);
     const std::size_t bw = ke - kb;
 
-    // (1) Unblocked LDLT of the diagonal block, mirroring each entry.
-    // Contributions of earlier block columns were already applied by their
-    // trailing updates, so only within-block corrections remain.
+    // (1) Unblocked LDLT of the diagonal block, left-looking down its
+    // packed columns: entry (i, j) subtracts L(i, k) L(j, k) D(k) over the
+    // block's earlier columns in ascending k (earlier block columns were
+    // already applied by their trailing updates), then is divided by
+    // D(j); the diagonal entry takes the same chain and becomes D(j). Rows
+    // run as independent two-lane chains, four and then two at a time,
+    // and a last odd row alone.
     for (std::size_t j = kb; j < ke; ++j) {
-      double* lj = l.row_data(j);
-      double dj = lj[j];
-      for (std::size_t k = kb; k < j; ++k) dj -= lj[k] * lj[k] * d[k];
-      if (dj <= threshold) return false;
-      d[j] = dj;
-      for (std::size_t i = j + 1; i < ke; ++i) {
-        double* li = l.row_data(i);
-        double v = li[j];
-        for (std::size_t k = kb; k < j; ++k) v -= li[k] * lj[k] * d[k];
-        li[j] = v / dj;
-        lj[i] = li[j];
+      std::size_t i = j;
+      for (; i + kLanes <= ke; i += kLanes)
+        diagonal_block_rows<2>(p, n, kb, j, i);
+      if (i + 2 <= ke) {
+        diagonal_block_rows<1>(p, n, kb, j, i);
+        i += 2;
       }
+      double* cj = column(p, n, j);
+      if (i < ke) {
+        const double* ck = column(p, n, kb);
+        for (std::size_t k = kb; k < j; ck += n - 1 - k, ++k)
+          cj[i] -= ck[i] * ck[j] * ck[k];
+      }
+      const double dj = cj[j];
+      if (dj <= threshold) return false;
+      for (i = j + 1; i < ke; ++i) cj[i] /= dj;
     }
     if (ke == n) break;
+    for (std::size_t j = 0; j < kLdltBlock; ++j)
+      for (std::size_t k = 0; k <= j; ++k)
+        diag[j * kLdltBlock + k] = column(p, n, kb + k)[kb + j];
 
     // (2) Panel: every row below the block receives its final L entries
-    // for columns [kb, ke). Rows are independent; they fan out across the
-    // pool in groups of kLanes, each group staged k-major in a register-
-    // friendly buffer (lanes = rows) and written back, to its rows and
-    // mirrored into the block rows' upper triangle, its D-scaled copy
-    // landing straight in the packed operand of the trailing update.
+    // for columns [kb, ke) by the diagonal block's per-entry sequence.
+    // Rows are independent; they fan out across the pool in groups of
+    // kLanes, each group gathered into its staged slot, run in two-lane
+    // SIMD registers, written back to the packed columns, its D-scaled
+    // copy landing in the right operand of the trailing update.
     const std::size_t groups = (n - ke + kLanes - 1) / kLanes;
     ctx.parallel_for_chunks(
         0, groups, ctx.grain(groups, kLanes * (bw * bw / 2 + bw)),
@@ -171,36 +226,33 @@ bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
           for (std::size_t g = lo; g < hi; ++g) {
             const std::size_t i0 = ke + g * kLanes;
             const std::size_t nr = std::min(kLanes, n - i0);
-            double* rows[kLanes];
-            block_rows(l, i0, n, rows);
-            double* pg = packed.data() + g * kLdltBlock * kLanes;
-            double stage[kLdltBlock * kLanes];
-            for (std::size_t j = 0; j < bw; ++j)
-              for (std::size_t r = 0; r < kLanes; ++r)
-                stage[j * kLanes + r] = rows[r][kb + j];
-            for (std::size_t j = 0; j < bw; ++j) {
-              const double* lj = l.row_data(kb + j);
-              Lane2 v0 = load2(stage + j * kLanes);
-              Lane2 v1 = load2(stage + j * kLanes + 2);
+            double* rg = rows + g * kLdltBlock * kLanes;
+            double* sg = scaled + g * kLdltBlock * kLanes;
+            for (std::size_t j = 0; j < kLdltBlock; ++j) {
+              const double* cj = column(p, n, kb + j);
+              for (std::size_t c = 0; c < kLanes; ++c)
+                rg[j * kLanes + c] = cj[std::min(i0 + c, n - 1)];
+            }
+            for (std::size_t j = 0; j < kLdltBlock; ++j) {
+              const double* lj = diag + j * kLdltBlock;
+              Lane2 v0 = load2(rg + j * kLanes);
+              Lane2 v1 = load2(rg + j * kLanes + 2);
               for (std::size_t k = 0; k < j; ++k) {
-                const Lane2 ljk = splat(lj[kb + k]);
-                const Lane2 dk = splat(d[kb + k]);
-                v0 = v0 - load2(stage + k * kLanes) * ljk * dk;
-                v1 = v1 - load2(stage + k * kLanes + 2) * ljk * dk;
+                const Lane2 ljk = splat(lj[k]);
+                const Lane2 dk = splat(diag[k * kLdltBlock + k]);
+                v0 = v0 - load2(rg + k * kLanes) * ljk * dk;
+                v1 = v1 - load2(rg + k * kLanes + 2) * ljk * dk;
               }
-              const Lane2 dj = splat(d[kb + j]);
+              const Lane2 dj = splat(lj[j]);
               v0 = v0 / dj;
               v1 = v1 / dj;
-              store2(stage + j * kLanes, v0);
-              store2(stage + j * kLanes + 2, v1);
-              store2(pg + j * kLanes, v0 * dj);
-              store2(pg + j * kLanes + 2, v1 * dj);
+              store2(rg + j * kLanes, v0);
+              store2(rg + j * kLanes + 2, v1);
+              store2(sg + j * kLanes, v0 * dj);
+              store2(sg + j * kLanes + 2, v1 * dj);
             }
-            for (std::size_t r = 0; r < nr; ++r)
-              for (std::size_t j = 0; j < bw; ++j)
-                rows[r][kb + j] = stage[j * kLanes + r];
-            for (std::size_t j = 0; j < bw; ++j)
-              std::memcpy(l.row_data(kb + j) + i0, stage + j * kLanes,
+            for (std::size_t j = 0; j < kLdltBlock; ++j)
+              std::memcpy(column(p, n, kb + j) + i0, rg + j * kLanes,
                           nr * sizeof(double));
           }
         });
@@ -211,10 +263,12 @@ bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
     // fixed interior loop order and a disjoint write range, so the fan-out
     // needs no merge step to stay deterministic. Inside a tile a 4-row x
     // 4-column micro-kernel keeps eight two-lane accumulators in
-    // registers; each (i, j) entry still sums its products from 0.0 in
-    // ascending k and is then subtracted once. Blocks overhanging the
-    // triangle or the matrix edge compute the full 4 x 4 and store only
-    // the entries with j <= i < n.
+    // registers, rows as lanes (two loads of a staged group per k) and
+    // columns broadcast from the D-scaled operand; each (i, j) entry still
+    // sums its products from 0.0 in ascending k and is then subtracted
+    // once, down its packed column. Blocks overhanging the diagonal or the
+    // matrix edge compute the full 4 x 4 and store only the entries with
+    // j <= i < n.
     struct Tile {
       std::size_t ilo, jlo;
     };
@@ -225,123 +279,141 @@ bool LdltFactor::refactor(const common::Context& ctx, const DenseMatrix& a,
     ctx.parallel_for_chunks(
         0, tiles.size(), 1, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t t = lo; t < hi; ++t) {
-            const std::size_t ihi = std::min(n, tiles[t].ilo + kLdltBlock);
-            const std::size_t jcap = std::min(n, tiles[t].jlo + kLdltBlock);
-            for (std::size_t i0 = tiles[t].ilo; i0 < ihi; i0 += kLanes) {
-              double* rows[kLanes];
-              block_rows(l, i0, ihi, rows);
-              const std::size_t jblock = std::min(jcap, i0 + kLanes);
-              for (std::size_t j0 = tiles[t].jlo; j0 < jblock; j0 += kLanes) {
-                const double* pj =
-                    packed.data() + (j0 - ke) / kLanes * kLdltBlock * kLanes;
+            const std::size_t ilo = tiles[t].ilo;
+            const std::size_t jlo = tiles[t].jlo;
+            const std::size_t ihi = std::min(n, ilo + kLdltBlock);
+            const std::size_t jhi = std::min(ihi, jlo + kLdltBlock);
+            for (std::size_t j0 = jlo; j0 < jhi; j0 += kLanes) {
+              const double* bj =
+                  scaled + (j0 - ke) / kLanes * kLdltBlock * kLanes;
+              double* cols[kLanes];
+              for (std::size_t c = 0; c < kLanes; ++c)
+                cols[c] = column(p, n, std::min(j0 + c, n - 1));
+              for (std::size_t i0 = std::max(ilo, j0); i0 < ihi;
+                   i0 += kLanes) {
+                const double* ai =
+                    rows + (i0 - ke) / kLanes * kLdltBlock * kLanes;
                 Lane2 acc[kLanes][2] = {};
                 for (std::size_t k = 0; k < kLdltBlock; ++k) {
-                  const Lane2 b0 = load2(pj + k * kLanes);
-                  const Lane2 b1 = load2(pj + k * kLanes + 2);
-                  for (std::size_t r = 0; r < kLanes; ++r) {
-                    const Lane2 ar = splat(rows[r][kb + k]);
-                    acc[r][0] = acc[r][0] + ar * b0;
-                    acc[r][1] = acc[r][1] + ar * b1;
+                  const Lane2 a0 = load2(ai + k * kLanes);
+                  const Lane2 a1 = load2(ai + k * kLanes + 2);
+                  for (std::size_t c = 0; c < kLanes; ++c) {
+                    const Lane2 b = splat(bj[k * kLanes + c]);
+                    acc[c][0] = acc[c][0] + a0 * b;
+                    acc[c][1] = acc[c][1] + a1 * b;
                   }
                 }
-                for (std::size_t r = 0; r < kLanes && i0 + r < ihi; ++r) {
-                  const std::size_t jend = std::min(jcap, i0 + r + 1);
-                  for (std::size_t c = 0; c < kLanes && j0 + c < jend; ++c)
-                    rows[r][j0 + c] -= acc[r][c / 2][c % 2];
+                if (j0 + kLanes <= i0 + 1 && i0 + kLanes <= n) {
+                  for (std::size_t c = 0; c < kLanes; ++c) {
+                    double* w = cols[c] + i0;
+                    store2(w, load2(w) - acc[c][0]);
+                    store2(w + 2, load2(w + 2) - acc[c][1]);
+                  }
+                } else {
+                  for (std::size_t c = 0; c < kLanes; ++c)
+                    for (std::size_t r = 0; r < kLanes; ++r) {
+                      const std::size_t i = i0 + r;
+                      if (i < n && j0 + c <= i)
+                        cols[c][i] -= acc[c][r / 2][r % 2];
+                    }
                 }
               }
             }
           }
         });
   }
-
-  for (std::size_t j = 0; j < n; ++j) l(j, j) = 1.0;
   n_ = n;
   return true;
 }
 
 void LdltFactor::solve_in_place(double* y) const {
-  // Forward, L y = b: rows in blocks of kLanes share the prefix k < i0 as
-  // four independent chains, then finish the in-block triangle in order.
-  // Every row subtracts its terms in ascending k exactly as a row-by-row
+  const std::size_t n = n_;
+  const double* p = l_.data();
+  // Forward, L z = b, right-looking: once y_k is final it is subtracted
+  // from every later row, reading column k of L contiguously. Columns go
+  // kLanes at a time — the block's own triangle first, then one pass over
+  // the rows below that takes the block's terms in order — so each row
+  // still subtracts its terms in ascending k, exactly as a row-by-row
   // substitution would.
-  for (std::size_t i0 = 0; i0 < n_; i0 += kLanes) {
-    const double* rows[kLanes];
-    block_rows(l_, i0, n_, rows);
-    const std::size_t ie = std::min(n_, i0 + kLanes);
-    double v[kLanes];
-    for (std::size_t r = 0; r < kLanes; ++r) v[r] = y[std::min(i0 + r, ie - 1)];
-    for (std::size_t k = 0; k < i0; ++k) {
-      const double yk = y[k];
-      for (std::size_t r = 0; r < kLanes; ++r) v[r] -= rows[r][k] * yk;
+  for (std::size_t k0 = 0; k0 < n; k0 += kLanes) {
+    const std::size_t ke = std::min(n, k0 + kLanes);
+    for (std::size_t k = k0; k < ke; ++k) {
+      const double* ck = column(p, n, k);
+      for (std::size_t i = k + 1; i < ke; ++i) y[i] -= ck[i] * y[k];
     }
-    for (std::size_t i = i0; i < ie; ++i) {
-      double vi = v[i - i0];
-      for (std::size_t k = i0; k < i; ++k) vi -= rows[i - i0][k] * y[k];
-      y[i] = vi;
-    }
+    if (ke == n) break;
+    const double* c0 = column(p, n, k0);
+    const double* c1 = column(p, n, k0 + 1);
+    const double* c2 = column(p, n, k0 + 2);
+    const double* c3 = column(p, n, k0 + 3);
+    const double y0 = y[k0], y1 = y[k0 + 1], y2 = y[k0 + 2], y3 = y[k0 + 3];
+    for (std::size_t i = ke; i < n; ++i)
+      y[i] = y[i] - c0[i] * y0 - c1[i] * y1 - c2[i] * y2 - c3[i] * y3;
   }
-  for (std::size_t i = 0; i < n_; ++i) y[i] /= d_[i];
-  // Backward, L^T x = z: row i of the mirrored upper triangle holds
-  // column i of L, read contiguously in ascending k. The chain is serial
-  // by nature — row i - 1 starts with the freshly solved x_i.
-  for (std::size_t i = n_; i-- > 0;) {
-    const double* ui = l_.row_data(i);
+  for (std::size_t i = 0; i < n; ++i) y[i] /= column(p, n, i)[i];
+  // Backward, L^T x = z: column i of L read downward, in ascending k. The
+  // chain is serial by nature — row i - 1 starts with the freshly solved
+  // x_i.
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ci = column(p, n, i);
     double v = y[i];
-    for (std::size_t k = i + 1; k < n_; ++k) v -= ui[k] * y[k];
+    for (std::size_t k = i + 1; k < n; ++k) v -= ci[k] * y[k];
     y[i] = v;
   }
 }
 
 void LdltFactor::solve_panel_in_place(double* p) const {
   // p is n x kLanes row-major, one right-hand side per lane column; each
-  // row of L is read once for all four columns, and every column runs
-  // solve_in_place's arithmetic sequence in its own lane.
+  // column of L is read once for all four right-hand sides, and every
+  // column runs solve_in_place's arithmetic sequence in its own lane.
   constexpr std::size_t w = kLanes;
-  for (std::size_t i0 = 0; i0 < n_; i0 += kLanes) {
-    const double* rows[kLanes];
-    block_rows(l_, i0, n_, rows);
-    const std::size_t ie = std::min(n_, i0 + kLanes);
-    Lane2 v[kLanes][2];
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      const double* pr = p + std::min(i0 + r, ie - 1) * w;
-      v[r][0] = load2(pr);
-      v[r][1] = load2(pr + 2);
-    }
-    for (std::size_t k = 0; k < i0; ++k) {
+  const std::size_t n = n_;
+  const double* l = l_.data();
+  for (std::size_t k0 = 0; k0 < n; k0 += kLanes) {
+    const std::size_t ke = std::min(n, k0 + kLanes);
+    for (std::size_t k = k0; k < ke; ++k) {
+      const double* ck = column(l, n, k);
       const Lane2 p0 = load2(p + k * w);
       const Lane2 p1 = load2(p + k * w + 2);
-      for (std::size_t r = 0; r < kLanes; ++r) {
-        const Lane2 lk = splat(rows[r][k]);
-        v[r][0] = v[r][0] - lk * p0;
-        v[r][1] = v[r][1] - lk * p1;
+      for (std::size_t i = k + 1; i < ke; ++i) {
+        const Lane2 lk = splat(ck[i]);
+        store2(p + i * w, load2(p + i * w) - lk * p0);
+        store2(p + i * w + 2, load2(p + i * w + 2) - lk * p1);
       }
     }
-    for (std::size_t i = i0; i < ie; ++i) {
-      Lane2 v0 = v[i - i0][0];
-      Lane2 v1 = v[i - i0][1];
-      for (std::size_t k = i0; k < i; ++k) {
-        const Lane2 lk = splat(rows[i - i0][k]);
-        v0 = v0 - lk * load2(p + k * w);
-        v1 = v1 - lk * load2(p + k * w + 2);
+    if (ke == n) break;
+    const double* ck[kLanes];
+    Lane2 pk[kLanes][2];
+    for (std::size_t c = 0; c < kLanes; ++c) {
+      ck[c] = column(l, n, k0 + c);
+      pk[c][0] = load2(p + (k0 + c) * w);
+      pk[c][1] = load2(p + (k0 + c) * w + 2);
+    }
+    for (std::size_t i = ke; i < n; ++i) {
+      Lane2 v0 = load2(p + i * w);
+      Lane2 v1 = load2(p + i * w + 2);
+      for (std::size_t c = 0; c < kLanes; ++c) {
+        const Lane2 lk = splat(ck[c][i]);
+        v0 = v0 - lk * pk[c][0];
+        v1 = v1 - lk * pk[c][1];
       }
       store2(p + i * w, v0);
       store2(p + i * w + 2, v1);
     }
   }
-  for (std::size_t i = 0; i < n_; ++i) {
-    const Lane2 di = splat(d_[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Lane2 di = splat(column(l, n, i)[i]);
     store2(p + i * w, load2(p + i * w) / di);
     store2(p + i * w + 2, load2(p + i * w + 2) / di);
   }
-  for (std::size_t i = n_; i-- > 0;) {
-    const double* ui = l_.row_data(i);
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ci = column(l, n, i);
     Lane2 v0 = load2(p + i * w);
     Lane2 v1 = load2(p + i * w + 2);
-    for (std::size_t k = i + 1; k < n_; ++k) {
-      const Lane2 uk = splat(ui[k]);
-      v0 = v0 - uk * load2(p + k * w);
-      v1 = v1 - uk * load2(p + k * w + 2);
+    for (std::size_t k = i + 1; k < n; ++k) {
+      const Lane2 lk = splat(ci[k]);
+      v0 = v0 - lk * load2(p + k * w);
+      v1 = v1 - lk * load2(p + k * w + 2);
     }
     store2(p + i * w, v0);
     store2(p + i * w + 2, v1);
@@ -472,16 +544,18 @@ std::optional<ComponentLaplacianFactor> ComponentLaplacianFactor::factor(
       if (sf) f.factors_[c] = Grounded{std::move(*sf)};
       return;
     }
-    DenseMatrix g(dim, dim);
+    // The dense kernel reads only the lower triangle, so only that is
+    // assembled, straight into the factor's packed storage.
+    std::vector<double> g(LdltFactor::packed_size(dim), 0.0);
     for (std::size_t i = 0; i + 1 < verts.size(); ++i) {
       const std::size_t v = verts[i];
       for (std::size_t k = rp[v]; k < rp[v + 1]; ++k) {
         const std::size_t u = ci[k];
-        if (f.component_of_[u] != c || local[u] >= dim) continue;
-        g(i, local[u]) += vals[k];
+        if (f.component_of_[u] != c || local[u] > i) continue;
+        g[LdltFactor::packed_index(dim, i, local[u])] += vals[k];
       }
     }
-    auto ldlt = LdltFactor::factor(ctx, g);
+    auto ldlt = LdltFactor::factor_packed(ctx, dim, std::move(g));
     if (ldlt) f.factors_[c] = Grounded{std::move(*ldlt)};
   });
   for (std::size_t c = 0; c < num_comps; ++c) {

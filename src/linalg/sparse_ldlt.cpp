@@ -323,12 +323,14 @@ std::optional<SparseLdltFactor> SparseLdltFactor::factor(
   }
 
   if (tail > 0) {
-    // Schur complement S = A22 - L21 D1 L21^T, assembled into the lower
-    // triangle (all the dense kernel reads).
-    DenseMatrix s(tail, tail);
+    // Schur complement S = A22 - L21 D1 L21^T, assembled as the packed
+    // lower triangle the dense kernel factors in place: this buffer
+    // becomes the tail factor's storage, so S is never held twice.
+    std::vector<double> s(LdltFactor::packed_size(tail), 0.0);
     for (std::size_t k = t; k < n; ++k) {
       for (std::size_t p = pcp[k]; p < pcp[k + 1]; ++p)
-        if (pri[p] >= t) s(k - t, pri[p] - t) += pv[p];
+        if (pri[p] >= t)
+          s[LdltFactor::packed_index(tail, k - t, pri[p] - t)] += pv[p];
     }
     // Column-major copy of L21 (rows ascending: the fill loop scans rows
     // in order). Within a supernode the columns carry one shared row
@@ -387,12 +389,13 @@ std::optional<SparseLdltFactor> SparseLdltFactor::factor(
         }
       }
     });
-    // The subtraction fans out over fixed 64-row bands of S: each band
-    // scans every panel in order and owns its rows outright, so the
+    // The subtraction fans out over fixed 64-column bands of S: each band
+    // scans every panel in order and owns its columns outright, so the
     // floating-point grouping never depends on the worker count. Each
     // (row, row') pair within a panel's shared row set takes one fused
     // rank-w dot product — the supernode-blocked replacement for the old
-    // per-column scatter.
+    // per-column scatter — and a band's writes run down its packed
+    // columns.
     constexpr std::size_t kBand = 64;
     const std::size_t nbands = (tail + kBand - 1) / kBand;
     ctx.parallel_for(0, nbands, [&](std::size_t band) {
@@ -408,19 +411,19 @@ std::optional<SparseLdltFactor> SparseLdltFactor::factor(
         const std::size_t* rows = crows.data() + base;
         const std::size_t start = static_cast<std::size_t>(
             std::lower_bound(rows, rows + r, blo) - rows);
-        for (std::size_t ia = start; ia < r && rows[ia] < bhi; ++ia) {
-          double* srow = s.row_data(rows[ia]);
-          const double* arow = pnl.data() + base + ia * w;
-          for (std::size_t ib = 0; ib <= ia; ++ib) {
-            const double* brow = pnld.data() + base + ib * w;
+        for (std::size_t ib = start; ib < r && rows[ib] < bhi; ++ib) {
+          double* scol = s.data() + LdltFactor::packed_index(tail, 0, rows[ib]);
+          const double* brow = pnld.data() + base + ib * w;
+          for (std::size_t ia = ib; ia < r; ++ia) {
+            const double* arow = pnl.data() + base + ia * w;
             double acc = 0.0;
             for (std::size_t k = 0; k < w; ++k) acc += arow[k] * brow[k];
-            srow[rows[ib]] -= acc;
+            scol[rows[ia]] -= acc;
           }
         }
       }
     });
-    auto tf = LdltFactor::factor(ctx, s, pivot_tol);
+    auto tf = LdltFactor::factor_packed(ctx, tail, std::move(s), pivot_tol);
     if (!tf) return std::nullopt;
     f.tail_ = std::move(*tf);
   }

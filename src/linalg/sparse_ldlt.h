@@ -28,11 +28,13 @@
 //     complement S = A22 - L21 D1 L21^T is subtracted in supernode
 //     panels (dense rank-w dot products over each panel's shared row
 //     pattern — the panels are contiguous row-major blocks, not scalar
-//     column scatter) and factored by the blocked parallel dense kernel
-//     (linalg/ldlt.h). Triangular solves run over the same panels.
+//     column scatter). S is assembled straight into the packed lower
+//     triangle that the blocked parallel dense kernel (linalg/ldlt.h)
+//     factors in place, so a tail of dimension m is held once, as
+//     m(m+1)/2 doubles. Triangular solves run over the same panels.
 //
 // Determinism contract: ordering, symbolic and the sparse numeric phase
-// are sequential; the Schur subtraction fans out over fixed 64-row bands
+// are sequential; the Schur subtraction fans out over fixed 64-column bands
 // with disjoint writes and a fixed per-band accumulation order; the dense
 // tail is the byte-deterministic blocked kernel. Factors and solves are
 // therefore byte-identical at any thread count.
@@ -134,7 +136,9 @@ class SparseLdltFactor {
   // Phase breakdown of the factorization that built this object.
   const SparseFactorPhases& phases() const { return phases_; }
 
-  // Resident numeric + index payload (see LdltFactor::resident_bytes);
+  // Resident numeric + index payload: the sparse head's index and value
+  // arrays plus the dense tail's one packed triangle, tail_dim() *
+  // (tail_dim() + 1) / 2 doubles (see LdltFactor::resident_bytes);
   // charged against the factorization cache's byte budget.
   std::size_t resident_bytes() const {
     const std::size_t idx =
@@ -168,7 +172,8 @@ class SparseLdltFactor {
   std::vector<std::size_t> l21_rowp_;
   std::vector<std::size_t> l21_cols_;
   std::vector<double> l21_vals_;
-  // Dense LDL^T of the Schur complement; engaged iff t_ < n_.
+  // Dense LDL^T of the Schur complement, factored in the packed buffer it
+  // was assembled in; engaged iff t_ < n_.
   std::optional<LdltFactor> tail_;
 
   // The halves of a solve around the dense tail, in permuted coordinates:

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -301,6 +302,55 @@ TEST(Ldlt, RefactorMatchesFreshFactorAfterAnotherMatrix) {
     EXPECT_TRUE(same_bytes(f.solve_many(test_context(), one),
                            fresh->solve_many(test_context(), one)));
   }
+}
+
+// The factor keeps one packed lower triangle with D on its diagonal and
+// nothing else: resident_bytes() is exactly n(n + 1) / 2 doubles, for a
+// fresh factor and for one refactored across sizes on both sides of the
+// 64-wide block edge, growing and shrinking.
+TEST(Ldlt, ResidentBytesIsOnePackedTriangle) {
+  rng::Stream stream(31);
+  const auto packed_bytes = [](std::size_t n) {
+    return n * (n + 1) / 2 * sizeof(double);
+  };
+  LdltFactor reused;
+  for (std::size_t n : {1u, 2u, 63u, 64u, 65u, 257u, 2u}) {
+    SCOPED_TRACE(std::to_string(n));
+    const DenseMatrix a = testsupport::random_spd(n, stream);
+    const auto fresh = LdltFactor::factor(test_context(), a);
+    ASSERT_TRUE(fresh);
+    EXPECT_EQ(fresh->resident_bytes(), packed_bytes(n));
+    ASSERT_TRUE(reused.refactor(test_context(), a));
+    EXPECT_EQ(reused.resident_bytes(), packed_bytes(n));
+  }
+}
+
+// A matrix handed over as its packed lower triangle factors to the bytes
+// factor() gives the square matrix; a buffer of the wrong size throws.
+TEST(Ldlt, FactorPackedMatchesFactor) {
+  rng::Stream stream(37);
+  for (std::size_t n : {5u, 64u, 130u}) {
+    SCOPED_TRACE(std::to_string(n));
+    const DenseMatrix a = testsupport::random_spd(n, stream);
+    std::vector<double> lower(LdltFactor::packed_size(n));
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = j; i < n; ++i)
+        lower[LdltFactor::packed_index(n, i, j)] = a(i, j);
+    const auto packed =
+        LdltFactor::factor_packed(test_context(), n, std::move(lower));
+    const auto dense = LdltFactor::factor(test_context(), a);
+    ASSERT_TRUE(packed);
+    ASSERT_TRUE(dense);
+    EXPECT_EQ(packed->resident_bytes(), dense->resident_bytes());
+    DenseMatrix rhs(n, 6);
+    for (std::size_t c = 0; c < 6; ++c)
+      rhs.set_column(c, testsupport::gaussian_vector(n, stream));
+    EXPECT_TRUE(same_bytes(packed->solve_many(test_context(), rhs),
+                           dense->solve_many(test_context(), rhs)));
+  }
+  EXPECT_THROW(LdltFactor::factor_packed(test_context(), 3,
+                                         std::vector<double>(5, 1.0)),
+               std::invalid_argument);
 }
 
 // A failed refactor leaves the factor empty, whatever it held, so a solve

@@ -281,6 +281,31 @@ TEST(SparseLdlt, FactorAndSolveAreThreadCountInvariant) {
       EXPECT_EQ(one(i, j), four(i, j)) << i << "," << j;
 }
 
+// The dense Schur tail is held once, as a packed triangle: the factor's
+// resident bytes are at most its sparse payload (index arrays, L11, L21
+// and the head pivots, sized from the public counts) plus
+// tail_dim (tail_dim + 1) / 2 doubles — a square n x n tail would not fit.
+TEST(SparseLdlt, ResidentBytesHoldTheTailOnce) {
+  rng::Stream gstream(47);
+  const auto g = graph::random_regularish(512, 8, 4, gstream);
+  const auto f = SparseLdltFactor::factor(
+      test_context(),
+      CscSymmetricMatrix::from_symmetric_csr(graph::laplacian(g), 1));
+  ASSERT_TRUE(f);
+  const std::size_t n = f->dim();
+  const std::size_t t = f->sparse_columns();
+  const std::size_t tail = f->tail_dim();
+  ASSERT_GT(tail, 64u);  // a blocked tail, not a trivial one
+  const std::size_t fill = f->fill_nnz();
+  const std::size_t index_words =
+      2 * n + (t + 1) + (tail + 1) + fill + (f->supernode_count() + 1);
+  const std::size_t sparse_payload =
+      index_words * sizeof(std::size_t) + (fill + t) * sizeof(double);
+  const std::size_t tail_payload = tail * (tail + 1) / 2 * sizeof(double);
+  EXPECT_LE(f->resident_bytes(), sparse_payload + tail_payload);
+  EXPECT_GE(f->resident_bytes(), tail_payload + fill * sizeof(double));
+}
+
 TEST(SparseLdlt, RejectsDegenerateInputs) {
   const auto ctx = test_context();
   // Empty and all-zero matrices: same contract as the dense kernel.
