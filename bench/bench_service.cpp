@@ -10,11 +10,16 @@
 // widths and per-run hit tallies are timing-dependent under concurrent
 // workers, so they are deliberately NOT counters — the warm/cold checks
 // are phrased as residency predicates instead.
+//
+// A second workload, exact-sparse at n = 1024 (workers = 1 only), gives the
+// warm-vs-cold timing gate a cold burst whose prepare (AMD ordering plus
+// supernodal factor) outweighs the timing noise of the bursts themselves.
 #include "support/harness.h"
 
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/factor_cache.h"
@@ -27,81 +32,104 @@ namespace {
 
 using namespace bcclap;
 
-constexpr std::size_t kN = 256;
 constexpr std::size_t kRequests = 16;
 constexpr std::uint64_t kSeed = 77;
 
-const graph::Graph& service_graph() {
-  static const graph::Graph g = [] {
-    rng::Stream stream(kN * 3 + 1);
-    return graph::random_regularish(kN, 8, 4, stream);
-  }();
-  return g;
-}
-
-LaplacianSolveOptions service_lopt() {
+// One burst workload: a topology and the solve options every request of
+// the burst carries.
+struct Workload {
+  std::size_t n;
   LaplacianSolveOptions lopt;
-  lopt.eps = 1e-4;
-  lopt.sparsify.epsilon = 0.5;
-  lopt.sparsify.k = 2;
-  lopt.sparsify.t = 2;
-  lopt.engine = "sparsified-chebyshev";
-  return lopt;
+  std::string key() const { return lopt.engine + "/" + std::to_string(n); }
+};
+
+// The first burst: sparsified Chebyshev at n = 256, whose prepare is a
+// small sparsify and dense factor.
+Workload sparsified_256() {
+  Workload w{256, {}};
+  w.lopt.eps = 1e-4;
+  w.lopt.sparsify.epsilon = 0.5;
+  w.lopt.sparsify.k = 2;
+  w.lopt.sparsify.t = 2;
+  w.lopt.engine = "sparsified-chebyshev";
+  return w;
 }
 
-linalg::Vec request_rhs(std::size_t i) {
+// exact-sparse at n = 1024: a cold burst pays an AMD ordering and a
+// supernodal factor with a dense tail, tens of milliseconds against the
+// warm burst's solves — the pair the warm-vs-cold timing gate reads.
+Workload exact_sparse_1024() {
+  Workload w{1024, {}};
+  w.lopt.engine = "exact-sparse";
+  return w;
+}
+
+const graph::Graph& service_graph(std::size_t n) {
+  static std::map<std::size_t, graph::Graph> graphs;
+  auto it = graphs.find(n);
+  if (it == graphs.end()) {
+    rng::Stream stream(n * 3 + 1);
+    it = graphs.emplace(n, graph::random_regularish(n, 8, 4, stream)).first;
+  }
+  return it->second;
+}
+
+linalg::Vec request_rhs(std::size_t n, std::size_t i) {
   rng::Stream stream(1000 + i);
-  linalg::Vec b(kN);
+  linalg::Vec b(n);
   for (auto& v : b) v = stream.next_gaussian();
   return b;
 }
 
-service::Request nth_request(std::size_t i) {
-  const LaplacianSolveOptions lopt = service_lopt();
+service::Request nth_request(const Workload& w, std::size_t i) {
   service::Request req;
   req.type = service::RequestType::kSolve;
   req.seed = kSeed;
-  req.engine = lopt.engine;
-  req.eps = lopt.eps;
-  req.sparsify = lopt.sparsify;
-  req.graph = service_graph();
-  req.b = request_rhs(i);
+  req.engine = w.lopt.engine;
+  req.eps = w.lopt.eps;
+  req.sparsify = w.lopt.sparsify;
+  req.graph = service_graph(w.n);
+  req.b = request_rhs(w.n, i);
   return req;
 }
 
 // Reference bytes: one facade panel solve outside any service. Computed
-// once (the first call pays it — during a warmup iteration), then reused
-// by every case as the byte-compare target.
-const linalg::DenseMatrix& reference_panel() {
-  static const linalg::DenseMatrix ref = [] {
+// once per workload (the first call pays it — during a warmup iteration),
+// then reused by every case of that workload as the byte-compare target.
+const linalg::DenseMatrix& reference_panel(const Workload& w) {
+  static std::map<std::string, linalg::DenseMatrix> refs;
+  auto it = refs.find(w.key());
+  if (it == refs.end()) {
     RuntimeOptions opts;
     opts.threads = 0;  // BCCLAP_THREADS / hardware
     opts.seed = kSeed;
     Runtime rt(opts);
-    linalg::DenseMatrix b(kN, kRequests);
+    linalg::DenseMatrix b(w.n, kRequests);
     for (std::size_t j = 0; j < kRequests; ++j) {
-      b.set_column(j, request_rhs(j));
+      b.set_column(j, request_rhs(w.n, j));
     }
-    return rt.solve_laplacian_many(service_graph(), b, service_lopt()).x;
-  }();
-  return ref;
+    const linalg::DenseMatrix x =
+        rt.solve_laplacian_many(service_graph(w.n), b, w.lopt).x;
+    it = refs.emplace(w.key(), x).first;
+  }
+  return it->second;
 }
 
-void service_solve(bench::State& s, std::size_t workers, bool warm) {
+void service_solve(bench::State& s, const Workload& w, std::size_t workers,
+                   bool warm) {
   // Warm cases share one FactorCache across repetitions (the warmup
   // iteration populates it); cold cases get a fresh cache every time.
   std::shared_ptr<core::FactorCache> cache;
   if (warm) {
-    static std::map<std::size_t, std::shared_ptr<core::FactorCache>>
-        persistent;
-    auto& slot = persistent[workers];
+    static std::map<std::string, std::shared_ptr<core::FactorCache>> persistent;
+    auto& slot = persistent[w.key() + "/" + std::to_string(workers)];
     if (!slot) slot = std::make_shared<core::FactorCache>(256u << 20);
     cache = slot;
   } else {
     cache = std::make_shared<core::FactorCache>(256u << 20);
   }
   const auto cache_before = cache->stats();
-  const linalg::DenseMatrix& reference = reference_panel();
+  const linalg::DenseMatrix& reference = reference_panel(w);
 
   service::ServiceOptions opts;
   opts.workers = workers;
@@ -112,7 +140,7 @@ void service_solve(bench::State& s, std::size_t workers, bool warm) {
   std::vector<std::shared_ptr<service::PendingReply>> pending;
   pending.reserve(kRequests);
   for (std::size_t i = 0; i < kRequests; ++i) {
-    service::Submission sub = svc.submit(nth_request(i));
+    service::Submission sub = svc.submit(nth_request(w, i));
     if (!sub.accepted()) continue;  // cannot happen at this queue depth
     pending.push_back(sub.reply);
   }
@@ -122,12 +150,12 @@ void service_solve(bench::State& s, std::size_t workers, bool warm) {
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const service::Reply& reply = pending[i]->wait();
     if (reply.status != service::ReplyStatus::kOk ||
-        reply.x.size() != kN) {
+        reply.x.size() != w.n) {
       identical = false;
       continue;
     }
     const linalg::Vec want = reference.column(i);
-    if (std::memcmp(reply.x.data(), want.data(), kN * sizeof(double)) != 0) {
+    if (std::memcmp(reply.x.data(), want.data(), w.n * sizeof(double)) != 0) {
       identical = false;
     }
     if (i == 0) fingerprint = linalg::norm2(reply.x);
@@ -136,7 +164,7 @@ void service_solve(bench::State& s, std::size_t workers, bool warm) {
   const auto stats = svc.stats();
   const auto cache_after = cache->stats();
 
-  s.counter("n", static_cast<double>(kN));
+  s.counter("n", static_cast<double>(w.n));
   s.counter("requests", static_cast<double>(kRequests));
   s.counter("served", static_cast<double>(stats.served));
   s.counter("failed", static_cast<double>(stats.failed));
@@ -164,13 +192,25 @@ void service_solve(bench::State& s, std::size_t workers, bool warm) {
 
 int main(int argc, char** argv) {
   bcclap::bench::Harness h("bench_service");
-  h.add("service_solve/n=256/workers=1/cold",
-        [](bcclap::bench::State& s) { service_solve(s, 1, false); });
-  h.add("service_solve/n=256/workers=1/warm",
-        [](bcclap::bench::State& s) { service_solve(s, 1, true); });
-  h.add("service_solve/n=256/workers=4/cold",
-        [](bcclap::bench::State& s) { service_solve(s, 4, false); });
-  h.add("service_solve/n=256/workers=4/warm",
-        [](bcclap::bench::State& s) { service_solve(s, 4, true); });
+  h.add("service_solve/n=256/workers=1/cold", [](bcclap::bench::State& s) {
+    service_solve(s, sparsified_256(), 1, false);
+  });
+  h.add("service_solve/n=256/workers=1/warm", [](bcclap::bench::State& s) {
+    service_solve(s, sparsified_256(), 1, true);
+  });
+  h.add("service_solve/n=256/workers=4/cold", [](bcclap::bench::State& s) {
+    service_solve(s, sparsified_256(), 4, false);
+  });
+  h.add("service_solve/n=256/workers=4/warm", [](bcclap::bench::State& s) {
+    service_solve(s, sparsified_256(), 4, true);
+  });
+  h.add("service_solve/exact-sparse/n=1024/workers=1/cold",
+        [](bcclap::bench::State& s) {
+          service_solve(s, exact_sparse_1024(), 1, false);
+        });
+  h.add("service_solve/exact-sparse/n=1024/workers=1/warm",
+        [](bcclap::bench::State& s) {
+          service_solve(s, exact_sparse_1024(), 1, true);
+        });
   return h.run(argc, argv);
 }

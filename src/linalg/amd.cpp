@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -75,13 +76,29 @@ Ordering amd_order(const CscSymmetricMatrix& a) {
   std::size_t wtag = 0;
   std::vector<char> ordered(n, 0);
 
-  // Degrees start exact (all weights are 1); the pq keys on
+  // Degrees start exact (all weights are 1); the queue keys on
   // (approximate external degree in vertex units, representative id),
-  // which preserves the exact-MD lowest-original-id tie-break.
-  std::set<std::pair<std::size_t, std::size_t>> pq;
+  // which preserves the exact-MD lowest-original-id tie-break. It is a
+  // binary min-heap with lazy deletion: a degree update pushes a fresh
+  // entry and leaves the old one in place, and an entry is skipped when
+  // it reaches the top if its vertex is no longer a live variable or its
+  // degree is no longer the entry's. The entries that survive that rule
+  // are exactly {(deg[v], v) : v live} (a repeated push of an unchanged
+  // degree only adds a duplicate), so the top is the same minimum an
+  // ordered set of those pairs would give, at every step.
+  using Entry = std::pair<std::size_t, std::size_t>;
+  std::vector<Entry> heap;
+  const auto push = [&](std::size_t v) {
+    heap.emplace_back(deg[v], v);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+  };
+  const auto pop = [&] {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    heap.pop_back();
+  };
   for (std::size_t v = 0; v < n; ++v) {
     deg[v] = vadj[v].size();
-    pq.insert({deg[v], v});
+    push(v);
   }
 
   // Live weight of element e's boundary; prunes dead members in passing.
@@ -115,10 +132,15 @@ Ordering amd_order(const CscSymmetricMatrix& a) {
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   std::size_t remaining = n;
   while (remaining > kOrderingMinTailDim) {
-    const std::size_t dmin = pq.begin()->first;
-    const std::size_t p = pq.begin()->second;
+    // A live variable always holds a current entry, and remaining > 0
+    // means one is live, so the heap cannot run dry here.
+    while (state[heap.front().second] != kLiveVar ||
+           deg[heap.front().second] != heap.front().first)
+      pop();
+    const std::size_t dmin = heap.front().first;
+    const std::size_t p = heap.front().second;
     if (2 * dmin >= remaining) break;
-    pq.erase(pq.begin());
+    pop();
 
     // Form the pivot element: Lp = (A_p ∪ ⋃_{e ∈ E_p} L_e) \ {p}.
     // Every element reachable from p has its boundary inside Lp ∪ {p}
@@ -220,7 +242,6 @@ Ordering amd_order(const CscSymmetricMatrix& a) {
       h += mix64(p + n);
       dv = std::min(dv, remaining - nv[v]);
       dv = std::min(dv, deg[v] + lp_weight - nv[v]);
-      pq.erase({deg[v], v});
       deg[v] = dv;
       vhash[v] = h ^ mix64((av.size() << 20) | (ev.size() + 1));
     }
@@ -264,7 +285,7 @@ Ordering amd_order(const CscSymmetricMatrix& a) {
       if (!absorbed) cand.push_back(v);
     }
     for (std::size_t v : lp) {
-      if (state[v] == kLiveVar) pq.insert({deg[v], v});
+      if (state[v] == kLiveVar) push(v);
     }
   }
   ord.t = ord.perm.size();

@@ -8,28 +8,32 @@
 #include <vector>
 
 #include "linalg/csc_matrix.h"
+#include "linalg/ldlt_kernel.h"
 
 namespace bcclap::linalg {
 
 namespace {
 
-// Tile edge of the blocked right-looking factorization. Fixed — never
-// derived from the worker count — so tile boundaries, and with them the
-// floating-point grouping of every trailing update, are identical at any
-// thread count. For n <= kLdltBlock the whole matrix is one diagonal
-// block and the arithmetic is exactly the classic unblocked sweep.
-constexpr std::size_t kLdltBlock = 64;
+// kLdltBlock, the tile edge of the blocked right-looking factorization, is
+// fixed — never derived from the worker count — so tile boundaries, and
+// with them the floating-point grouping of every trailing update, are
+// identical at any thread count. For n <= kLdltBlock the whole matrix is
+// one diagonal block and the arithmetic is exactly the classic unblocked
+// sweep. kLanes rows make one staged group, and kLanes columns one
+// register block of the lane kernels.
+using ldlt_kernel::kLanes;
+using ldlt_kernel::kLdltBlock;
 
-// Rows and columns per register block of the lane kernels.
-constexpr std::size_t kLanes = 4;
-
-// Two doubles in one SIMD register (GCC/Clang vector extension; SSE2 on
-// the x86-64 baseline, no intrinsics). Lane arithmetic is plain IEEE
-// per lane, and the build pins -ffp-contract=off, so a lane runs exactly
-// the mul-then-sub sequence of the scalar code it replaces: the kernels
-// below only interleave independent accumulation chains, never reorder
-// one, and their outputs are byte-identical to a per-entry scalar loop.
+// Two doubles in one SIMD register, and four (GCC/Clang vector extension,
+// no intrinsics): Lane2 is SSE2 on the x86-64 baseline; Lane4 is used only
+// inside the target("avx2") wrapper of the trailing update. Lane
+// arithmetic is plain IEEE per lane, and the build pins -ffp-contract=off,
+// so a lane runs exactly the mul-then-sub sequence of the scalar code it
+// replaces: the kernels below only interleave independent accumulation
+// chains, never reorder one, and their outputs are byte-identical to a
+// per-entry scalar loop at either width.
 using Lane2 = double __attribute__((vector_size(16)));
+using Lane4 = double __attribute__((vector_size(32)));
 
 Lane2 load2(const double* p) {
   Lane2 v;
@@ -51,10 +55,11 @@ T* column(T* p, std::size_t n, std::size_t j) {
 // Rows [i, i + 2 * kPairs) of column j in the diagonal block that starts
 // at column kb, as kPairs two-lane chains: each entry subtracts
 // L(i, k) L(j, k) D(k) in ascending k, D(k) read from column k's diagonal
-// slot. Walking from column k to k + 1 advances n - 1 - k doubles.
+// slot, and is then divided by D(j) = dj in the register. Walking from
+// column k to k + 1 advances n - 1 - k doubles.
 template <std::size_t kPairs>
 void diagonal_block_rows(double* p, std::size_t n, std::size_t kb,
-                         std::size_t j, std::size_t i) {
+                         std::size_t j, std::size_t i, double dj) {
   double* cj = column(p, n, j);
   Lane2 v[kPairs];
   for (std::size_t h = 0; h < kPairs; ++h) v[h] = load2(cj + i + 2 * h);
@@ -65,7 +70,69 @@ void diagonal_block_rows(double* p, std::size_t n, std::size_t kb,
     for (std::size_t h = 0; h < kPairs; ++h)
       v[h] = v[h] - load2(ck + i + 2 * h) * ljk * dk;
   }
-  for (std::size_t h = 0; h < kPairs; ++h) store2(cj + i + 2 * h, v[h]);
+  const Lane2 d = splat(dj);
+  for (std::size_t h = 0; h < kPairs; ++h) store2(cj + i + 2 * h, v[h] / d);
+}
+
+// One register block of the trailing update: rows [i0, i0 + 2 w) against
+// columns [j0, j0 + kLanes), w the lanes of Lane. ai is the staged group
+// of row i0 and bj the D-scaled group of column j0; cols[c] is packed
+// column j0 + c. Rows are lanes — two w-row halves loaded per k, the
+// second starting w rows on (the next lanes of the group for Lane2, the
+// next group for Lane4) — and columns are broadcast from bj, so the block
+// keeps eight accumulators: 4 x 4 for Lane2, 8 x 4 for Lane4. Each entry
+// sums its products from 0.0 in ascending k and is then subtracted once
+// from its packed slot. A block that overhangs the diagonal or the matrix
+// edge stores only the entries with j0 + c <= i < n. Always inlined, so
+// the Lane4 build is compiled inside its target("avx2") caller and no
+// 32-byte vector crosses a call boundary.
+template <typename Lane>
+[[gnu::always_inline]] inline void update_block(
+    const double* ai, const double* bj, double* const* cols, std::size_t n,
+    std::size_t j0, std::size_t i0) {
+  constexpr std::size_t w = sizeof(Lane) / sizeof(double);
+  constexpr std::size_t half = w / kLanes * kLdltBlock * kLanes + w % kLanes;
+  Lane acc[kLanes][2] = {};
+  for (std::size_t k = 0; k < kLdltBlock; ++k) {
+    Lane a0;
+    Lane a1;
+    std::memcpy(&a0, ai + k * kLanes, sizeof a0);
+    std::memcpy(&a1, ai + half + k * kLanes, sizeof a1);
+    for (std::size_t c = 0; c < kLanes; ++c) {
+      // Scalar minus the zero vector: a broadcast at any width, exact for
+      // every value (x - 0 is x, -0 included).
+      const Lane b = bj[k * kLanes + c] - Lane{};
+      acc[c][0] = acc[c][0] + a0 * b;
+      acc[c][1] = acc[c][1] + a1 * b;
+    }
+  }
+  if (j0 + kLanes <= i0 + 1 && i0 + 2 * w <= n) {
+    for (std::size_t c = 0; c < kLanes; ++c)
+      for (std::size_t h = 0; h < 2; ++h) {
+        double* wp = cols[c] + i0 + h * w;
+        Lane v;
+        std::memcpy(&v, wp, sizeof v);
+        v = v - acc[c][h];
+        std::memcpy(wp, &v, sizeof v);
+      }
+  } else {
+    for (std::size_t c = 0; c < kLanes; ++c)
+      for (std::size_t r = 0; r < 2 * w; ++r) {
+        const std::size_t i = i0 + r;
+        if (i < n && j0 + c <= i) cols[c][i] -= acc[c][r / w][r % w];
+      }
+  }
+}
+
+// The four-lane build: an interior 8 x 4 block (no diagonal overhang, no
+// ragged rows). Without "fma" in the target, and with -ffp-contract=off,
+// every multiply and add still rounds on its own.
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]]
+#endif
+void update_block_wide(const double* ai, const double* bj, double* const* cols,
+                       std::size_t n, std::size_t j0, std::size_t i0) {
+  update_block<Lane4>(ai, bj, cols, n, j0, i0);
 }
 
 void require_square(const CsrMatrix& laplacian) {
@@ -84,6 +151,46 @@ void require_square(const CsrMatrix& laplacian) {
 }
 
 }  // namespace
+
+bool ldlt_kernel::wide_lanes() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  return avx2;
+#else
+  return false;
+#endif
+}
+
+void ldlt_kernel::update_tile(double* p, std::size_t n, std::size_t ke,
+                              const double* rows, const double* scaled,
+                              std::size_t ilo, std::size_t jlo, bool wide) {
+  const std::size_t ihi = std::min(n, ilo + kLdltBlock);
+  const std::size_t jhi = std::min(ihi, jlo + kLdltBlock);
+  const auto staged = [&](const double* panel, std::size_t i) {
+    return panel + (i - ke) / kLanes * kLdltBlock * kLanes;
+  };
+  for (std::size_t j0 = jlo; j0 < jhi; j0 += kLanes) {
+    const double* bj = staged(scaled, j0);
+    double* cols[kLanes];
+    for (std::size_t c = 0; c < kLanes; ++c)
+      cols[c] = column(p, n, std::min(j0 + c, n - 1));
+    std::size_t i0 = std::max(ilo, j0);
+    if (wide) {
+      // The block on the diagonal overhangs it, and a last group with
+      // fewer than eight rows left in the tile (ragged or not) cannot
+      // pair, so both stay on the two-lane build; every block between
+      // takes two staged groups at once.
+      if (i0 == j0) {
+        update_block<Lane2>(staged(rows, i0), bj, cols, n, j0, i0);
+        i0 += kLanes;
+      }
+      for (; i0 + 2 * kLanes <= ihi; i0 += 2 * kLanes)
+        update_block_wide(staged(rows, i0), bj, cols, n, j0, i0);
+    }
+    for (; i0 < ihi; i0 += kLanes)
+      update_block<Lane2>(staged(rows, i0), bj, cols, n, j0, i0);
+  }
+}
 
 std::optional<LdltFactor> LdltFactor::factor(const common::Context& ctx,
                                              const DenseMatrix& a,
@@ -187,26 +294,30 @@ bool LdltFactor::factor_in_place(const common::Context& ctx, std::size_t n,
     // packed columns: entry (i, j) subtracts L(i, k) L(j, k) D(k) over the
     // block's earlier columns in ascending k (earlier block columns were
     // already applied by their trailing updates), then is divided by
-    // D(j); the diagonal entry takes the same chain and becomes D(j). Rows
-    // run as independent two-lane chains, four and then two at a time,
-    // and a last odd row alone.
+    // D(j). The diagonal entry takes the same chain first and becomes
+    // D(j); the rows below it run as independent two-lane chains, four
+    // and then two at a time, dividing in the register, and a last odd
+    // row alone.
     for (std::size_t j = kb; j < ke; ++j) {
-      std::size_t i = j;
-      for (; i + kLanes <= ke; i += kLanes)
-        diagonal_block_rows<2>(p, n, kb, j, i);
-      if (i + 2 <= ke) {
-        diagonal_block_rows<1>(p, n, kb, j, i);
-        i += 2;
-      }
       double* cj = column(p, n, j);
-      if (i < ke) {
-        const double* ck = column(p, n, kb);
-        for (std::size_t k = kb; k < j; ck += n - 1 - k, ++k)
-          cj[i] -= ck[i] * ck[j] * ck[k];
-      }
+      const double* ck = column(p, n, kb);
+      for (std::size_t k = kb; k < j; ck += n - 1 - k, ++k)
+        cj[j] -= ck[j] * ck[j] * ck[k];
       const double dj = cj[j];
       if (dj <= threshold) return false;
-      for (i = j + 1; i < ke; ++i) cj[i] /= dj;
+      std::size_t i = j + 1;
+      for (; i + kLanes <= ke; i += kLanes)
+        diagonal_block_rows<2>(p, n, kb, j, i, dj);
+      if (i + 2 <= ke) {
+        diagonal_block_rows<1>(p, n, kb, j, i, dj);
+        i += 2;
+      }
+      if (i < ke) {
+        ck = column(p, n, kb);
+        for (std::size_t k = kb; k < j; ck += n - 1 - k, ++k)
+          cj[i] -= ck[i] * ck[j] * ck[k];
+        cj[i] /= dj;
+      }
     }
     if (ke == n) break;
     for (std::size_t j = 0; j < kLdltBlock; ++j)
@@ -261,14 +372,18 @@ bool LdltFactor::factor_in_place(const common::Context& ctx, std::size_t n,
     // block's columns, for ke <= j <= i < n. The trailing triangle is cut
     // into kLdltBlock-square tiles; every tile is one unit of work with a
     // fixed interior loop order and a disjoint write range, so the fan-out
-    // needs no merge step to stay deterministic. Inside a tile a 4-row x
-    // 4-column micro-kernel keeps eight two-lane accumulators in
-    // registers, rows as lanes (two loads of a staged group per k) and
-    // columns broadcast from the D-scaled operand; each (i, j) entry still
+    // needs no merge step to stay deterministic. Inside a tile
+    // (ldlt_kernel::update_tile) a register block keeps eight
+    // accumulators, rows as lanes loaded from the staged groups and
+    // columns broadcast from the D-scaled operand. On a CPU with AVX2 —
+    // decided once per process — interior blocks are 8 rows x 4 columns
+    // in four-lane registers; the block on the diagonal, an unpaired last
+    // group of a tile and every block on a CPU without AVX2 are 4 x 4 in
+    // two-lane registers.
+    // Both widths are one templated body, and each (i, j) entry still
     // sums its products from 0.0 in ascending k and is then subtracted
-    // once, down its packed column. Blocks overhanging the diagonal or the
-    // matrix edge compute the full 4 x 4 and store only the entries with
-    // j <= i < n.
+    // once, down its packed column, so the width never shows in the
+    // bytes.
     struct Tile {
       std::size_t ilo, jlo;
     };
@@ -276,50 +391,12 @@ bool LdltFactor::factor_in_place(const common::Context& ctx, std::size_t n,
     for (std::size_t ilo = ke; ilo < n; ilo += kLdltBlock)
       for (std::size_t jlo = ke; jlo <= ilo; jlo += kLdltBlock)
         tiles.push_back({ilo, jlo});
+    const bool wide = ldlt_kernel::wide_lanes();
     ctx.parallel_for_chunks(
         0, tiles.size(), 1, [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t t = lo; t < hi; ++t) {
-            const std::size_t ilo = tiles[t].ilo;
-            const std::size_t jlo = tiles[t].jlo;
-            const std::size_t ihi = std::min(n, ilo + kLdltBlock);
-            const std::size_t jhi = std::min(ihi, jlo + kLdltBlock);
-            for (std::size_t j0 = jlo; j0 < jhi; j0 += kLanes) {
-              const double* bj =
-                  scaled + (j0 - ke) / kLanes * kLdltBlock * kLanes;
-              double* cols[kLanes];
-              for (std::size_t c = 0; c < kLanes; ++c)
-                cols[c] = column(p, n, std::min(j0 + c, n - 1));
-              for (std::size_t i0 = std::max(ilo, j0); i0 < ihi;
-                   i0 += kLanes) {
-                const double* ai =
-                    rows + (i0 - ke) / kLanes * kLdltBlock * kLanes;
-                Lane2 acc[kLanes][2] = {};
-                for (std::size_t k = 0; k < kLdltBlock; ++k) {
-                  const Lane2 a0 = load2(ai + k * kLanes);
-                  const Lane2 a1 = load2(ai + k * kLanes + 2);
-                  for (std::size_t c = 0; c < kLanes; ++c) {
-                    const Lane2 b = splat(bj[k * kLanes + c]);
-                    acc[c][0] = acc[c][0] + a0 * b;
-                    acc[c][1] = acc[c][1] + a1 * b;
-                  }
-                }
-                if (j0 + kLanes <= i0 + 1 && i0 + kLanes <= n) {
-                  for (std::size_t c = 0; c < kLanes; ++c) {
-                    double* w = cols[c] + i0;
-                    store2(w, load2(w) - acc[c][0]);
-                    store2(w + 2, load2(w + 2) - acc[c][1]);
-                  }
-                } else {
-                  for (std::size_t c = 0; c < kLanes; ++c)
-                    for (std::size_t r = 0; r < kLanes; ++r) {
-                      const std::size_t i = i0 + r;
-                      if (i < n && j0 + c <= i)
-                        cols[c][i] -= acc[c][r / 2][r % 2];
-                    }
-                }
-              }
-            }
-          }
+          for (std::size_t t = lo; t < hi; ++t)
+            ldlt_kernel::update_tile(p, n, ke, rows, scaled, tiles[t].ilo,
+                                     tiles[t].jlo, wide);
         });
   }
   n_ = n;

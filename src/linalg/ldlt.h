@@ -15,8 +15,9 @@
 // the trailing-matrix tiles fan out over the execution context's worker
 // pool (common/context.h) with fixed tile boundaries, so factors are
 // byte-identical at any thread count. The diagonal block runs down its
-// packed columns; the panel and the trailing update run register-blocked
-// two-lane kernels (4 rows x 4 columns per block) over a staged k-major
+// packed columns; the panel runs two-lane kernels, and the trailing
+// update register blocks (4 rows x 4 columns in two-lane registers, or
+// 8 x 4 in four-lane registers on a CPU with AVX2), over a staged k-major
 // copy of the rows below the block. All of them interleave independent
 // entries but keep every entry's summation order. The forward sweep is
 // right-looking, down column k once y_k is final; the backward sweep is

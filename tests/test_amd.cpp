@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/runtime.h"
@@ -18,6 +19,7 @@
 #include "linalg/sparse_ldlt.h"
 #include "linalg/vector_ops.h"
 #include "support/fixtures.h"
+#include "support/fnv.h"
 
 namespace bcclap::linalg {
 namespace {
@@ -124,6 +126,32 @@ TEST(AmdOrder, FillWithinFifteenPercentOfExactMinDegree) {
               1.15 * static_cast<double>(md_fill) + 16.0)
         << name << " amd=" << amd_fill << " exact=" << md_fill;
   }
+}
+
+// Pins the ordering itself — the dense-tail cut t and every position of
+// the permutation — on three expanders of the size the service workload
+// orders and on a 2-D grid, so a tie broken differently, or any other
+// change of pivot choice, fails here rather than only through fill or
+// factor bytes.
+TEST(AmdOrder, PermutationPinnedOnExpanders) {
+  const auto pin = [](const graph::Graph& g) {
+    const Ordering ord = amd_order(graph::laplacian_csc(g));
+    testsupport::Fnv h;
+    h.feed(static_cast<std::uint64_t>(ord.t));
+    for (std::size_t v : ord.perm) h.feed(static_cast<std::uint64_t>(v));
+    return h.value();
+  };
+  const std::uint64_t want_regularish[] = {
+      1056239189739054933ull, 1837388016589043802ull, 3202643402279068486ull};
+  const rng::Stream root(2048);
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE(c);
+    rng::Stream stream = root.child(c);
+    EXPECT_EQ(pin(graph::random_regularish(2048, 8, 4, stream)),
+              want_regularish[c]);
+  }
+  rng::Stream gr(93);
+  EXPECT_EQ(pin(graph::grid(40, 41, 3, gr)), 2192500979199457587ull);
 }
 
 TEST(AmdOrder, SupernodeBlockedFactorIsThreadCountInvariant) {
